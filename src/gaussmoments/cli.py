@@ -18,11 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from math import factorial
 
 from . import determinantal, moments, recovery, secant
+from .linalg import PRIME_LIMIT
 from .polyring import is_prime
 from .rng import PRNG_NAME
 
@@ -88,6 +90,8 @@ def _rank_config(args, d: int) -> dict:
         seed = int(os.environ.get("GAUSSMOMENTS_SEED", secant.DEFAULT_SEED))
     if prime is None:
         prime = int(os.environ.get("GAUSSMOMENTS_PRIME", secant.DEFAULT_PRIME))
+    if prime >= PRIME_LIMIT:
+        raise SystemExit2(f"--prime {prime} must be below 2^62")
     if not is_prime(prime):
         raise SystemExit2(f"--prime {prime} is not prime")
     if prime <= factorial(d):
@@ -378,9 +382,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# options whose value may be a negative fraction such as -1/2, which argparse
+# would otherwise take for an option flag
+_SIGNED_VALUE_OPTIONS = ("--mu11", "--mu21")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite '--mu11 -1/2' as '--mu11=-1/2'."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1] in _SIGNED_VALUE_OPTIONS
+                and re.match(r"-[0-9.]", arg)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_signed_values(argv))
     try:
         return args.func(args)
     except SystemExit2 as exc:

@@ -1,16 +1,22 @@
 """Exact matrix kernels: integer/rational rank and determinant, prime-field
 rank, and determinants of small matrices with polynomial entries.
 
-Two elimination strategies, chosen by coefficient domain and size:
+Two elimination strategies, chosen by coefficient domain:
 
 * fraction-free (Bareiss) elimination over the integers for rational
   matrices (rows are scaled integer vectors, so no coefficient blow-up from
   fractions), and
-* plain Gaussian elimination over GF(p) for modular rank.  When p*p fits in
-  an int64 the elimination is vectorized with numpy; otherwise a pure-Python
-  path handles word-sized primes up to 2^62.
+* blocked Gaussian elimination over GF(p), for every prime p < 2^62, on an
+  int64 array of residues.  Its updates are matrix products mod p computed
+  with float64 BLAS, and they are exact: residues are split into limbs of at
+  most 21 bits, so a limb product is below 2^42, and no float64 product sums
+  more than 2048 of them, so every value BLAS forms is an integer below 2^53,
+  which float64 represents exactly whatever the order of summation.  The
+  limb products are recombined in int64; the one float64 quotient estimate
+  there is within 1 of the true quotient (proved in ``_sub_matmul`` and
+  ``_fold``) and is corrected with exact wrapping int64 arithmetic.
 
-Everything here is exact; there is no floating point.
+No result depends on floating-point rounding.
 """
 
 from __future__ import annotations
@@ -21,10 +27,6 @@ from math import lcm
 import numpy as np
 
 from .polyring import Polynomial, Rationals, exact_div
-
-# Largest p with (p-1)^2 + p < 2^63, so products in the int64 update cannot
-# overflow.
-NUMPY_PRIME_LIMIT = 3037000499
 
 
 def _rows_to_int(rows) -> list[list[int]]:
@@ -90,65 +92,242 @@ def det_rational(rows) -> Fraction:
     return det
 
 
-def _rank_mod_p_numpy(rows, p: int) -> int:
-    a = np.array(rows, dtype=np.int64) % p
-    n_rows, n_cols = a.shape
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        row = a[r, c:] * inv % p
-        a[r, c:] = row
-        below = a[r + 1:, c]
-        nzb = np.nonzero(below)[0]
-        if nzb.size:
-            idx = r + 1 + nzb
-            a[idx, c:] = (a[idx, c:] - below[nzb, None] * row) % p
-        r += 1
-    return r
+# -- rank over GF(p) ----------------------------------------------------------
+
+# Primes below this bound are supported: residues fit in int64 with a spare
+# bit, so the differences _fold forms, which lie in [-p, 2p), are exact int64
+# values.
+PRIME_LIMIT = 1 << 62
+
+# Residues are split into limbs of at most 21 bits, so a limb product is
+# below 2^42 and a float64 dot product of at most 2^(53-42) = 2048 of them is
+# an integer below 2^53: every partial sum is an exact float64, whatever order
+# BLAS adds in.
+_MAX_LIMB_BITS = 21
+_EXACT_TERMS = 1 << (53 - 2 * _MAX_LIMB_BITS)
+
+# Column blocks at most this wide go to the width-1 base case; wider ones are
+# split in half, so all other work is matmuls.  A base slab of at most
+# _TINY_SLAB entries (rows x width) is eliminated with Python ints: there the
+# fixed cost of a numpy width-1 step (some thirty array operations) exceeds
+# that of the whole Python loop.
+_BASE_WIDTH = 8
+_TINY_SLAB = 256
+
+# Columns of the right operand per matmul tile: bounds the limb copies of it
+# (limbs^2 words per entry) and the temporaries of the result.
+_TILE = 64
 
 
-def _rank_mod_p_python(rows, p: int) -> int:
-    m = [[int(x) % p for x in row] for row in rows]
-    if not m or not m[0]:
+def _limbs(p: int) -> tuple[int, int]:
+    """(count, width): residues mod p as `count` limbs of `width` bits, with
+    count <= 3 and width <= 21 for p < 2^62, and p > 2^(count*(width-1))."""
+    bits = max(1, (p - 1).bit_length())
+    count = -(-bits // _MAX_LIMB_BITS)
+    return count, -(-bits // count)
+
+
+def _fold(v, f, p: int):
+    """V mod p, from v = V mod 2^64 (wrapped int64) and a float64 estimate f
+    of V/p with |f - V/p| < 1, for V >= 0.
+
+    floor(f) is then within 1 of floor(V/p), so V - floor(f)*p lies in
+    [-p, 2p).  That range is inside int64 because p < 2^62, so the wrapping
+    int64 difference is exact, and two conditional corrections by p bring it
+    into [0, p).
+    """
+    v -= f.astype(np.int64) * p
+    v += (v >> 63) & p
+    v -= p
+    v += (v >> 63) & p
+    return v
+
+
+def _shift(y, bits: int, p: int):
+    """y * 2^bits mod p for residues y and bits <= 42.  The estimate
+    fl(fl(y) * fl(2^bits / p)) has three roundings of relative error 2^-53
+    on a quotient below 2^42, so its error is below 2^-9."""
+    return _fold(y << bits, y * (float(1 << bits) / p), p)
+
+
+def _sub_matmul(c, x, y, p: int) -> None:
+    """c <- (c - x @ y) mod p in place, for int64 arrays of residues.
+
+    With x_i the limbs of x and y^(i) = 2^(width*i) y mod p,
+    x @ y = V = sum_j 2^(width*j) Q_j mod p, Q_j = sum_i x_i @ limb_j(y^(i)).
+    Each Q_j is one float64 matmul over limbs, exact once its inner
+    dimension is chunked to at most _EXACT_TERMS.
+
+    V mod p is folded from the estimate f = sum_j Q_j * fl(2^(width*j) / p).
+    Q_j < 2^(11 + 2 width), so V < 2^(12 + width*(count+1)), and
+    p > 2^(count*(width-1)) gives V/p < 2^(12 + width + count) <= 2^36.  Each
+    term of f has at most four roundings (constant, product, two additions)
+    of relative error 2^-53 and all terms are non-negative, so
+    |f - V/p| < 4.01 * 2^-53 * 2^36 < 2^-14: the error _fold needs below 1.
+    """
+    count, width = _limbs(p)
+    mask = (1 << width) - 1
+    scales = [float(1 << (width * j)) / p for j in range(count)]
+    step = _EXACT_TERMS // count
+    for s in range(0, x.shape[1], step):
+        xs = np.concatenate([(x[:, s:s + step] >> (width * i)) & mask
+                             for i in range(count)], axis=1, dtype=np.float64)
+        for t in range(0, y.shape[1], _TILE):
+            yt = y[s:s + step, t:t + _TILE]
+            shifted = [yt] + [_shift(yt, width * i, p)
+                              for i in range(1, count)]
+            v = f = None
+            for j in range(count):
+                ys = np.concatenate([(y_i >> (width * j)) & mask
+                                     for y_i in shifted],
+                                    axis=0, dtype=np.float64)
+                q = xs @ ys
+                term = q.astype(np.int64)
+                term <<= width * j
+                q *= scales[j]
+                if v is None:
+                    v, f = term, q
+                else:
+                    v += term
+                    f += q
+            ct = c[:, t:t + _TILE]
+            ct -= _fold(v, f, p)
+            ct += (ct >> 63) & p
+
+
+def _swap_rows(a, i: int, j: int) -> None:
+    a[[i, j]] = a[[j, i]]
+
+
+def _eliminate(a, c0: int, c1: int, p: int, need_g: bool) -> int:
+    """Rank of columns c0..c1-1 of the row block a (int64 residues), in place.
+
+    Whole rows of a are swapped so that a[:k] are the pivot rows, k the
+    rank: each column's pivot is the first row, in the current order, that
+    is independent of the pivot rows before it.  Columns outside c0..c1-1
+    are only permuted; inside, a is scratch, except that with need_g
+    a[k:, c0:c0+k] ends holding G, the matrix with
+    a[k:, c0:c1] = G @ a[:k, c0:c1] mod p for the entries as they were on
+    entry.
+
+    Wider blocks split in half by columns, as in the recursive rank-profile
+    eliminations of Jeannerod, Pernet and Storjohann (JSC 2013): G1 of the
+    left half updates the right half of the remaining rows, and the two G's
+    combine as G = [G1_rest - G2 @ G1_pivots2 | G2].
+    """
+    h = a.shape[0]
+    if h == 0:
         return 0
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        piv = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if piv is None:
+    if c1 - c0 <= _BASE_WIDTH:
+        return _eliminate_narrow(a, c0, c1, p, need_g)
+    mid = (c0 + c1) // 2
+    k1 = _eliminate(a, c0, mid, p, True)
+    rest = a[k1:]
+    if k1 and len(rest):
+        _sub_matmul(rest[:, mid:c1], rest[:, c0:c0 + k1], a[:k1, mid:c1], p)
+    k2 = _eliminate(rest, mid, c1, p, need_g)
+    low = rest[k2:]
+    if need_g and k2 and len(low):
+        g2 = low[:, mid:mid + k2].copy()
+        if k1:
+            _sub_matmul(low[:, c0:c0 + k1], g2, rest[:k2, c0:c0 + k1], p)
+        low[:, c0 + k1:c0 + k1 + k2] = g2
+    return k1 + k2
+
+
+def _eliminate_narrow(a, c0: int, c1: int, p: int, need_g: bool) -> int:
+    """The base case of _eliminate: one column at a time on a slab that
+    holds the block's w columns, then w columns tracking G.
+
+    Invariant: every row of the slab is (entry row) - D @ (entry pivot
+    rows), with D in the tracking columns.  A new pivot row t gets -1 in
+    tracking column t, so subtracting a multiple of it from the rows below
+    updates their D as well; at the end the non-pivot rows are zero on the
+    block and D is G.
+    """
+    h, w = a.shape[0], c1 - c0
+    slab = np.zeros((h, 2 * w), dtype=np.int64)
+    slab[:, :w] = a[:, c0:c1]
+    if h * w <= _TINY_SLAB:
+        rows = slab.tolist()
+        k = _eliminate_rows(rows, a, w, p)
+        slab[:] = rows
+    else:
+        k = 0
+        for j in range(w):
+            nz = np.flatnonzero(slab[k:, j])
+            if not nz.size:
+                continue
+            if nz[0]:
+                _swap_rows(slab, k, k + nz[0])
+                _swap_rows(a, k, k + nz[0])
+            slab[k, w + k] = p - 1
+            if nz.size > 1:
+                inv = pow(int(slab[k, j]), -1, p)
+                u = np.array([[x * inv % p for x in
+                               slab[k, j + 1:w + k + 1].tolist()]],
+                             dtype=np.int64)
+                # rows below with a nonzero in column j; the swap above moved
+                # a zero row to k + nz[0], so these indices are unchanged
+                below = k + nz[1:]
+                block = slab[below, j + 1:w + k + 1]
+                _sub_matmul(block, slab[below, j:j + 1], u, p)
+                slab[below, j + 1:w + k + 1] = block
+            k += 1
+            if k == h:
+                break
+    if need_g and k:
+        a[k:, c0:c0 + k] = slab[k:, w:w + k]
+    return k
+
+
+def _eliminate_rows(rows: list, a, w: int, p: int) -> int:
+    """_eliminate_narrow on a slab of Python ints; swaps mirrored in a."""
+    h = len(rows)
+    k = 0
+    for j in range(w):
+        i = next((i for i in range(k, h) if rows[i][j]), None)
+        if i is None:
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        pivot_row = [v * inv % p for v in m[r]]
-        m[r] = pivot_row
-        for i in range(r + 1, n_rows):
-            f = m[i][c]
+        if i != k:
+            rows[k], rows[i] = rows[i], rows[k]
+            _swap_rows(a, k, i)
+        piv = rows[k]
+        piv[w + k] = p - 1
+        inv = pow(piv[j], -1, p)
+        u = [x * inv % p for x in piv[j + 1:w + k + 1]]
+        for row in rows[k + 1:]:
+            f = row[j]
             if f:
-                row_i = m[i]
-                m[i] = [(x - f * y) % p for x, y in zip(row_i, pivot_row)]
-        r += 1
-    return r
+                row[j + 1:w + k + 1] = [(x - f * y) % p for x, y in
+                                        zip(row[j + 1:w + k + 1], u)]
+        k += 1
+        if k == h:
+            break
+    return k
 
 
 def rank_mod_p(rows, p: int) -> int:
-    """Rank over GF(p); numpy-vectorized when p*p fits in int64."""
-    if p <= NUMPY_PRIME_LIMIT:
-        arr = np.asarray(rows, dtype=np.int64)
-        if arr.size == 0:
-            return 0
-        return _rank_mod_p_numpy(arr, p)
-    return _rank_mod_p_python(rows, p)
+    """Rank over GF(p) of an integer matrix, for a prime 2 <= p < 2^62, by
+    the exact blocked elimination described in the module docstring.
+
+    ``rows`` is a sequence of integer rows or a 2-D numpy array.  An int64
+    array is reduced mod p and eliminated in place, so its contents are
+    destroyed; any other input is copied into one, a row at a time.
+    """
+    if not 2 <= p < PRIME_LIMIT:
+        raise ValueError(f"prime {p} out of range: need 2 <= p < 2^62")
+    if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
+        a = rows
+        np.remainder(a, p, out=a)
+    else:
+        rows = list(rows)
+        a = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=np.int64)
+        for i, row in enumerate(rows):
+            a[i] = [int(x) % p for x in row]
+    if a.ndim != 2:
+        raise ValueError("rank of a non-matrix")
+    return _eliminate(a, 0, a.shape[1], p, False)
 
 
 # integer-coefficient polynomial helpers (dict exponent-tuple -> int); the

@@ -24,7 +24,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .linalg import rank_mod_p
+import numpy as np
+
+from .linalg import PRIME_LIMIT, rank_mod_p
 from .moments import (MixtureParams, moment_polynomials, multi_indices)
 from .rng import PRNG_NAME, SplitMix64, derive_seed
 
@@ -183,30 +185,35 @@ def _eval_terms(terms, vals, p: int) -> int:
 
 def _jacobian_mod_p(ctx: _JacobianContext, comp_vals, weights, p: int):
     """Rows: moments of order 1..d; columns: per-component (mu, sigma) blocks
-    then the k-1 free weights."""
+    then the k-1 free weights.  An int64 array, filled a row at a time."""
     k = len(comp_vals)
     m = ctx.n_params
     n_rows = len(ctx.indices)
     par = k * m + k - 1
-    jac = [[0] * par for _ in range(n_rows)]
-    for ell in range(k):
-        vals = comp_vals[ell]
-        lam = weights[ell]
-        base = ell * m
-        for r in range(n_rows):
-            row = jac[r]
-            for j, terms in ctx.partial_terms[r]:
-                row[base + j] = lam * _eval_terms(terms, vals, p) % p
+    jac = np.zeros((n_rows, par), dtype=np.int64)
     if k > 1:
-        mom = [[_eval_terms(ctx.moment_terms[r], comp_vals[ell], p)
-                for r in range(n_rows)] for ell in range(k)]
-        last = mom[k - 1]
+        mom = [[_eval_terms(ctx.moment_terms[r], vals, p)
+                for r in range(n_rows)] for vals in comp_vals]
+    for r in range(n_rows):
+        cols, entries = [], []
+        for ell in range(k):
+            vals = comp_vals[ell]
+            lam = weights[ell]
+            for j, terms in ctx.partial_terms[r]:
+                cols.append(ell * m + j)
+                entries.append(lam * _eval_terms(terms, vals, p) % p)
         for ell in range(k - 1):
-            col = k * m + ell
-            mell = mom[ell]
-            for r in range(n_rows):
-                jac[r][col] = (mell[r] - last[r]) % p
+            cols.append(k * m + ell)
+            entries.append((mom[ell][r] - mom[k - 1][r]) % p)
+        jac[r, cols] = entries
     return jac
+
+
+def _check_prime(problem: SecantProblem, prime: int) -> None:
+    if prime >= PRIME_LIMIT:
+        raise ValueError(f"prime {prime} too large: must be below 2^62")
+    if prime <= factorial(problem.d):
+        raise ValueError(f"prime {prime} too small: must exceed {problem.d}!")
 
 
 def _params_to_modular(point: MixtureParams, p: int):
@@ -227,14 +234,13 @@ def _params_to_modular(point: MixtureParams, p: int):
 def secant_jacobian(problem: SecantProblem, point: MixtureParams,
                     prime: int = DEFAULT_PRIME) -> list[list[int]]:
     """The N x par Jacobian of the mixture parametrization at the point,
-    over GF(prime).  The prime must exceed d!."""
-    if prime <= factorial(problem.d):
-        raise ValueError(f"prime {prime} too small: must exceed {problem.d}!")
+    over GF(prime).  The prime must exceed d! and be below 2^62."""
+    _check_prime(problem, prime)
     if point.n != problem.n or point.k != problem.k:
         raise ValueError("parameter point does not match the problem")
     ctx = _jacobian_context(problem.n, problem.d)
     comp_vals, weights = _params_to_modular(point, prime)
-    return _jacobian_mod_p(ctx, comp_vals, weights, prime)
+    return _jacobian_mod_p(ctx, comp_vals, weights, prime).tolist()
 
 
 def _random_modular_point(problem: SecantProblem, prime: int, rng: SplitMix64):
@@ -253,8 +259,7 @@ def secant_dimension(problem: SecantProblem, trials: int = DEFAULT_TRIALS,
     seeded random prime-field points, with a reproducible certificate."""
     if trials < 1:
         raise ValueError("at least one trial required")
-    if prime <= factorial(problem.d):
-        raise ValueError(f"prime {prime} too small: must exceed {problem.d}!")
+    _check_prime(problem, prime)
     ctx = _jacobian_context(problem.n, problem.d)
     ranks = []
     for t in range(trials):
@@ -267,6 +272,14 @@ def secant_dimension(problem: SecantProblem, trials: int = DEFAULT_TRIALS,
         raise AssertionError(
             f"computed rank {dim} exceeds the expected dimension "
             f"{problem.expected}; this is an implementation bug")
+    # Each Jacobian entry has degree <= d in the parameters: a moment of
+    # order <= d has degree <= d in (mu, Sigma); a component column is its
+    # weight (a free weight, or 1 - sum of them for the last component, since
+    # the last weight is eliminated linearly) times a partial of degree
+    # <= d - 1; a weight column is a difference of two moments.  So a
+    # dim x dim minor has degree <= dim*d, and by Schwartz-Zippel one that is
+    # a nonzero polynomial over GF(prime) vanishes at a uniformly random point
+    # with probability at most dim*d / prime.
     cert = RankCertificate(prime=prime, seed=seed, trials=trials,
                            prng=PRNG_NAME, ranks=tuple(ranks), reported=dim,
                            degree_bound=dim * problem.d)

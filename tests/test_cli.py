@@ -170,6 +170,16 @@ class TestCensusAndDim:
                            "--prime", "91")
         assert code == 2 and "not prime" in err
 
+    def test_prime_at_or_above_2_62_rejected(self, capsys, monkeypatch):
+        big = str(2 ** 64 - 59)  # prime, above the kernel's range
+        code, out, err = run(capsys, "dim", "--n", "2", "--d", "3", "--k", "1",
+                             "--prime", big)
+        assert code == 2 and out == ""
+        assert err == f"usage error: --prime {big} must be below 2^62\n"
+        monkeypatch.setenv("GAUSSMOMENTS_PRIME", big)
+        code, out, err = run(capsys, "dim", "--n", "2", "--d", "3", "--k", "1")
+        assert code == 2 and out == "" and "below 2^62" in err
+
     def test_prime_must_exceed_d_factorial(self, capsys):
         code, _, err = run(capsys, "census", "--d", "4", "--n", "1..1",
                            "--k", "1..1", "--prime", "23")
@@ -236,6 +246,25 @@ class TestRecoverCli:
                            write_moments(tmp_path, bad),
                            "--mu11", "4", "--mu21=-9/2")
         assert code == 1 and "secant" in err
+
+
+    def test_negative_fraction_values(self, capsys, tmp_path):
+        half = Fraction(1, 2)
+        p = M.MixtureParams(
+            (M.GaussianParams((-half, Fraction(1), Fraction(2)),
+                              (Fraction(1),) * 6),
+             M.GaussianParams((Fraction(-3), half, Fraction(0)),
+                              (Fraction(2), Fraction(0), Fraction(0),
+                               Fraction(1), Fraction(0), Fraction(3)))),
+            (Fraction(1, 3), Fraction(2, 3)))
+        path = write_moments(tmp_path, M.mixture_moments(p, 3))
+        spaced = run(capsys, "recover", "--moments", path,
+                     "--mu11", "-1/2", "--mu21", "-3")
+        joined = run(capsys, "recover", "--moments", path,
+                     "--mu11=-1/2", "--mu21=-3")
+        assert spaced == joined
+        assert spaced[0] == 0
+        assert M.mixture_params_from_json(json.loads(spaced[1])["params"]) == p
 
 
 class TestStructuralAndMatrix:

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaussmoments.linalg import (NUMPY_PRIME_LIMIT, _rank_mod_p_numpy,
-                                 _rank_mod_p_python, det_rational, poly_det,
+from gaussmoments.linalg import (_fold, _sub_matmul, det_rational, poly_det,
                                  rank_mod_p, rank_rational)
 from gaussmoments.polyring import PolyRing, PrimeField
 from gaussmoments.rng import SplitMix64
-from util import rand_fraction
+from util import rand_fraction, rank_mod_p_oracle
 
 P31 = 2 ** 31 - 1
 P62 = 2 ** 62 - 57
@@ -82,33 +83,149 @@ class TestDetRational:
             det_rational([[1, 2, 3], [4, 5, 6]])
 
 
-class TestRankModP:
-    def test_paths_agree(self):
-        rng = SplitMix64(4)
-        for _ in range(100):
-            r, c = rng.below(7) + 1, rng.below(7) + 1
-            k = rng.below(min(r, c) + 1)
-            m = random_matrix_with_rank(rng, r, c, k)
-            assert _rank_mod_p_numpy(np.array(m, dtype=np.int64) % P31, P31) \
-                == _rank_mod_p_python(m, P31)
+# primes at the limb boundaries of the modular kernel: for 1, 2 and 3 limbs
+# the largest prime (full 21-bit limbs) and the smallest above the boundary
+PRIMES = (2, 7, 2097143, 2097169, P31, 4398046511093, 4398046511119, P62)
 
+
+def residue_matrix_with_rank(rng, rows, cols, rank, p, density=1.0):
+    """rows x cols matrix of residues mod p, a product of random factors of
+    inner dimension ``rank``; some entries of the left factor are zeroed."""
+    a = [[rng.below(p) if rng.below(1000) < density * 1000 else 0
+          for _ in range(rank)] for _ in range(rows)]
+    b = [[rng.below(p) for _ in range(cols)] for _ in range(rank)]
+    return [[sum(a[i][t] * b[t][j] for t in range(rank)) % p
+             for j in range(cols)] for i in range(rows)]
+
+
+class TestRankModP:
     def test_equals_rational_rank_generically(self):
         rng = SplitMix64(5)
         for _ in range(100):
             m = random_matrix_with_rank(rng, 6, 5, rng.below(6))
             want = rank_rational(m)
-            assert rank_mod_p(m, P31) == want
-            assert rank_mod_p(m, P62) == want  # pure-python word-size path
+            for p in (P31, P62):
+                assert rank_mod_p(m, p) == want == rank_mod_p_oracle(m, p)
+
+    def test_shapes_against_oracle(self):
+        # tall, wide, square, one row, one column; large enough to run the
+        # column recursion and both base cases
+        rng = SplitMix64(8)
+        shapes = ((1, 1), (1, 40), (40, 1), (3, 70), (70, 3), (20, 20),
+                  (45, 30), (30, 45), (64, 64))
+        for p in PRIMES:
+            for rows, cols in shapes:
+                for density in (1.0, 0.2):
+                    r = rng.below(min(rows, cols) + 1)
+                    m = residue_matrix_with_rank(rng, rows, cols, r, p,
+                                                 density)
+                    assert rank_mod_p(m, p) == rank_mod_p_oracle(m, p), \
+                        (p, rows, cols, r, density)
+
+    def test_small_integer_matrices_against_rational(self):
+        rng = SplitMix64(9)
+        for p in (P31, P62):
+            for rows, cols in ((12, 30), (30, 12), (25, 25)):
+                r = rng.below(min(rows, cols) + 1)
+                m = random_matrix_with_rank(rng, rows, cols, r)
+                assert rank_mod_p(m, p) == rank_rational(m) == r
+
+    def test_empty(self):
+        for p in PRIMES:
+            assert rank_mod_p([], p) == 0
+            assert rank_mod_p([[]], p) == 0
+            assert rank_mod_p(np.zeros((0, 4), dtype=np.int64), p) == 0
+            assert rank_mod_p(np.zeros((4, 0), dtype=np.int64), p) == 0
+            assert rank_mod_p([[0] * 30] * 50, p) == 0
+
+    def test_all_entries_p_minus_1(self):
+        for p in PRIMES:
+            assert rank_mod_p([[p - 1] * 50] * 40, p) == 1
+            m = [[p - 1 if i == j else 0 for j in range(30)]
+                 for i in range(40)]
+            assert rank_mod_p(m, p) == 30
 
     def test_characteristic_drop(self):
         # rank can only drop mod p, and does for a matrix divisible by p
         m = [[7, 0], [0, 7]]
         assert rank_mod_p(m, 7) == 0
         assert rank_rational(m) == 2
+        for p in PRIMES:
+            m = [[1, 2, 3], [2, 4 + p, 6], [3, 6 + p, 9]]
+            assert rank_rational(m) == 2
+            assert rank_mod_p(m, p) == 1 == rank_mod_p_oracle(m, p)
 
-    def test_prime_limit_constant(self):
-        assert NUMPY_PRIME_LIMIT ** 2 + NUMPY_PRIME_LIMIT < 2 ** 63
-        assert (NUMPY_PRIME_LIMIT + 2) ** 2 >= 2 ** 63
+    def test_int64_array_reduced_in_place(self):
+        rng = SplitMix64(10)
+        m = [[rng.below(2 ** 40) - 2 ** 39 for _ in range(20)]
+             for _ in range(30)]
+        for p in PRIMES:
+            a = np.array(m, dtype=np.int64)
+            assert rank_mod_p(a, p) == rank_mod_p_oracle(m, p)
+        # big and negative Python ints are reduced before the int64 copy
+        assert rank_mod_p([[-1, 2 ** 80], [1, -(2 ** 80)]], 7) == 1
+
+    def test_prime_out_of_range(self):
+        for p in (0, 1, 2 ** 62, 2 ** 64 - 59):
+            with pytest.raises(ValueError, match="2\\^62"):
+                rank_mod_p([[1]], p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(0, 50), cols=st.integers(0, 50),
+           rank=st.integers(0, 50), density=st.sampled_from((1.0, 0.3)),
+           p=st.sampled_from(PRIMES), seed=st.integers(0, 2 ** 64 - 1))
+    def test_property_equals_oracle(self, rows, cols, rank, density, p, seed):
+        m = residue_matrix_with_rank(SplitMix64(seed), rows, cols,
+                                     min(rank, rows, cols), p, density)
+        assert rank_mod_p(m, p) == rank_mod_p_oracle(m, p)
+
+    @settings(deadline=None)
+    @given(m=st.lists(st.lists(st.integers(-50, 50), min_size=4, max_size=4),
+                      max_size=6))
+    def test_property_equals_rational_rank(self, m):
+        # entries of at most 50 keep every minor far below the primes used
+        for p in (P31, P62):
+            assert rank_mod_p(m, p) == rank_rational(m)
+
+
+class TestLimbMatmul:
+    def test_exact_at_the_float64_limit(self):
+        # all entries p - 1 with inner dimension 2048: the largest limb
+        # product sums the kernel forms
+        for p in PRIMES:
+            for inner in (2048, 2049):
+                x = np.full((3, inner), p - 1, dtype=np.int64)
+                y = np.full((inner, 5), p - 1, dtype=np.int64)
+                c = np.zeros((3, 5), dtype=np.int64)
+                _sub_matmul(c, x, y, p)
+                assert (c == -inner * (p - 1) ** 2 % p).all(), (p, inner)
+
+    def test_fold_corrects_an_estimate_off_by_one(self):
+        # the quotient estimate may land on either side of an integer; _fold
+        # takes V wrapped to int64
+        for p in PRIMES:
+            v = np.array([(x + 2 ** 63) % 2 ** 64 - 2 ** 63
+                          for x in (5 * p, 5 * p - 1, 5 * p + 1)],
+                         dtype=np.int64)
+            low = np.array([5 - 2.0 ** -20, 5.0, 5 + 2.0 ** -20])
+            high = np.array([5.0, 5 - 2.0 ** -20, 4.9999])
+            want = [0, p - 1, 1]
+            assert _fold(v.copy(), low, p).tolist() == want
+            assert _fold(v.copy(), high, p).tolist() == want
+
+    def test_against_python_ints(self):
+        rng = SplitMix64(11)
+        for p in PRIMES:
+            h, k, n = 7, rng.below(3000) + 1, 70
+            x = [[rng.below(p) for _ in range(k)] for _ in range(h)]
+            y = [[rng.below(p) for _ in range(n)] for _ in range(k)]
+            c = [[rng.below(p) for _ in range(n)] for _ in range(h)]
+            got = np.array(c, dtype=np.int64)
+            _sub_matmul(got, np.array(x, dtype=np.int64),
+                        np.array(y, dtype=np.int64), p)
+            want = [[(c[i][j] - sum(x[i][t] * y[t][j] for t in range(k))) % p
+                     for j in range(n)] for i in range(h)]
+            assert got.tolist() == want, p
 
 
 def _poly_cofactor_det(m):

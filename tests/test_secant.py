@@ -51,6 +51,15 @@ class TestJacobian:
         with pytest.raises(ValueError, match="must exceed"):
             S.secant_dimension(S.SecantProblem(1, 4, 2), prime=23)
 
+    def test_prime_too_large(self):
+        rng = SplitMix64(2)
+        p = rand_mixture(rng, 2, 2)
+        for prime in (2 ** 62, 2 ** 64 - 59):
+            with pytest.raises(ValueError, match="below 2\\^62"):
+                S.secant_jacobian(S.SecantProblem(2, 3, 2), p, prime=prime)
+            with pytest.raises(ValueError, match="below 2\\^62"):
+                S.secant_dimension(S.SecantProblem(2, 3, 1), prime=prime)
+
     def test_point_problem_mismatch(self):
         rng = SplitMix64(3)
         p = rand_mixture(rng, 2, 2)

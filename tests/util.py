@@ -45,3 +45,22 @@ def rand_poly(ring, rng: SplitMix64, max_terms: int = 6, max_exp: int = 3,
         e = tuple(rng.below(max_exp + 1) for _ in range(nvars))
         terms[e] = field_rand(rng) if field_rand else rand_fraction(rng)
     return ring.from_terms(terms, trunc=trunc)
+
+
+def rank_mod_p_oracle(rows, p: int) -> int:
+    """Rank over GF(p) by textbook row echelon form with Python ints: the
+    reference that linalg.rank_mod_p is checked against."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] * inv % p
+            if f:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
