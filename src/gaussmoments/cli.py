@@ -29,19 +29,21 @@ from .polyring import is_prime
 from .rng import PRNG_NAME
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SystemExit2(f"{what} must be an integer, not {text!r}") from None
+
+
 def _parse_range(text: str) -> list[int]:
     """'5..10' -> [5..10]; '7' -> [7]."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
-
-
-def _parse_rational(text: str) -> Fraction:
-    return Fraction(text)
+    lo, sep, hi = text.partition("..")
+    lo = _parse_int(lo, "range bound")
+    hi = _parse_int(hi, "range bound") if sep else lo
+    if hi < lo:
+        raise SystemExit2(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _load_json(path: str) -> dict:
@@ -87,9 +89,13 @@ def _rank_config(args, d: int) -> dict:
     seed = args.seed
     prime = args.prime
     if seed is None:
-        seed = int(os.environ.get("GAUSSMOMENTS_SEED", secant.DEFAULT_SEED))
+        seed = _parse_int(os.environ.get("GAUSSMOMENTS_SEED",
+                                         str(secant.DEFAULT_SEED)),
+                          "GAUSSMOMENTS_SEED")
     if prime is None:
-        prime = int(os.environ.get("GAUSSMOMENTS_PRIME", secant.DEFAULT_PRIME))
+        prime = _parse_int(os.environ.get("GAUSSMOMENTS_PRIME",
+                                          str(secant.DEFAULT_PRIME)),
+                           "GAUSSMOMENTS_PRIME")
     if prime >= PRIME_LIMIT:
         raise SystemExit2(f"--prime {prime} must be below 2^62")
     if not is_prime(prime):
@@ -109,7 +115,13 @@ class SystemExit2(Exception):
 # -- subcommands -----------------------------------------------------------------
 
 
+def _check_order(d: int | None) -> None:
+    if d is not None and d < 1:
+        raise SystemExit2(f"--d must be at least 1, not {d}")
+
+
 def _cmd_moments(args) -> int:
+    _check_order(args.d)
     params = moments.mixture_params_from_json(_load_json(args.params))
     if args.n is not None and params.n != args.n:
         raise ValueError(f"params file has n={params.n}, expected {args.n}")
@@ -119,6 +131,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_cumulants(args) -> int:
+    _check_order(args.d)
     if args.moments:
         mv = moments.moment_vector_from_json(_load_json(args.moments))
     else:
@@ -247,8 +260,7 @@ def _cmd_formulas(args) -> int:
 
 def _cmd_recover(args) -> int:
     mv = moments.moment_vector_from_json(_load_json(args.moments))
-    result = recovery.recover(mv, _parse_rational(args.mu11),
-                              _parse_rational(args.mu21))
+    result = recovery.recover(mv, Fraction(args.mu11), Fraction(args.mu21))
     _print_json({
         "params": moments.mixture_params_to_json(result.params),
         "residual": str(result.residual),
@@ -271,17 +283,18 @@ def _cmd_structural(args) -> int:
 
 def _cmd_matrix(args) -> int:
     if args.which == "gd":
-        mat = determinantal.build_gd(args.d)
+        rows = determinantal.build_gd(args.d).entries
     elif args.which == "hb":
-        mat = determinantal.build_hilbert_burch(args.d)
+        rows = determinantal.build_hilbert_burch(args.d).entries
     else:
         if args.n is None:
             raise SystemExit2("matrix --which willink needs --n")
-        mv = None
+        # built also for --moments: it rejects n < 1 and d < 2
+        rows = determinantal.build_willink(args.n, args.d).entries
         if args.moments:
             mv = moments.moment_vector_from_json(_load_json(args.moments))
-        mat = determinantal.build_willink(args.n, args.d, mv)
-    sys.stdout.write(mat.csv_text())
+            rows = determinantal.willink_numeric(args.n, args.d, mv)
+    sys.stdout.write(determinantal.csv_text(rows))
     return 0
 
 

@@ -8,7 +8,9 @@ Three matrix families, each with linear-form entries:
 * the d x (d+1) banded matrix in x, y, z whose maximal minors parametrize
   the same surface (substituting x = -var, y = mean, z = 1 turns them into
   the univariate moments), together with the structural facts about those
-  minors that drive the surface nondefectivity argument; and
+  minors that drive the surface nondefectivity argument (the minors come
+  from their continuant recurrence, the homogenized three-term moment
+  recursion, with ``linalg.poly_det`` on the matrix as the test oracle); and
 * the Willink moment matrix for n-dimensional Gaussians, whose rank-(n+1)
   locus is the affine moment variety and whose explicit kernel vectors carry
   the mean and covariance.
@@ -26,9 +28,9 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .linalg import det_rational, poly_det, rank_rational
+from .linalg import det_rational, rank_rational
 from .moments import GaussianParams, MomentVector, multi_indices
-from .polyring import QQ, Polynomial, PolyRing
+from .polyring import Polynomial, PolyRing
 
 
 @dataclass(frozen=True)
@@ -56,17 +58,19 @@ class LinearMatrix:
         return [[e.evaluate(point) for e in row] for row in self.entries]
 
     def csv_text(self) -> str:
-        lines = []
-        for row in self.entries:
-            lines.append(",".join(f'"{e}"' for e in row))
-        return "\n".join(lines) + "\n"
+        return csv_text(self.entries)
+
+
+def csv_text(rows) -> str:
+    """One line per row, each entry's text in double quotes."""
+    return "".join(",".join(f'"{e}"' for e in row) + "\n" for row in rows)
 
 
 # -- the 3 x d univariate moment matrix ---------------------------------------
 
 
 def moment_ring(d: int) -> PolyRing:
-    return PolyRing([f"m{i}" for i in range(d + 1)], QQ)
+    return PolyRing([f"m{i}" for i in range(d + 1)])
 
 
 def build_gd(d: int) -> LinearMatrix:
@@ -153,7 +157,7 @@ def build_hilbert_burch(d: int) -> LinearMatrix:
     subdiagonal x, 2x, ..., (d-1)x."""
     if d < 2:
         raise ValueError("the parametrization matrix needs d >= 2")
-    ring = PolyRing(["x", "y", "z"], QQ)
+    ring = PolyRing(["x", "y", "z"])
     x, y, z = ring.var("x"), ring.var("y"), ring.var("z")
     zero = ring.zero()
     rows = []
@@ -169,24 +173,22 @@ def build_hilbert_burch(d: int) -> LinearMatrix:
 
 @lru_cache(maxsize=None)
 def hb_minors(d: int) -> tuple[Polynomial, ...]:
-    """The d+1 maximal minors b_0..b_d, signed so b_i is monic with leading
-    term y^i z^(d-i)."""
-    b = build_hilbert_burch(d)
-    ring = b.ring
-    yz_index = (ring.var_index("y"), ring.var_index("z"))
-    out = []
-    for i in range(d + 1):
-        sub = [[row[c] for c in range(d + 1) if c != i] for row in b.entries]
-        det = poly_det(sub)
-        e = [0, 0, 0]
-        e[yz_index[0]] = i
-        e[yz_index[1]] = d - i
-        lead = det.coefficient(tuple(e))
-        if lead not in (1, -1):
-            raise AssertionError(
-                f"maximal minor {i} has leading coefficient {lead}, expected +-1")
-        out.append(det if lead == 1 else -det)
-    return tuple(out)
+    """The d+1 maximal minors b_0..b_d; b_i deletes column i and is monic
+    with leading term y^i z^(d-i).
+
+    Deleting column i leaves a block lower-triangular matrix: the leading
+    i x i tridiagonal block, whose determinant is the continuant
+    h_0 = 1, h_1 = y, h_i = y h_{i-1} - (i-1) x z h_{i-2}, and a triangular
+    block with diagonal z.  So b_i = z^(d-i) h_i.
+    """
+    if d < 2:
+        raise ValueError("the parametrization matrix needs d >= 2")
+    ring = PolyRing(["x", "y", "z"])
+    x, y, z = ring.var("x"), ring.var("y"), ring.var("z")
+    h = [ring.one(), y]
+    for i in range(2, d + 1):
+        h.append(y * h[i - 1] - (x * z).scale(i - 1) * h[i - 2])
+    return tuple(z ** (d - i) * h[i] for i in range(d + 1))
 
 
 @dataclass(frozen=True)
@@ -289,34 +291,26 @@ def willink_variable(idx) -> str:
     return "m" + "_".join(str(i) for i in idx)
 
 
-def build_willink(n: int, d: int, m: MomentVector | None = None) -> LinearMatrix:
-    """The binom(n+d-1, d-1) x (2n+1) moment matrix: row u is
+def build_willink(n: int, d: int) -> LinearMatrix:
+    """The binom(n+d-1, d-1) x (2n+1) moment matrix, symbolic in the moment
+    coordinates: row u is
     (m_u, m_{u+e_1}, ..., m_{u+e_n}, u_1 m_{u-e_1}, ..., u_n m_{u-e_n}).
-
-    With ``m`` given, entries are scalars from the moment vector; otherwise
-    the matrix is symbolic in the moment coordinates.
     """
     if n < 1 or d < 2:
         raise ValueError("the Willink matrix needs n >= 1 and d >= 2")
-    layout = _willink_entry_rows(n, d)
-    if m is not None:
-        if m.n != n or m.d < d:
-            raise ValueError("moment vector does not match (n, d)")
-        ring = PolyRing(["_"], QQ)  # scalar entries, degenerate ring
-        rows = tuple(
-            tuple(ring.const(m[idx] * f if f else 0) for idx, f in cols)
-            for _, cols in layout)
-        return LinearMatrix(ring, rows)
     names = [willink_variable(idx) for idx in multi_indices(n, d)]
-    ring = PolyRing(names, QQ)
+    ring = PolyRing(names)
     rows = tuple(
         tuple(ring.var(willink_variable(idx)).scale(f) if f else ring.zero()
               for idx, f in cols)
-        for _, cols in layout)
+        for _, cols in _willink_entry_rows(n, d))
     return LinearMatrix(ring, rows)
 
 
 def willink_numeric(n: int, d: int, m: MomentVector) -> list[list[Fraction]]:
+    """The Willink matrix at a moment vector of dimension n and order >= d."""
+    if m.n != n or m.d < d:
+        raise ValueError("moment vector does not match (n, d)")
     layout = _willink_entry_rows(n, d)
     return [[m[idx] * f if f else Fraction(0) for idx, f in cols]
             for _, cols in layout]

@@ -1,11 +1,14 @@
 """Exact matrix kernels: integer/rational rank and determinant, prime-field
 rank, and determinants of small matrices with polynomial entries.
 
-Two elimination strategies, chosen by coefficient domain:
+One elimination strategy per coefficient domain:
 
 * fraction-free (Bareiss) elimination over the integers for rational
   matrices (rows are scaled integer vectors, so no coefficient blow-up from
-  fractions), and
+  fractions);
+* the same fraction-free elimination in the rational polynomial ring for
+  ``poly_det``, whose divisions by the previous pivot are exact polynomial
+  divisions; and
 * blocked Gaussian elimination over GF(p), for every prime p < 2^62, on an
   int64 array of residues.  Its updates are matrix products mod p computed
   with float64 BLAS, and they are exact: residues are split into limbs of at
@@ -26,7 +29,7 @@ from math import lcm
 
 import numpy as np
 
-from .polyring import Polynomial, Rationals, exact_div
+from .polyring import Polynomial, exact_div
 
 
 def _rows_to_int(rows) -> list[list[int]]:
@@ -330,86 +333,11 @@ def rank_mod_p(rows, p: int) -> int:
     return _eliminate(a, 0, a.shape[1], p, False)
 
 
-# integer-coefficient polynomial helpers (dict exponent-tuple -> int); the
-# Bareiss intermediates are minors of the input matrix, so every division
-# below is exact over Z with any monomial order
-
-
-def _int_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(e, 0) + ca * cb
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _int_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) - c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _int_exact_div(num: dict, den: dict) -> dict:
-    den_lead = max(den, key=lambda e: (sum(e), e))
-    den_lc = den[den_lead]
-    rem = dict(num)
-    quot: dict = {}
-    while rem:
-        lead = max(rem, key=lambda e: (sum(e), e))
-        e = tuple(a - b for a, b in zip(lead, den_lead))
-        c, r = divmod(rem[lead], den_lc)
-        if r or any(k < 0 for k in e):
-            raise ValueError("inexact polynomial division")
-        quot[e] = c
-        for ed, cd in den.items():
-            et = tuple(x + y for x, y in zip(e, ed))
-            s = rem.get(et, 0) - c * cd
-            if s:
-                rem[et] = s
-            else:
-                rem.pop(et, None)
-    return quot
-
-
-def _poly_det_int(rows: list[dict], n: int) -> tuple[int, dict]:
-    m = [list(r) for r in rows]
-    sign = 1
-    prev: dict | None = None
-    for k in range(n - 1):
-        if not m[k][k]:
-            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if piv is None:
-                return 1, {}
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            head = m[i][k]
-            for j in range(k + 1, n):
-                num = _int_sub(_int_mul(m[i][j], pivot),
-                               _int_mul(head, m[k][j]))
-                m[i][j] = _int_exact_div(num, prev) if prev else num
-            m[i][k] = {}
-        prev = pivot
-    return sign, m[n - 1][n - 1]
-
-
 def poly_det(rows: list[list[Polynomial]]) -> Polynomial:
     """Determinant of a square matrix of polynomials (fraction-free Bareiss).
 
     Intermediate entries are k x k minors, so divisions by the previous
-    pivot are exact in the polynomial ring.  Matrices with integer
-    coefficients take a fast plain-int path.
+    pivot are exact in the polynomial ring.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -417,13 +345,6 @@ def poly_det(rows: list[list[Polynomial]]) -> Polynomial:
     ring = rows[0][0].ring
     if n == 0:
         return ring.one()
-    if isinstance(ring.field, Rationals) and all(
-            c.denominator == 1
-            for row in rows for p in row for c in p.terms.values()):
-        sign, det = _poly_det_int(
-            [[{e: int(c) for e, c in p.terms.items()} for p in row]
-             for row in rows], n)
-        return ring.from_terms({e: sign * c for e, c in det.items()})
     m = [list(r) for r in rows]
     sign = 1
     prev: Polynomial | None = None

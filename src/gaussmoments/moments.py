@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .polyring import QQ, PolyRing, series_exp, series_log
+from .polyring import PolyRing, series_exp, series_log
 
 Index = tuple[int, ...]
 
@@ -282,10 +282,10 @@ def gaussian_moment(params: GaussianParams, idx: Index) -> Fraction:
 
 
 def parameter_ring(n: int) -> PolyRing:
-    """QQ[mu_1..mu_n, sigma_ij (i <= j)] with the fixed variable order."""
+    """Q[mu_1..mu_n, sigma_ij (i <= j)] with the fixed variable order."""
     names = [f"mu{i}" for i in range(1, n + 1)]
     names += [f"s{i}_{j}" for i in range(1, n + 1) for j in range(i, n + 1)]
-    return PolyRing(names, QQ)
+    return PolyRing(names)
 
 
 def sigma_var_index(n: int, i: int, j: int) -> int:
@@ -352,7 +352,7 @@ def univariate_moments(mu, var, d: int) -> MomentVector:
 
 
 def _t_ring(n: int, d: int) -> PolyRing:
-    return PolyRing([f"t{i}" for i in range(1, n + 1)], QQ)
+    return PolyRing([f"t{i}" for i in range(1, n + 1)])
 
 
 def moments_to_cumulants(m: MomentVector) -> CumulantVector:
@@ -393,10 +393,44 @@ def moment_vector_to_json(m: MomentVector) -> dict:
     }
 
 
-def moment_vector_from_json(data: dict) -> MomentVector:
-    values = {tuple(entry["idx"]): Fraction(entry["num"], entry["den"])
-              for entry in data["values"]}
-    return MomentVector(int(data["n"]), int(data["d"]), values)
+def _json_object(x, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return x
+
+
+def _json_list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a JSON list")
+    return x
+
+
+def _json_int(x, what: str) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"{what} must be an integer, not {x!r}")
+    return x
+
+
+def moment_vector_from_json(data) -> MomentVector:
+    data = _json_object(data, "a moment vector")
+    n, d = _json_int(data.get("n"), "n"), _json_int(data.get("d"), "d")
+    if d < 1:
+        raise ValueError(f"d must be at least 1, not {d}")
+    values = {}
+    for entry in _json_list(data.get("values"), "values"):
+        entry = _json_object(entry, "each values entry")
+        idx = tuple(_json_int(i, "idx entry")
+                    for i in _json_list(entry.get("idx"), "idx"))
+        if len(idx) != n:
+            raise ValueError(f"idx {list(idx)} must have length n = {n}")
+        if idx in values:
+            raise ValueError(f"duplicate idx {list(idx)}")
+        num = _json_int(entry.get("num"), "num")
+        den = _json_int(entry.get("den"), "den")
+        if den == 0:
+            raise ValueError(f"den is 0 at idx {list(idx)}")
+        values[idx] = Fraction(num, den)
+    return MomentVector(n, d, values)
 
 
 def cumulant_vector_to_json(c: CumulantVector) -> dict:
@@ -408,39 +442,33 @@ def cumulant_vector_to_json(c: CumulantVector) -> dict:
     return {"n": c.n, "d": c.d, "values": values}
 
 
-def rational_from_string(s: str) -> Fraction:
-    return Fraction(s.strip())
-
-
-def rational_to_string(x: Fraction) -> str:
-    return str(x)
-
-
 def mixture_params_to_json(p: MixtureParams) -> dict:
     return {
         "n": p.n,
         "k": p.k,
         "components": [
             {
-                "weight": rational_to_string(w),
-                "mean": [rational_to_string(x) for x in c.mean],
-                "cov": [rational_to_string(x) for x in c.cov_upper],
+                "weight": str(w),
+                "mean": [str(x) for x in c.mean],
+                "cov": [str(x) for x in c.cov_upper],
             }
             for w, c in zip(p.weights, p.components)
         ],
     }
 
 
-def mixture_params_from_json(data: dict) -> MixtureParams:
+def mixture_params_from_json(data) -> MixtureParams:
     comps = []
     weights = []
-    raw = data.get("components", [])
+    raw = _json_list(_json_object(data, "mixture parameters")
+                     .get("components", []), "components")
     if not raw:
         raise ValueError("empty components list")
     for entry in raw:
-        weights.append(rational_from_string(str(entry["weight"])))
+        entry = _json_object(entry, "each components entry")
+        weights.append(Fraction(str(entry["weight"])))
         comps.append(GaussianParams(
-            tuple(rational_from_string(str(x)) for x in entry["mean"]),
-            tuple(rational_from_string(str(x)) for x in entry["cov"]),
+            tuple(Fraction(str(x)) for x in _json_list(entry["mean"], "mean")),
+            tuple(Fraction(str(x)) for x in _json_list(entry["cov"], "cov")),
         ))
     return MixtureParams(tuple(comps), tuple(weights))

@@ -1,13 +1,9 @@
 """Exact sparse multivariate polynomial and truncated power-series arithmetic.
 
 A polynomial is a map from exponent tuples to nonzero coefficients, tied to a
-ring that fixes the ordered variable list and the coefficient field.  Two
-coefficient fields are supported and nothing else:
-
-* the rationals, represented by ``fractions.Fraction`` (always in lowest
-  terms with positive denominator), and
-* a prime field GF(p) for a word-sized prime p, represented by ints in
-  ``[0, p)``.
+ring that fixes the ordered variable list.  Coefficients are rationals,
+represented by ``fractions.Fraction`` (always in lowest terms with positive
+denominator); ints are coerced to ``Fraction`` where a polynomial is built.
 
 There is no floating point anywhere in this module.  Term order for
 iteration and text serialization is graded lexicographic (total degree
@@ -60,96 +56,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class Rationals:
-    """The field QQ.  Coefficients are ``Fraction`` instances."""
-
-    name = "QQ"
-
-    def coerce(self, x: ScalarLike) -> Fraction:
-        return x if isinstance(x, Fraction) else Fraction(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in QQ")
-        return 1 / Fraction(a)
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def __repr__(self):  # pragma: no cover
-        return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("QQ")
+_ZERO = Fraction(0)
 
 
-class PrimeField:
-    """The field GF(p) for a word-sized prime p.  Elements are ints in [0, p)."""
-
-    def __init__(self, p: int):
-        if p >= 1 << 62:
-            raise ValueError(f"prime {p} too large (must be < 2^62)")
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.name = f"GF({p})"
-        self.zero = 0
-        self.one = 1 % p
-
-    def coerce(self, x: ScalarLike) -> int:
-        if isinstance(x, Fraction):
-            den = x.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(
-                    f"denominator {x.denominator} vanishes mod {self.p}")
-            return x.numerator % self.p * pow(den, self.p - 2, self.p) % self.p
-        return x % self.p
-
-    def add(self, a, b):
-        c = a + b
-        return c - self.p if c >= self.p else c
-
-    def sub(self, a, b):
-        c = a - b
-        return c + self.p if c < 0 else c
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return self.p - a if a else 0
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"inverse of zero in GF({self.p})")
-        return pow(a, self.p - 2, self.p)
-
-    def __repr__(self):  # pragma: no cover
-        return self.name
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
-
-QQ = Rationals()
+def _coerce(c: ScalarLike) -> Fraction:
+    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 def grlex_key(e: Exponent):
@@ -158,25 +69,23 @@ def grlex_key(e: Exponent):
 
 
 class PolyRing:
-    """A polynomial ring: an ordered tuple of variable names over a field."""
+    """A polynomial ring over the rationals: an ordered tuple of variable names."""
 
-    def __init__(self, variables: Iterable[str], field=QQ):
+    def __init__(self, variables: Iterable[str]):
         self.vars = tuple(variables)
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("duplicate variable names")
-        self.field = field
         self._index = {v: i for i, v in enumerate(self.vars)}
         self._zero_exp = (0,) * len(self.vars)
 
     def __eq__(self, other):
-        return (isinstance(other, PolyRing) and other.vars == self.vars
-                and other.field == self.field)
+        return isinstance(other, PolyRing) and other.vars == self.vars
 
     def __hash__(self):
-        return hash((self.vars, self.field))
+        return hash(self.vars)
 
     def __repr__(self):  # pragma: no cover
-        return f"PolyRing({list(self.vars)}, {self.field!r})"
+        return f"PolyRing({list(self.vars)})"
 
     def var_index(self, name: str) -> int:
         try:
@@ -191,32 +100,27 @@ class PolyRing:
         return self.const(1, trunc)
 
     def const(self, c: ScalarLike, trunc: int | None = None) -> "Polynomial":
-        c = self.field.coerce(c)
-        terms = {} if c == self.field.zero else {self._zero_exp: c}
-        return Polynomial(self, terms, trunc)
+        return self.monomial(self._zero_exp, c, trunc)
 
     def var(self, name: str, trunc: int | None = None) -> "Polynomial":
         i = self.var_index(name)
         e = list(self._zero_exp)
         e[i] = 1
-        return Polynomial(self, {tuple(e): self.field.one}, trunc)
+        return Polynomial(self, {tuple(e): Fraction(1)}, trunc)
 
     def monomial(self, exponent: Exponent, c: ScalarLike = 1,
                  trunc: int | None = None) -> "Polynomial":
         if len(exponent) != len(self.vars):
             raise ValueError("exponent length does not match variable count")
-        c = self.field.coerce(c)
-        terms = {} if c == self.field.zero else {tuple(exponent): c}
-        return Polynomial(self, terms, trunc)
+        c = _coerce(c)
+        return Polynomial(self, {tuple(exponent): c} if c else {}, trunc)
 
     def from_terms(self, terms: Mapping[Exponent, ScalarLike],
                    trunc: int | None = None) -> "Polynomial":
-        f = self.field
         clean = {}
         for e, c in terms.items():
-            c = f.coerce(c)
-            if c != f.zero:
-                clean[tuple(e)] = c
+            if c:
+                clean[tuple(e)] = _coerce(c)
         return Polynomial(self, clean, trunc)
 
 
@@ -249,11 +153,11 @@ class Polynomial:
         i = self.ring.var_index(name)
         return max((e[i] for e in self.terms), default=-1)
 
-    def coefficient(self, exponent: Exponent):
-        return self.terms.get(tuple(exponent), self.ring.field.zero)
+    def coefficient(self, exponent: Exponent) -> Fraction:
+        return self.terms.get(tuple(exponent), _ZERO)
 
-    def constant_term(self):
-        return self.terms.get(self.ring._zero_exp, self.ring.field.zero)
+    def constant_term(self) -> Fraction:
+        return self.terms.get(self.ring._zero_exp, _ZERO)
 
     def sorted_terms(self, reverse: bool = True):
         """Terms in graded-lex order; ``reverse=True`` puts the leading term first."""
@@ -265,8 +169,6 @@ class Polynomial:
     def _check_compatible(self, other: "Polynomial"):
         if self.ring.vars != other.ring.vars:
             raise ValueError("variable-list mismatch between polynomial operands")
-        if self.ring.field != other.ring.field:
-            raise ValueError("coefficient-field mismatch between polynomial operands")
 
     @staticmethod
     def _merge_trunc(a: int | None, b: int | None) -> int | None:
@@ -280,22 +182,20 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self.ring.const(other)
         self._check_compatible(other)
-        f = self.ring.field
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = f.add(out.get(e, f.zero), c)
-            if s == f.zero:
-                out.pop(e, None)
-            else:
+            s = out.get(e, 0) + c
+            if s:
                 out[e] = s
+            else:
+                out.pop(e, None)
         return Polynomial(self.ring, out, self._merge_trunc(self.trunc, other.trunc))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        f = self.ring.field
-        return Polynomial(self.ring, {e: f.neg(c) for e, c in self.terms.items()},
+        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()},
                           self.trunc)
 
     def __sub__(self, other):
@@ -310,7 +210,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_compatible(other)
-        f = self.ring.field
         trunc = self._merge_trunc(self.trunc, other.trunc)
         out: dict = {}
         for ea, ca in self.terms.items():
@@ -319,22 +218,21 @@ class Polynomial:
                 if trunc is not None and da + sum(eb) > trunc:
                     continue
                 e = tuple(x + y for x, y in zip(ea, eb))
-                s = f.add(out.get(e, f.zero), f.mul(ca, cb))
-                if s == f.zero:
-                    out.pop(e, None)
-                else:
+                s = out.get(e, 0) + ca * cb
+                if s:
                     out[e] = s
+                else:
+                    out.pop(e, None)
         return Polynomial(self.ring, out, trunc)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def scale(self, c: ScalarLike) -> "Polynomial":
-        f = self.ring.field
-        c = f.coerce(c)
-        if c == f.zero:
+        c = _coerce(c)
+        if not c:
             return Polynomial(self.ring, {}, self.trunc)
-        return Polynomial(self.ring, {e: f.mul(v, c) for e, v in self.terms.items()},
+        return Polynomial(self.ring, {e: v * c for e, v in self.terms.items()},
                           self.trunc)
 
     def __pow__(self, n: int):
@@ -363,38 +261,23 @@ class Polynomial:
     def differentiate(self, name: str) -> "Polynomial":
         """Formal partial derivative; the truncation bound is preserved."""
         i = self.ring.var_index(name)
-        f = self.ring.field
         out = {}
         for e, c in self.terms.items():
             k = e[i]
-            if k == 0:
-                continue
-            d = list(e)
-            d[i] = k - 1
-            v = f.mul(c, f.coerce(k))
-            if v != f.zero:
-                out[tuple(d)] = v
+            if k:
+                d = list(e)
+                d[i] = k - 1
+                out[tuple(d)] = c * k
         return Polynomial(self.ring, out, self.trunc)
 
-    def evaluate(self, point: Mapping[str, ScalarLike]):
+    def evaluate(self, point: Mapping[str, ScalarLike]) -> Fraction:
         """Exact evaluation; ``point`` must assign every ring variable."""
-        f = self.ring.field
         vals = []
         for v in self.ring.vars:
             if v not in point:
                 raise ValueError(f"missing assignment for variable {v!r}")
-            vals.append(f.coerce(point[v]))
-        if isinstance(f, PrimeField):
-            p = f.p
-            acc = 0
-            for e, c in self.terms.items():
-                t = c
-                for i, k in enumerate(e):
-                    if k:
-                        t = t * pow(vals[i], k, p) % p
-                acc = (acc + t) % p
-            return acc
-        acc = Fraction(0)
+            vals.append(_coerce(point[v]))
+        acc = _ZERO
         for e, c in self.terms.items():
             t = c
             for i, k in enumerate(e):
@@ -438,28 +321,23 @@ class Polynomial:
         """Canonical text form: graded-lex order, ``coeff*var^e`` syntax."""
         if not self.terms:
             return "0"
-        rational = isinstance(self.ring.field, Rationals)
         pieces = []
         for e, c in self.sorted_terms():
             mono = "*".join(
                 f"{v}^{k}" if k > 1 else v
                 for v, k in zip(self.ring.vars, e) if k)
-            if rational:
-                neg = c < 0
-                a = -c if neg else c
-                if not mono:
-                    body = str(a)
-                elif a == 1:
-                    body = mono
-                else:
-                    body = f"{a}*{mono}"
-                if not pieces:
-                    pieces.append(f"-{body}" if neg else body)
-                else:
-                    pieces.append(f"- {body}" if neg else f"+ {body}")
+            neg = c < 0
+            a = -c if neg else c
+            if not mono:
+                body = str(a)
+            elif a == 1:
+                body = mono
             else:
-                body = str(c) if not mono else (mono if c == 1 else f"{c}*{mono}")
-                pieces.append(body if not pieces else f"+ {body}")
+                body = f"{a}*{mono}"
+            if not pieces:
+                pieces.append(f"-{body}" if neg else body)
+            else:
+                pieces.append(f"- {body}" if neg else f"+ {body}")
         return " ".join(pieces)
 
     def __repr__(self):  # pragma: no cover
@@ -473,20 +351,16 @@ class Polynomial:
 def series_exp(p: Polynomial) -> Polynomial:
     """exp of a truncated series: sum of p^j / j! for j = 0..T.
 
-    Requires a zero constant term and a truncation bound T.  Over GF(p) the
-    prime must exceed T so that every 1/j! exists.
+    Requires a zero constant term and a truncation bound T.
     """
     if p.trunc is None:
         raise ValueError("series_exp requires a truncation bound")
-    if p.constant_term() != p.ring.field.zero:
+    if p.constant_term():
         raise ValueError("series_exp requires a zero constant term")
-    f = p.ring.field
-    if isinstance(f, PrimeField) and f.p <= p.trunc:
-        raise ValueError(f"prime {f.p} must exceed the truncation {p.trunc}")
     acc = p.ring.one(p.trunc)
     term = p.ring.one(p.trunc)
     for j in range(1, p.trunc + 1):
-        term = (term * p).scale(f.inv(f.coerce(j)))
+        term = (term * p).scale(Fraction(1, j))
         if term.is_zero():
             break
         acc = acc + term
@@ -500,11 +374,8 @@ def series_log(p: Polynomial) -> Polynomial:
     """
     if p.trunc is None:
         raise ValueError("series_log requires a truncation bound")
-    if p.constant_term() != p.ring.field.one:
+    if p.constant_term() != 1:
         raise ValueError("series_log requires constant term 1")
-    f = p.ring.field
-    if isinstance(f, PrimeField) and f.p <= p.trunc:
-        raise ValueError(f"prime {f.p} must exceed the truncation {p.trunc}")
     q = p - p.ring.one(p.trunc)
     acc = p.ring.zero(p.trunc)
     power = p.ring.one(p.trunc)
@@ -512,7 +383,7 @@ def series_log(p: Polynomial) -> Polynomial:
         power = power * q
         if power.is_zero():
             break
-        term = power.scale(f.inv(f.coerce(j)))
+        term = power.scale(Fraction(1, j))
         acc = acc + term if j % 2 else acc - term
     return acc
 
@@ -527,9 +398,7 @@ def exact_div(num: Polynomial, den: Polynomial) -> Polynomial:
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     ring = num.ring
-    f = ring.field
     den_lead, den_lc = max(den.terms.items(), key=lambda t: grlex_key(t[0]))
-    den_lc_inv = f.inv(den_lc)
     rem = num
     q_terms: dict = {}
     while not rem.is_zero():
@@ -537,7 +406,7 @@ def exact_div(num: Polynomial, den: Polynomial) -> Polynomial:
         e = tuple(a - b for a, b in zip(lead, den_lead))
         if any(k < 0 for k in e):
             raise ValueError("inexact polynomial division")
-        c = f.mul(lc, den_lc_inv)
+        c = lc / den_lc
         q_terms[e] = c
         rem = rem - den * ring.monomial(e, c)
     return ring.from_terms(q_terms)

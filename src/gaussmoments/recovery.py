@@ -35,7 +35,7 @@ from fractions import Fraction
 from .linalg import poly_det
 from .moments import (GaussianParams, MixtureParams, MomentVector,
                       gaussian_moment_expr, mixture_moments, multi_indices)
-from .polyring import QQ, Polynomial, PolyRing
+from .polyring import Polynomial, PolyRing
 
 Index = tuple[int, ...]
 
@@ -247,7 +247,7 @@ def _eliminate(inp: RecoveryInput) -> _Eliminated:
         raise RecoveryError(
             "degenerate mixture weight for the chosen first coordinates")
 
-    ring = PolyRing(("b2", "b3") + _SVARS + _TVARS, QQ)
+    ring = PolyRing(("b2", "b3") + _SVARS + _TVARS)
     b2, b3 = ring.var("b2"), ring.var("b3")
 
     # eliminate the first component's remaining mean coordinates

@@ -63,12 +63,8 @@ class SecantProblem:
 
     @property
     def expected(self) -> int:
+        """The parameter-count upper bound min(N, par)."""
         return min(self.ambient, self.parameters)
-
-
-def expected_dimension(p: SecantProblem) -> int:
-    """The parameter-count upper bound min(N, k*n*(n+3)/2 + k - 1)."""
-    return p.expected
 
 
 @dataclass(frozen=True)

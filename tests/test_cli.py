@@ -56,6 +56,17 @@ class TestMoments:
                            write_params(tmp_path, p), "--d", "3", "--n", "5")
         assert code == 1 and "n=2" in err
 
+    def test_order_below_one_is_usage_error(self, capsys, tmp_path):
+        p = M.MixtureParams(
+            (M.GaussianParams((Fraction(0),), (Fraction(1),)),),
+            (Fraction(1),))
+        path = write_params(tmp_path, p)
+        for command in ("moments", "cumulants"):
+            code, out, err = run(capsys, command, "--params", path,
+                                 "--d", "-1")
+            assert (code, out) == (2, "")
+            assert err == "usage error: --d must be at least 1, not -1\n"
+
 
 class TestCumulants:
     def test_from_params(self, capsys, tmp_path):
@@ -114,6 +125,71 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--moments",
                            write_moments(tmp_path, mv), "--method", "gd")
         assert code == 1 and "n = 1" in err
+
+
+def unit_moments(**entry):
+    """The n = 1, d = 1 moment file with m1 replaced by ``entry``."""
+    one = {"idx": [0], "num": 1, "den": 1}
+    return {"n": 1, "d": 1, "values": [one, {"idx": [1], **entry}]}
+
+
+class TestMalformedJson:
+    """Each malformed file is a one-line domain error, never a traceback."""
+
+    def check_rejected(self, capsys, tmp_path, data, message,
+                       command=("check", "--method", "cumulant", "--moments")):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, *command, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_string_numerator(self, capsys, tmp_path):
+        self.check_rejected(capsys, tmp_path, unit_moments(num="x", den=1),
+                            "num must be an integer")
+
+    def test_bool_numerator(self, capsys, tmp_path):
+        self.check_rejected(capsys, tmp_path, unit_moments(num=True, den=1),
+                            "num must be an integer")
+
+    def test_zero_denominator(self, capsys, tmp_path):
+        self.check_rejected(capsys, tmp_path, unit_moments(num=1, den=0),
+                            "den is 0")
+
+    def test_top_level_array(self, capsys, tmp_path):
+        self.check_rejected(capsys, tmp_path, [unit_moments(num=1, den=1)],
+                            "must be a JSON object")
+
+    def test_values_not_a_list(self, capsys, tmp_path):
+        self.check_rejected(capsys, tmp_path, {"n": 1, "d": 1, "values": {}},
+                            "values must be a JSON list")
+
+    def test_duplicate_idx(self, capsys, tmp_path):
+        data = unit_moments(num=1, den=1)
+        data["values"].append({"idx": [1], "num": 2, "den": 1})
+        self.check_rejected(capsys, tmp_path, data, "duplicate idx [1]")
+
+    def test_idx_of_wrong_length(self, capsys, tmp_path):
+        self.check_rejected(capsys, tmp_path,
+                            {"n": 1, "d": 1,
+                             "values": [{"idx": [0, 0], "num": 1, "den": 1}]},
+                            "must have length n = 1")
+
+    def test_order_below_one(self, capsys, tmp_path):
+        self.check_rejected(capsys, tmp_path,
+                            {"n": 1, "d": -2, "values": []},
+                            "d must be at least 1")
+
+    def test_params_top_level_array(self, capsys, tmp_path):
+        self.check_rejected(capsys, tmp_path, [], "must be a JSON object",
+                            command=("moments", "--d", "2", "--params"))
+
+    def test_params_mean_not_a_list(self, capsys, tmp_path):
+        entry = {"weight": "1", "mean": "12", "cov": ["1"]}
+        self.check_rejected(capsys, tmp_path, {"components": [entry]},
+                            "mean must be a JSON list",
+                            command=("moments", "--d", "2", "--params"))
 
 
 class TestCensusAndDim:
@@ -184,6 +260,20 @@ class TestCensusAndDim:
         code, _, err = run(capsys, "census", "--d", "4", "--n", "1..1",
                            "--k", "1..1", "--prime", "23")
         assert code == 2 and "must exceed" in err
+
+    def test_range_with_a_non_integer_bound(self, capsys):
+        code, out, err = run(capsys, "census", "--d", "3", "--n", "5..x",
+                             "--k", "3")
+        assert (code, out) == (2, "")
+        assert err == "usage error: range bound must be an integer, not 'x'\n"
+
+    @pytest.mark.parametrize("name", ["GAUSSMOMENTS_SEED",
+                                      "GAUSSMOMENTS_PRIME"])
+    def test_non_integer_environment_default(self, capsys, monkeypatch, name):
+        monkeypatch.setenv(name, "abc")
+        code, out, err = run(capsys, "dim", "--n", "1", "--d", "3", "--k", "1")
+        assert (code, out) == (2, "")
+        assert err == f"usage error: {name} must be an integer, not 'abc'\n"
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -288,6 +378,24 @@ class TestStructuralAndMatrix:
                            "--n", "1", "--moments", write_moments(tmp_path, mv))
         assert code == 0
         assert out.splitlines()[0] == '"1","0","0"'
+
+    def test_matrix_willink_numeric_golden(self, capsys, tmp_path):
+        f = Fraction
+        p = M.MixtureParams(
+            (M.GaussianParams((f(-1, 2), f(2)), (f(1), f(1, 3), f(3, 4))),
+             M.GaussianParams((f(3), f(-5, 7)), (f(2), f(0), f(1, 5)))),
+            (f(1, 3), f(2, 3)))
+        path = write_moments(tmp_path, M.mixture_moments(p, 3))
+        code, out, _ = run(capsys, "matrix", "--which", "willink", "--n", "2",
+                           "--d", "3", "--moments", path)
+        assert code == 0
+        assert out == (
+            '"1","11/6","4/21","0","0"\n'
+            '"4/21","-104/63","6047/2940","0","1"\n'
+            '"11/6","31/4","-104/63","1","0"\n'
+            '"6047/2940","18931/17640","7487/2058","0","8/21"\n'
+            '"-104/63","-569/126","18931/17640","4/21","11/6"\n'
+            '"31/4","707/24","-569/126","11/3","0"\n')
 
     def test_matrix_willink_needs_n(self, capsys):
         code, _, err = run(capsys, "matrix", "--which", "willink", "--d", "4")

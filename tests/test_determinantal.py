@@ -7,6 +7,7 @@ import pytest
 
 from gaussmoments import determinantal as D
 from gaussmoments import moments as M
+from gaussmoments.linalg import poly_det
 from gaussmoments.rng import SplitMix64
 from util import rand_fraction, rand_gaussian
 
@@ -133,6 +134,16 @@ class TestBandedMinors:
             nxt = b[d - 1]
             assert nxt.coefficient((0, d - 1, 1)) == 1
             assert nxt.coefficient((1, d - 3, 2)) == -comb(d - 1, 2)
+
+    def test_recurrence_equals_the_matrix_minors(self):
+        # b_i is the minor that deletes column i, computed by poly_det
+        for d in range(2, 15):
+            rows = D.build_hilbert_burch(d).entries
+            minors = tuple(
+                poly_det([[row[c] for c in range(d + 1) if c != i]
+                          for row in rows])
+                for i in range(d + 1))
+            assert D.hb_minors(d) == minors
 
     def test_substitution_gives_univariate_moments(self):
         rng = SplitMix64(14)

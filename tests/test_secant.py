@@ -1,9 +1,11 @@
 """Secant dimensions by modular Jacobian rank, and the closed formulas."""
 
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
+from gaussmoments import moments as M
 from gaussmoments import secant as S
 from gaussmoments.rng import SplitMix64
 from util import rand_mixture
@@ -18,10 +20,10 @@ class TestExpectedDimension:
 
     def test_surface_case(self):
         for d in range(2, 9):
-            assert S.expected_dimension(S.SecantProblem(1, d, 1)) == min(d, 2)
+            assert S.SecantProblem(1, d, 1).expected == min(d, 2)
 
     def test_census_case(self):
-        assert S.expected_dimension(S.SecantProblem(9, 4, 13)) == 714
+        assert S.SecantProblem(9, 4, 13).expected == 714
 
 
 class TestJacobian:
@@ -59,6 +61,13 @@ class TestJacobian:
                 S.secant_jacobian(S.SecantProblem(2, 3, 2), p, prime=prime)
             with pytest.raises(ValueError, match="below 2\\^62"):
                 S.secant_dimension(S.SecantProblem(2, 3, 1), prime=prime)
+
+    def test_denominator_divisible_by_the_prime(self):
+        point = M.MixtureParams(
+            (M.GaussianParams((Fraction(3, 2 * P31),), (Fraction(1),)),),
+            (Fraction(1),))
+        with pytest.raises(ZeroDivisionError, match="vanishes mod p"):
+            S.secant_jacobian(S.SecantProblem(1, 3, 1), point, prime=P31)
 
     def test_point_problem_mismatch(self):
         rng = SplitMix64(3)

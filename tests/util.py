@@ -38,12 +38,12 @@ def rand_mixture(rng: SplitMix64, n: int, k: int,
 
 
 def rand_poly(ring, rng: SplitMix64, max_terms: int = 6, max_exp: int = 3,
-              trunc=None, field_rand=None):
+              trunc=None):
     terms = {}
     nvars = len(ring.vars)
     for _ in range(rng.below(max_terms) + 1):
         e = tuple(rng.below(max_exp + 1) for _ in range(nvars))
-        terms[e] = field_rand(rng) if field_rand else rand_fraction(rng)
+        terms[e] = rand_fraction(rng)
     return ring.from_terms(terms, trunc=trunc)
 
 
