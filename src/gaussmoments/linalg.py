@@ -340,11 +340,11 @@ def poly_det(rows: list[list[Polynomial]]) -> Polynomial:
     pivot are exact in the polynomial ring.
     """
     n = len(rows)
+    if n == 0:
+        raise ValueError("determinant of an empty matrix")
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
     ring = rows[0][0].ring
-    if n == 0:
-        return ring.one()
     m = [list(r) for r in rows]
     sign = 1
     prev: Polynomial | None = None

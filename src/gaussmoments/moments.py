@@ -1,15 +1,17 @@
 """Moments of Gaussians and Gaussian mixtures, exactly.
 
 Moments are indexed by multi-indices (i_1, ..., i_n) of total order <= d and
-are generated in three independent ways that the test suite plays against
-each other:
+are generated by one recursion, the multivariate form of the three-term
+recursion m_i = mu*m_{i-1} + (i-1)*var*m_{i-2}:
 
-* symbolically, as polynomials in the mean and covariance entries, by
-  extracting t-coefficients from the moment generating function
-  exp(sum t_i mu_i) * exp(1/2 sum sigma_ij t_i t_j);
-* numerically for mixtures, as the weighted sum of component moments; and
-* for n = 1, by the three-term recursion m_i = mu*m_{i-1} + (i-1)*var*m_{i-2},
-  which costs O(d) ring operations.
+    m_{a+e_i} = mu_i m_a + sum_j a_j sigma_ij m_{a-e_j}.
+
+It runs on Fractions for exact moments, on Polynomials for the symbolic
+moment polynomials and the recovery equations, and on ints for the secant
+Jacobian.  Mixture moments are the weighted sum of component moments.  The
+moment generating function exp(sum t_i mu_i) * exp(1/2 sum sigma_ij t_i t_j),
+expanded as a truncated power series, is the independent oracle: the tests
+read moments off it, and the cumulant transforms below go through it.
 
 All values are rationals in the affine chart where the order-zero moment is 1.
 Cumulant vectors are obtained through log of the moment generating function
@@ -154,6 +156,8 @@ class MomentVector:
     values: dict  # Index -> Fraction
 
     def __post_init__(self):
+        if self.d < 0:
+            raise ValueError(f"moment order d must be at least 0, not {self.d}")
         idxs = multi_indices(self.n, self.d)
         if set(self.values) != set(idxs):
             raise ValueError(
@@ -208,74 +212,37 @@ class CumulantVector:
                    default=0)
 
 
-# -- the pairing expansion of a single Gaussian moment ------------------------
+# -- the moment recursion -------------------------------------------------------
 
 
-def _pair_patterns(idx: Index):
-    """All (k, q) splittings of the multi-index into singletons and pairs.
+def gaussian_moment_table(mean, sigma, d: int, one) -> dict:
+    """Every moment m_a of order <= d of one Gaussian, by the recursion
+    m_{b+e_i} = mean_i m_b + sum_j b_j sigma(i, j) m_{b-e_j}.
 
-    Yields (coeff, k, q) with coeff the integer multinomial weight, k a dict
-    position -> singleton count, q a dict (a, b), a <= b -> pair count.  These
-    are exactly the terms of the t-coefficient of the Gaussian moment
-    generating function, scaled by i_1! ... i_n!.
+    ``mean`` is a sequence, ``sigma`` a callable on 0-based index pairs and
+    ``one`` the order-zero moment.  Only ``+``, ``*`` and small-int scalars
+    are used, so entries may be Fractions, ints or Polynomials.  The result
+    maps each multi-index to its moment in graded-lex order.
     """
-    supp = [a for a, v in enumerate(idx) if v]
-    pairs = [(a, b) for t, a in enumerate(supp) for b in supp[t:]]
-
-    def rec(p: int, rem: dict, q: dict):
-        if p == len(pairs):
-            coeff = Fraction(index_factorial(idx))
-            for a, r in rem.items():
-                coeff /= factorial(r)
-            for (a, b), m in q.items():
-                coeff /= factorial(m)
-                if a == b:
-                    coeff /= 2 ** m
-            assert coeff.denominator == 1
-            yield int(coeff), dict(rem), dict(q)
-            return
-        a, b = pairs[p]
-        top = rem[a] // 2 if a == b else min(rem[a], rem[b])
-        for m in range(top + 1):
-            if m:
-                q[(a, b)] = m
-                rem[a] -= 2 * m if a == b else m
-                if a != b:
-                    rem[b] -= m
-            yield from rec(p + 1, rem, q)
-            if m:
-                rem[a] += 2 * m if a == b else m
-                if a != b:
-                    rem[b] += m
-                del q[(a, b)]
-
-    yield from rec(0, {a: idx[a] for a in supp}, {})
+    n = len(mean)
+    table = {}
+    for a in multi_indices(n, d):
+        i = next((i for i, v in enumerate(a) if v), None)
+        if i is None:
+            table[a] = one
+            continue
+        b = lower_index(a, i)
+        acc = mean[i] * table[b]
+        for j, v in enumerate(b):
+            if v:
+                acc = acc + v * sigma(i, j) * table[lower_index(b, j)]
+        table[a] = acc
+    return table
 
 
-def gaussian_moment_expr(idx: Index, mean, sigma, zero):
-    """The moment m_idx as an expression in given mean/covariance entries.
-
-    ``mean`` is a sequence, ``sigma`` a callable on 0-based index pairs.
-    Entries may be Fractions or ring elements supporting + and *; ``zero`` is
-    the additive identity to start from.  Used both for exact numeric moments
-    and, in the recovery module, with polynomial-valued parameters.
-    """
-    acc = zero
-    for coeff, k, q in _pair_patterns(idx):
-        term = None
-        for a, e in k.items():
-            for _ in range(e):
-                term = mean[a] if term is None else term * mean[a]
-        for (a, b), e in q.items():
-            s = sigma(a, b)
-            for _ in range(e):
-                term = s if term is None else term * s
-        acc = acc + (coeff if term is None else coeff * term)
-    return acc
-
-
-def gaussian_moment(params: GaussianParams, idx: Index) -> Fraction:
-    return gaussian_moment_expr(idx, params.mean, params.sigma, Fraction(0))
+def lower_index(a: Index, i: int) -> Index:
+    """The multi-index a - e_i."""
+    return a[:i] + (a[i] - 1,) + a[i + 1:]
 
 
 # -- operations ---------------------------------------------------------------
@@ -297,39 +264,27 @@ def sigma_var_index(n: int, i: int, j: int) -> int:
 
 @lru_cache(maxsize=None)
 def moment_polynomials(n: int, d: int) -> dict:
-    """Each moment of order <= d as a polynomial in mean/covariance entries.
-
-    Coefficients come from expanding the moment generating function to total
-    degree d in the t's and scaling the coefficient of t^idx by idx!.
+    """Each moment of order <= d as a polynomial in mean/covariance entries:
+    the moment table over the variables of :func:`parameter_ring`.
     The returned mapping is cached and shared; do not mutate it.
     """
     if n < 1 or d < 1:
         raise ValueError("moment_polynomials requires n >= 1 and d >= 1")
     ring = parameter_ring(n)
-    width = len(ring.vars)
-    out = {}
-    for idx in multi_indices(n, d):
-        terms = {}
-        for coeff, k, q in _pair_patterns(idx):
-            e = [0] * width
-            for a, v in k.items():
-                e[a] = v
-            for (a, b), v in q.items():
-                e[sigma_var_index(n, a, b)] = v
-            terms[tuple(e)] = Fraction(coeff)
-        out[idx] = ring.from_terms(terms)
-    return out
+    mean = [ring.var(v) for v in ring.vars[:n]]
+    return gaussian_moment_table(
+        mean, lambda i, j: ring.var(ring.vars[sigma_var_index(n, i, j)]), d,
+        ring.one())
 
 
 def mixture_moments(params: MixtureParams, d: int) -> MomentVector:
     """Exact moments of order <= d of the mixture: the weighted sum of the
-    component moments."""
-    values = {}
-    for idx in multi_indices(params.n, d):
-        acc = Fraction(0)
-        for w, comp in zip(params.weights, params.components):
-            acc += w * gaussian_moment(comp, idx)
-        values[idx] = acc
+    component moment tables."""
+    values = dict.fromkeys(multi_indices(params.n, d), Fraction(0))
+    for w, comp in zip(params.weights, params.components):
+        table = gaussian_moment_table(comp.mean, comp.sigma, d, Fraction(1))
+        for idx, v in table.items():
+            values[idx] += w * v
     return MomentVector(params.n, d, values)
 
 
@@ -339,16 +294,13 @@ def gaussian_moments(params: GaussianParams, d: int) -> MomentVector:
 
 
 def univariate_moments(mu, var, d: int) -> MomentVector:
-    """Moments of N(mu, var) on the line by the three-term recursion
-    m_i = mu*m_{i-1} + (i-1)*var*m_{i-2}, which is exactly the column-(1,2,i)
-    minor relation of the moment matrix.  O(d) arithmetic."""
-    mu, var = _frac(mu), _frac(var)
-    vals = [Fraction(1)]
-    if d >= 1:
-        vals.append(mu)
-    for i in range(2, d + 1):
-        vals.append(mu * vals[i - 1] + (i - 1) * var * vals[i - 2])
-    return MomentVector(1, d, {(i,): v for i, v in enumerate(vals)})
+    """Moments of N(mu, var) on the line: the n = 1 moment table, i.e. the
+    three-term recursion m_i = mu*m_{i-1} + (i-1)*var*m_{i-2}, which is
+    exactly the column-(1,2,i) minor relation of the moment matrix.
+    O(d) arithmetic."""
+    var = _frac(var)
+    return MomentVector(1, d, gaussian_moment_table(
+        (_frac(mu),), lambda i, j: var, d, Fraction(1)))
 
 
 def _t_ring(n: int, d: int) -> PolyRing:
@@ -464,8 +416,11 @@ def mixture_params_from_json(data) -> MixtureParams:
                      .get("components", []), "components")
     if not raw:
         raise ValueError("empty components list")
-    for entry in raw:
+    for pos, entry in enumerate(raw):
         entry = _json_object(entry, "each components entry")
+        for key in ("weight", "mean", "cov"):
+            if key not in entry:
+                raise ValueError(f"components[{pos}] has no {key!r} key")
         weights.append(Fraction(str(entry["weight"])))
         comps.append(GaussianParams(
             tuple(Fraction(str(x)) for x in _json_list(entry["mean"], "mean")),

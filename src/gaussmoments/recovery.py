@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .linalg import poly_det
 from .moments import (GaussianParams, MixtureParams, MomentVector,
-                      gaussian_moment_expr, mixture_moments, multi_indices)
+                      gaussian_moment_table, mixture_moments, multi_indices)
 from .polyring import Polynomial, PolyRing
 
 Index = tuple[int, ...]
@@ -259,12 +259,12 @@ def _eliminate(inp: RecoveryInput) -> _Eliminated:
     sig_a = lambda i, j: ring.var(_sigma_name("s", i, j))
     sig_b = lambda i, j: ring.var(_sigma_name("t", i, j))
 
-    eqs: dict[Index, Polynomial] = {}
-    for idx in multi_indices(3, 3, min_order=2):
-        expr = (gaussian_moment_expr(idx, mean_a, sig_a, ring.zero()).scale(lam)
-                + gaussian_moment_expr(idx, mean_b, sig_b, ring.zero())
-                .scale(1 - lam))
-        eqs[idx] = expr - ring.const(m[idx])
+    table_a = gaussian_moment_table(mean_a, sig_a, 3, ring.one())
+    table_b = gaussian_moment_table(mean_b, sig_b, 3, ring.one())
+    eqs: dict[Index, Polynomial] = {
+        idx: (table_a[idx].scale(lam) + table_b[idx].scale(1 - lam)
+              - ring.const(m[idx]))
+        for idx in multi_indices(3, 3, min_order=2)}
 
     # the covariances occur linearly; solve them in 2x2 blocks
     solutions: dict[str, Polynomial] = {}

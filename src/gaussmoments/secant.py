@@ -2,12 +2,21 @@
 
 The dimension of the k-th secant variety equals the generic rank of the
 Jacobian of the mixture parametrization, computed here exactly over a prime
-field at seeded random points.  The Jacobian is assembled from the symbolic
-partials of the single-Gaussian moment polynomials: the column block of one
-component is its weight times the per-component partials, and the column of
-a free mixture weight is the difference between that component's moments and
-the last component's.  The last weight is eliminated (lambda_k = 1 - sum),
-so the column count is exactly the parameter count k*n*(n+3)/2 + k - 1.
+field at seeded random points.  Each entry is a Gaussian moment or one of
+its partials.  The moments of one component come from the recursion
+m_{a+e_i} = mu_i m_a + sum_j a_j sigma_ij m_{a-e_j} (see
+:func:`moments.gaussian_moment_table`), computed over the integers and
+reduced mod p; the partials then have closed forms:
+
+* dm_a/dmu_i = a_i m_{a-e_i};
+* dm_a/dsigma_ij = a_i a_j m_{a-e_i-e_j} for i < j;
+* dm_a/dsigma_ii = a_i (a_i - 1)/2 m_{a-2e_i}.
+
+The column block of one component is its weight times its partials, and the
+column of a free mixture weight is the difference between that component's
+moments and the last component's.  The last weight is eliminated
+(lambda_k = 1 - sum), so the column count is exactly the parameter count
+k*n*(n+3)/2 + k - 1.
 
 A reported dimension is a certified lower bound for the generic rank; by
 Schwartz-Zippel it equals the generic rank with probability at least
@@ -21,18 +30,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
 
 from .linalg import PRIME_LIMIT, rank_mod_p
-from .moments import (MixtureParams, moment_polynomials, multi_indices)
+from .moments import (Index, MixtureParams, gaussian_moment_table,
+                      lower_index, multi_indices, sigma_var_index)
 from .rng import PRNG_NAME, SplitMix64, derive_seed
 
-# Fixed 62-bit default prime (2^62 - 57).  It exceeds 20!, so modular
-# factorials are invertible for every order d <= 20 used in rank runs, and
-# Schwartz-Zippel failure is negligible.
+# Fixed 62-bit default prime (2^62 - 57).  Every nonzero coefficient of a
+# moment polynomial m_a, and of its partials, divides a_1! ... a_n! and so
+# d!; a prime above d! reduces none of them to 0.  This one exceeds 20!, for
+# every order d <= 20 used in rank runs, and Schwartz-Zippel failure is
+# negligible.
 DEFAULT_PRIME = 4611686018427387847
 DEFAULT_TRIALS = 3
 DEFAULT_SEED = 2016
@@ -130,77 +141,44 @@ class DefectRow:
 # -- Jacobian machinery --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _JacobianContext:
-    n: int
-    d: int
-    indices: tuple            # multi-indices of order 1..d (the rows)
-    n_params: int             # M = n(n+3)/2
-    moment_terms: tuple       # per row: ((coeff, ((var, exp), ...)), ...)
-    partial_terms: tuple      # per row: ((param, terms), ...) nonzero partials
+def _partials(a: Index):
+    """Each nonzero partial of m_a as (parameter position, c, b), meaning
+    dm_a/dparameter = c * m_b: the closed forms in the module docstring."""
+    n = len(a)
+    for i in range(n):
+        if a[i]:
+            b = lower_index(a, i)
+            yield i, a[i], b
+            for j in range(i, n):
+                if b[j]:
+                    yield (sigma_var_index(n, i, j),
+                           a[i] * b[j] // (2 if i == j else 1),
+                           lower_index(b, j))
 
 
-def _compile(poly) -> tuple:
-    out = []
-    for e, c in sorted(poly.terms.items()):
-        assert c.denominator == 1
-        powers = tuple((i, k) for i, k in enumerate(e) if k)
-        out.append((int(c), powers))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _jacobian_context(n: int, d: int) -> _JacobianContext:
-    polys = moment_polynomials(n, d)
-    ring = next(iter(polys.values())).ring
-    indices = tuple(multi_indices(n, d, min_order=1))
-    moment_terms = []
-    partial_terms = []
-    for idx in indices:
-        poly = polys[idx]
-        moment_terms.append(_compile(poly))
-        parts = []
-        for j, v in enumerate(ring.vars):
-            dp = poly.differentiate(v)
-            if not dp.is_zero():
-                parts.append((j, _compile(dp)))
-        partial_terms.append(tuple(parts))
-    return _JacobianContext(n, d, indices, len(ring.vars),
-                            tuple(moment_terms), tuple(partial_terms))
-
-
-def _eval_terms(terms, vals, p: int) -> int:
-    acc = 0
-    for c, powers in terms:
-        t = c
-        for i, k in powers:
-            t = t * pow(vals[i], k, p)
-        acc += t
-    return acc % p
-
-
-def _jacobian_mod_p(ctx: _JacobianContext, comp_vals, weights, p: int):
+def _jacobian_mod_p(n: int, d: int, comp_vals, weights, p: int):
     """Rows: moments of order 1..d; columns: per-component (mu, sigma) blocks
     then the k-1 free weights.  An int64 array, filled a row at a time."""
     k = len(comp_vals)
-    m = ctx.n_params
-    n_rows = len(ctx.indices)
-    par = k * m + k - 1
-    jac = np.zeros((n_rows, par), dtype=np.int64)
-    if k > 1:
-        mom = [[_eval_terms(ctx.moment_terms[r], vals, p)
-                for r in range(n_rows)] for vals in comp_vals]
-    for r in range(n_rows):
+    m = n * (n + 3) // 2
+    tables = []
+    for vals in comp_vals:
+        table = gaussian_moment_table(
+            vals[:n], lambda i, j: vals[sigma_var_index(n, i, j)], d, 1)
+        tables.append({a: v % p for a, v in table.items()})
+    rows = multi_indices(n, d, min_order=1)
+    jac = np.zeros((len(rows), k * m + k - 1), dtype=np.int64)
+    for r, a in enumerate(rows):
+        partials = list(_partials(a))
         cols, entries = [], []
         for ell in range(k):
-            vals = comp_vals[ell]
-            lam = weights[ell]
-            for j, terms in ctx.partial_terms[r]:
+            table, lam = tables[ell], weights[ell]
+            for j, c, b in partials:
                 cols.append(ell * m + j)
-                entries.append(lam * _eval_terms(terms, vals, p) % p)
+                entries.append(lam * c * table[b] % p)
         for ell in range(k - 1):
             cols.append(k * m + ell)
-            entries.append((mom[ell][r] - mom[k - 1][r]) % p)
+            entries.append((tables[ell][a] - tables[k - 1][a]) % p)
         jac[r, cols] = entries
     return jac
 
@@ -234,9 +212,9 @@ def secant_jacobian(problem: SecantProblem, point: MixtureParams,
     _check_prime(problem, prime)
     if point.n != problem.n or point.k != problem.k:
         raise ValueError("parameter point does not match the problem")
-    ctx = _jacobian_context(problem.n, problem.d)
     comp_vals, weights = _params_to_modular(point, prime)
-    return _jacobian_mod_p(ctx, comp_vals, weights, prime).tolist()
+    return _jacobian_mod_p(problem.n, problem.d, comp_vals, weights,
+                           prime).tolist()
 
 
 def _random_modular_point(problem: SecantProblem, prime: int, rng: SplitMix64):
@@ -256,12 +234,12 @@ def secant_dimension(problem: SecantProblem, trials: int = DEFAULT_TRIALS,
     if trials < 1:
         raise ValueError("at least one trial required")
     _check_prime(problem, prime)
-    ctx = _jacobian_context(problem.n, problem.d)
     ranks = []
     for t in range(trials):
         rng = SplitMix64(derive_seed(seed, problem.n, problem.d, problem.k, t))
         comp_vals, weights = _random_modular_point(problem, prime, rng)
-        jac = _jacobian_mod_p(ctx, comp_vals, weights, prime)
+        jac = _jacobian_mod_p(problem.n, problem.d, comp_vals, weights,
+                              prime)
         ranks.append(rank_mod_p(jac, prime))
     dim = max(ranks)
     if dim > problem.expected:

@@ -191,6 +191,16 @@ class TestMalformedJson:
                             "mean must be a JSON list",
                             command=("moments", "--d", "2", "--params"))
 
+    @pytest.mark.parametrize("key", ["weight", "mean", "cov"])
+    def test_params_component_missing_key(self, capsys, tmp_path, key):
+        entry = {"weight": "1/2", "mean": ["0"], "cov": ["1"]}
+        partial = dict(entry)
+        del partial[key]
+        self.check_rejected(capsys, tmp_path,
+                            {"components": [entry, partial]},
+                            f"components[1] has no '{key}' key",
+                            command=("moments", "--d", "2", "--params"))
+
 
 class TestCensusAndDim:
     def test_census_csv_json_round_trip(self, capsys):

@@ -275,3 +275,7 @@ class TestPolyDet:
         ring = PolyRing(["x"])
         with pytest.raises(ValueError, match="non-square"):
             poly_det([[ring.one(), ring.one()]])
+
+    def test_empty_matrix(self):
+        with pytest.raises(ValueError, match="empty matrix"):
+            poly_det([])

@@ -48,7 +48,7 @@ class TestMomentPolynomials:
             idx = tuple(1 if j == i else 0 for j in range(4))
             assert mp[idx] == ring.var(f"mu{i + 1}")
 
-    @pytest.mark.parametrize("n,d", [(1, 6), (2, 4), (3, 3)])
+    @pytest.mark.parametrize("n,d", [(1, 6), (1, 24), (2, 4), (3, 3)])
     def test_against_series_expansion(self, n, d):
         # independent oracle: expand the generating function
         # exp(sum t_i mu_i + 1/2 sum sigma_ij t_i t_j) and read coefficients
@@ -98,6 +98,13 @@ class TestUnivariateMoments:
         mu = Fraction(3, 2)
         mv = M.univariate_moments(mu, 0, 5)
         assert all(mv[(i,)] == mu ** i for i in range(6))
+
+    def test_negative_order_rejected(self):
+        g = M.GaussianParams((1,), (2,))
+        for make in (lambda: M.univariate_moments(0, 1, -1),
+                     lambda: M.gaussian_moments(g, -1)):
+            with pytest.raises(ValueError, match="at least 0"):
+                make()
 
     def test_oracle_equivalence_up_to_24(self):
         rng = SplitMix64(314)

@@ -76,6 +76,62 @@ class TestJacobian:
             S.secant_jacobian(S.SecantProblem(3, 3, 2), p, prime=P31)
 
 
+def _reduce(x: Fraction, p: int) -> int:
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def _symbolic_jacobian(problem: S.SecantProblem, point: M.MixtureParams,
+                       p: int) -> list[list[int]]:
+    """The Jacobian from the symbolic partials of ``moment_polynomials``,
+    evaluated exactly at the point and reduced mod p: per component its
+    weight times every partial, then the free weight columns as differences
+    of component moments."""
+    polys = M.moment_polynomials(problem.n, problem.d)
+    names = M.parameter_ring(problem.n).vars
+    values = [dict(zip(names, c.mean + c.cov_upper))
+              for c in point.components]
+    rows = []
+    for idx in M.multi_indices(problem.n, problem.d, min_order=1):
+        poly = polys[idx]
+        row = [_reduce(lam * poly.differentiate(v).evaluate(vals), p)
+               for lam, vals in zip(point.weights, values) for v in names]
+        moms = [poly.evaluate(vals) for vals in values]
+        row += [_reduce(m - moms[-1], p) for m in moms[:-1]]
+        rows.append(row)
+    return rows
+
+
+class TestJacobianOracle:
+    """``secant_jacobian`` against the symbolic partials of the moment
+    polynomials, and the coefficient divisibility behind ``_check_prime``."""
+
+    @pytest.mark.parametrize("n,d,k", [(1, 6, 3), (2, 4, 2), (3, 3, 3),
+                                       (4, 3, 2)])
+    @pytest.mark.parametrize("prime", [7919, P31])
+    def test_equals_symbolic_partials(self, n, d, k, prime):
+        problem = S.SecantProblem(n, d, k)
+        rng = SplitMix64(100 * n + 10 * d + k)
+        points = [rand_mixture(rng, n, k) for _ in range(2)]
+        first = points[0].components[0]
+        zero_mean = M.GaussianParams((Fraction(0),) + first.mean[1:],
+                                     first.cov_upper)
+        points.append(M.MixtureParams(
+            (zero_mean,) + points[0].components[1:], points[0].weights))
+        for point in points:
+            assert S.secant_jacobian(problem, point, prime=prime) == \
+                _symbolic_jacobian(problem, point, prime)
+
+    @pytest.mark.parametrize("n,d", [(1, 10), (2, 6), (3, 5), (4, 4)])
+    def test_coefficients_divide_d_factorial(self, n, d):
+        # a prime above d! therefore leaves every coefficient nonzero
+        names = M.parameter_ring(n).vars
+        for poly in M.moment_polynomials(n, d).values():
+            for q in [poly] + [poly.differentiate(v) for v in names]:
+                for c in q.terms.values():
+                    assert c.denominator == 1
+                    assert factorial(d) % c.numerator == 0, (q, c)
+
+
 class TestDimensionProperties:
     def test_univariate_nondefective(self):
         # min(d, 3k-1) for every univariate case, three seeds
