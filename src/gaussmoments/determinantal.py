@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .linalg import det_rational, rank_rational
+from .linalg import rank_rational
 from .moments import GaussianParams, MomentVector, multi_indices
 from .polyring import Polynomial, PolyRing
 
@@ -321,15 +321,6 @@ class WillinkResult:
     rank: int
     is_member: bool
     kernel_ok: bool | None
-
-
-def willink_unit_minor(n: int, d: int, m: MomentVector) -> Fraction:
-    """Determinant of the submatrix on the first n+1 rows and columns
-    (1, n+2, ..., 2n+1); it equals the order-zero moment to the (n+1)st power
-    up to the sign of the row enumeration, certifying rank >= n+1."""
-    rows = willink_numeric(n, d, m)[: n + 1]
-    cols = [0] + list(range(n + 1, 2 * n + 1))
-    return det_rational([[row[c] for c in cols] for row in rows])
 
 
 def willink_membership(n: int, d: int, m: MomentVector,

@@ -1,5 +1,5 @@
-"""Exact matrix kernels: integer/rational rank and determinant, prime-field
-rank, and determinants of small matrices with polynomial entries.
+"""Exact matrix kernels: integer/rational rank, prime-field rank and column
+rank profile, and determinants of small matrices with polynomial entries.
 
 One elimination strategy per coefficient domain:
 
@@ -69,30 +69,6 @@ def rank_rational(rows) -> int:
         prev = pivot
         rank += 1
     return rank
-
-
-def det_rational(rows) -> Fraction:
-    """Exact determinant of a square matrix with int/Fraction entries."""
-    m = [[x if isinstance(x, Fraction) else Fraction(x) for x in row]
-         for row in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("determinant of a non-square matrix")
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if f:
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return det
 
 
 # -- rank over GF(p) ----------------------------------------------------------
@@ -202,8 +178,10 @@ def _swap_rows(a, i: int, j: int) -> None:
     a[[i, j]] = a[[j, i]]
 
 
-def _eliminate(a, c0: int, c1: int, p: int, need_g: bool) -> int:
-    """Rank of columns c0..c1-1 of the row block a (int64 residues), in place.
+def _eliminate(a, c0: int, c1: int, p: int, need_g: bool) -> list[int]:
+    """Column rank profile of columns c0..c1-1 of the row block a (int64
+    residues), in place: the columns, in increasing order, that are not in
+    the span of the columns before them in c0..c1-1.
 
     Whole rows of a are swapped so that a[:k] are the pivot rows, k the
     rank: each column's pivot is the first row, in the current order, that
@@ -216,29 +194,33 @@ def _eliminate(a, c0: int, c1: int, p: int, need_g: bool) -> int:
     Wider blocks split in half by columns, as in the recursive rank-profile
     eliminations of Jeannerod, Pernet and Storjohann (JSC 2013): G1 of the
     left half updates the right half of the remaining rows, and the two G's
-    combine as G = [G1_rest - G2 @ G1_pivots2 | G2].
+    combine as G = [G1_rest - G2 @ G1_pivots2 | G2].  The profile is that of
+    the left half, then that of the right half of the updated rows.
     """
     h = a.shape[0]
     if h == 0:
-        return 0
+        return []
     if c1 - c0 <= _BASE_WIDTH:
         return _eliminate_narrow(a, c0, c1, p, need_g)
     mid = (c0 + c1) // 2
-    k1 = _eliminate(a, c0, mid, p, True)
+    left = _eliminate(a, c0, mid, p, True)
+    k1 = len(left)
     rest = a[k1:]
     if k1 and len(rest):
         _sub_matmul(rest[:, mid:c1], rest[:, c0:c0 + k1], a[:k1, mid:c1], p)
-    k2 = _eliminate(rest, mid, c1, p, need_g)
+    right = _eliminate(rest, mid, c1, p, need_g)
+    k2 = len(right)
     low = rest[k2:]
     if need_g and k2 and len(low):
         g2 = low[:, mid:mid + k2].copy()
         if k1:
             _sub_matmul(low[:, c0:c0 + k1], g2, rest[:k2, c0:c0 + k1], p)
         low[:, c0 + k1:c0 + k1 + k2] = g2
-    return k1 + k2
+    return left + right
 
 
-def _eliminate_narrow(a, c0: int, c1: int, p: int, need_g: bool) -> int:
+def _eliminate_narrow(a, c0: int, c1: int, p: int,
+                      need_g: bool) -> list[int]:
     """The base case of _eliminate: one column at a time on a slab that
     holds the block's w columns, then w columns tracking G.
 
@@ -253,11 +235,12 @@ def _eliminate_narrow(a, c0: int, c1: int, p: int, need_g: bool) -> int:
     slab[:, :w] = a[:, c0:c1]
     if h * w <= _TINY_SLAB:
         rows = slab.tolist()
-        k = _eliminate_rows(rows, a, w, p)
+        pivots = _eliminate_rows(rows, a, w, p)
         slab[:] = rows
     else:
-        k = 0
+        pivots = []
         for j in range(w):
+            k = len(pivots)
             nz = np.flatnonzero(slab[k:, j])
             if not nz.size:
                 continue
@@ -276,19 +259,22 @@ def _eliminate_narrow(a, c0: int, c1: int, p: int, need_g: bool) -> int:
                 block = slab[below, j + 1:w + k + 1]
                 _sub_matmul(block, slab[below, j:j + 1], u, p)
                 slab[below, j + 1:w + k + 1] = block
-            k += 1
-            if k == h:
+            pivots.append(j)
+            if k + 1 == h:
                 break
+    k = len(pivots)
     if need_g and k:
         a[k:, c0:c0 + k] = slab[k:, w:w + k]
-    return k
+    return [c0 + j for j in pivots]
 
 
-def _eliminate_rows(rows: list, a, w: int, p: int) -> int:
-    """_eliminate_narrow on a slab of Python ints; swaps mirrored in a."""
+def _eliminate_rows(rows: list, a, w: int, p: int) -> list[int]:
+    """_eliminate_narrow on a slab of Python ints; swaps mirrored in a.
+    Returns the pivot columns of the slab."""
     h = len(rows)
-    k = 0
+    pivots = []
     for j in range(w):
+        k = len(pivots)
         i = next((i for i in range(k, h) if rows[i][j]), None)
         if i is None:
             continue
@@ -304,15 +290,18 @@ def _eliminate_rows(rows: list, a, w: int, p: int) -> int:
             if f:
                 row[j + 1:w + k + 1] = [(x - f * y) % p for x, y in
                                         zip(row[j + 1:w + k + 1], u)]
-        k += 1
-        if k == h:
+        pivots.append(j)
+        if k + 1 == h:
             break
-    return k
+    return pivots
 
 
-def rank_mod_p(rows, p: int) -> int:
-    """Rank over GF(p) of an integer matrix, for a prime 2 <= p < 2^62, by
-    the exact blocked elimination described in the module docstring.
+def rank_profile_mod_p(rows, p: int) -> list[int]:
+    """Column rank profile over GF(p) of an integer matrix, for a prime
+    2 <= p < 2^62, by the exact blocked elimination described in the module
+    docstring: the increasing list of columns j that are not in the span of
+    columns 0..j-1.  So the rank of the first c columns is the number of
+    profile entries below c, and the rank of the matrix is its length.
 
     ``rows`` is a sequence of integer rows or a 2-D numpy array.  An int64
     array is reduced mod p and eliminated in place, so its contents are
@@ -331,6 +320,12 @@ def rank_mod_p(rows, p: int) -> int:
     if a.ndim != 2:
         raise ValueError("rank of a non-matrix")
     return _eliminate(a, 0, a.shape[1], p, False)
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over GF(p): the length of :func:`rank_profile_mod_p`, with the
+    same inputs, range and in-place behaviour."""
+    return len(rank_profile_mod_p(rows, p))
 
 
 def poly_det(rows: list[list[Polynomial]]) -> Polynomial:

@@ -410,10 +410,15 @@ def mixture_params_to_json(p: MixtureParams) -> dict:
 
 
 def mixture_params_from_json(data) -> MixtureParams:
+    """Mixture parameters from JSON.  The top-level ``n`` and ``k`` are
+    optional; when present they must be integers that match the
+    components."""
+    data = _json_object(data, "mixture parameters")
+    declared = {key: _json_int(data[key], key) for key in ("n", "k")
+                if key in data}
     comps = []
     weights = []
-    raw = _json_list(_json_object(data, "mixture parameters")
-                     .get("components", []), "components")
+    raw = _json_list(data.get("components", []), "components")
     if not raw:
         raise ValueError("empty components list")
     for pos, entry in enumerate(raw):
@@ -426,4 +431,11 @@ def mixture_params_from_json(data) -> MixtureParams:
             tuple(Fraction(str(x)) for x in _json_list(entry["mean"], "mean")),
             tuple(Fraction(str(x)) for x in _json_list(entry["cov"], "cov")),
         ))
-    return MixtureParams(tuple(comps), tuple(weights))
+    params = MixtureParams(tuple(comps), tuple(weights))
+    if declared.get("n", params.n) != params.n:
+        raise ValueError(f"n = {declared['n']}, but the components have "
+                         f"dimension {params.n}")
+    if declared.get("k", params.k) != params.k:
+        raise ValueError(f"k = {declared['k']}, but there are {params.k} "
+                         "components")
+    return params

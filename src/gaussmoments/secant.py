@@ -12,11 +12,27 @@ reduced mod p; the partials then have closed forms:
 * dm_a/dsigma_ij = a_i a_j m_{a-e_i-e_j} for i < j;
 * dm_a/dsigma_ii = a_i (a_i - 1)/2 m_{a-2e_i}.
 
-The column block of one component is its weight times its partials, and the
-column of a free mixture weight is the difference between that component's
-moments and the last component's.  The last weight is eliminated
-(lambda_k = 1 - sum), so the column count is exactly the parameter count
+Let A_l be the N x m matrix of the partials of component l's moments of
+order 1..d in its m = n(n+3)/2 coordinates (mu, sigma), and M_l the vector
+of those moments.  The Jacobian of the mixture sum_l lambda_l M_l, with the
+last weight eliminated (lambda_k = 1 - sum), is
+[lambda_1 A_1 | ... | lambda_k A_k | M_1 - M_k | ... | M_{k-1} - M_k]
+(:func:`secant_jacobian`); its column count is exactly the parameter count
 k*n*(n+3)/2 + k - 1.
+
+Ranks are computed from the layout
+[A_1 | A_2, M_2 - M_1 | ... | A_k, M_k - M_1] instead, which has no
+weights.  Where every weight is nonzero it has the same column space as the
+mixture Jacobian: weights only scale the A-blocks, and
+M_l - M_k = (M_l - M_1) - (M_k - M_1).  So the two have the same rank
+there, and the same generic rank (Terracini's lemma: dim Sec_k is the
+dimension of the span of k tangent spaces).  The first k components of the layout fill
+its first k*(m+1) - 1 columns, so the layout of K components holds the one
+of every k <= K as a column prefix.  The component values of a trial come
+from one stream, derive_seed(seed, n, d, trial), drawn one component after
+another, so they do not depend on k, and one elimination's column rank
+profile gives the rank for every k <= K: :func:`census` does one
+elimination per (n, trial).
 
 A reported dimension is a certified lower bound for the generic rank; by
 Schwartz-Zippel it equals the generic rank with probability at least
@@ -28,13 +44,14 @@ censuses live here as exact integer evaluations.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
 
-from .linalg import PRIME_LIMIT, rank_mod_p
+from .linalg import PRIME_LIMIT, rank_mod_p, rank_profile_mod_p
 from .moments import (Index, MixtureParams, gaussian_moment_table,
                       lower_index, multi_indices, sigma_var_index)
 from .rng import PRNG_NAME, SplitMix64, derive_seed
@@ -156,38 +173,49 @@ def _partials(a: Index):
                            lower_index(b, j))
 
 
-def _jacobian_mod_p(n: int, d: int, comp_vals, weights, p: int):
-    """Rows: moments of order 1..d; columns: per-component (mu, sigma) blocks
-    then the k-1 free weights.  An int64 array, filled a row at a time."""
-    k = len(comp_vals)
-    m = n * (n + 3) // 2
-    tables = []
+def _component_blocks(n: int, d: int, comp_vals, p: int):
+    """For each component in turn, (A, M) mod p as int64 arrays: A is the
+    N x m matrix of the partials of its moments of order 1..d in its
+    m = n(n+3)/2 (mu, sigma) coordinates, M the vector of those moments."""
+    # a moment's position in the graded-lex table; order 0 is position 0,
+    # so the moments of order 1..d (the rows) sit at positions 1..N
+    index = {a: i for i, a in enumerate(multi_indices(n, d))}
+    rows, cols, coefs, srcs = np.array(
+        [(index[a] - 1, j, c, index[b]) for a in list(index)[1:]
+         for j, c, b in _partials(a)], dtype=np.intp).T
+    coefs, srcs = coefs.tolist(), srcs.tolist()
     for vals in comp_vals:
-        table = gaussian_moment_table(
-            vals[:n], lambda i, j: vals[sigma_var_index(n, i, j)], d, 1)
-        tables.append({a: v % p for a, v in table.items()})
-    rows = multi_indices(n, d, min_order=1)
-    jac = np.zeros((len(rows), k * m + k - 1), dtype=np.int64)
-    for r, a in enumerate(rows):
-        partials = list(_partials(a))
-        cols, entries = [], []
-        for ell in range(k):
-            table, lam = tables[ell], weights[ell]
-            for j, c, b in partials:
-                cols.append(ell * m + j)
-                entries.append(lam * c * table[b] % p)
-        for ell in range(k - 1):
-            cols.append(k * m + ell)
-            entries.append((tables[ell][a] - tables[k - 1][a]) % p)
-        jac[r, cols] = entries
-    return jac
+        table = [v % p for v in gaussian_moment_table(
+            vals[:n], lambda i, j: vals[sigma_var_index(n, i, j)], d,
+            1).values()]
+        partials = np.zeros((len(index) - 1, n * (n + 3) // 2),
+                            dtype=np.int64)
+        partials[rows, cols] = [c * table[s] % p
+                                for c, s in zip(coefs, srcs)]
+        yield partials, np.array(table[1:], dtype=np.int64)
 
 
-def _check_prime(problem: SecantProblem, prime: int) -> None:
+def _terracini_mod_p(n: int, d: int, comp_vals, p: int):
+    """The layout [A_1 | A_2, M_2 - M_1 | ... | A_K, M_K - M_1] mod p of the
+    module docstring, an int64 array: its first k components fill the first
+    k*(m+1) - 1 columns."""
+    m = n * (n + 3) // 2
+    layout = np.empty((comb(n + d, d) - 1, len(comp_vals) * (m + 1) - 1),
+                      dtype=np.int64)
+    blocks = _component_blocks(n, d, comp_vals, p)
+    layout[:, :m], first = next(blocks)
+    for ell, (partials, moments) in enumerate(blocks, 1):
+        col = ell * (m + 1) - 1
+        layout[:, col] = (moments - first) % p
+        layout[:, col + 1:col + 1 + m] = partials
+    return layout
+
+
+def _check_prime(d: int, prime: int) -> None:
     if prime >= PRIME_LIMIT:
         raise ValueError(f"prime {prime} too large: must be below 2^62")
-    if prime <= factorial(problem.d):
-        raise ValueError(f"prime {prime} too small: must exceed {problem.d}!")
+    if prime <= factorial(d):
+        raise ValueError(f"prime {prime} too small: must exceed {d}!")
 
 
 def _params_to_modular(point: MixtureParams, p: int):
@@ -208,22 +236,65 @@ def _params_to_modular(point: MixtureParams, p: int):
 def secant_jacobian(problem: SecantProblem, point: MixtureParams,
                     prime: int = DEFAULT_PRIME) -> list[list[int]]:
     """The N x par Jacobian of the mixture parametrization at the point,
-    over GF(prime).  The prime must exceed d! and be below 2^62."""
-    _check_prime(problem, prime)
+    over GF(prime): per component its weight times its partials, then for
+    each free weight the difference between its component's moments and the
+    last component's.  The prime must exceed d! and be below 2^62."""
+    _check_prime(problem.d, prime)
     if point.n != problem.n or point.k != problem.k:
         raise ValueError("parameter point does not match the problem")
     comp_vals, weights = _params_to_modular(point, prime)
-    return _jacobian_mod_p(problem.n, problem.d, comp_vals, weights,
-                           prime).tolist()
+    blocks = list(_component_blocks(problem.n, problem.d, comp_vals, prime))
+    last = blocks[-1][1]
+    # object arrays: a weight times a residue overflows int64
+    cols = [partials.astype(object) * lam % prime
+            for (partials, _), lam in zip(blocks, weights)]
+    cols += [((moments - last) % prime).astype(object)[:, None]
+             for _, moments in blocks[:-1]]
+    return np.hstack(cols).tolist()
 
 
-def _random_modular_point(problem: SecantProblem, prime: int, rng: SplitMix64):
-    m = problem.n * (problem.n + 3) // 2
-    comp_vals = [[rng.below(prime) for _ in range(m)]
-                 for _ in range(problem.k)]
-    free = [rng.below(prime) for _ in range(problem.k - 1)]
-    last = (1 - sum(free)) % prime
-    return comp_vals, free + [last]
+def _layouts(n: int, d: int, top: int, trials: int, seed: int, prime: int):
+    """Per trial, the layout of ``top`` components at a random point: their
+    values come from the stream derive_seed(seed, n, d, trial), drawn one
+    component after another, so the first k components do not depend on
+    ``top``."""
+    if trials < 1:
+        raise ValueError("at least one trial required")
+    _check_prime(d, prime)
+    m = n * (n + 3) // 2
+    for t in range(trials):
+        rng = SplitMix64(derive_seed(seed, n, d, t))
+        comp_vals = [[rng.below(prime) for _ in range(m)]
+                     for _ in range(top)]
+        yield _terracini_mod_p(n, d, comp_vals, prime)
+
+
+def _certified(problem: SecantProblem, ranks: tuple[int, ...], seed: int,
+               prime: int) -> tuple[int, RankCertificate]:
+    dim = max(ranks)
+    if dim > problem.expected:
+        raise AssertionError(
+            f"computed rank {dim} exceeds the expected dimension "
+            f"{problem.expected}; this is an implementation bug")
+    # Each layout entry is a partial of a moment of order <= d, of degree
+    # <= d - 1 in the component's (mu, Sigma), or a difference of two such
+    # moments, of degree <= d.  So a dim x dim minor has degree <= dim*d,
+    # and by Schwartz-Zippel one that is a nonzero polynomial over GF(prime)
+    # vanishes at a uniformly random point with probability at most
+    # dim*d / prime.  At points with every weight nonzero the mixture
+    # Jacobian has the layout's rank, so the generic ranks agree.
+    cert = RankCertificate(prime=prime, seed=seed, trials=len(ranks),
+                           prng=PRNG_NAME, ranks=ranks, reported=dim,
+                           degree_bound=dim * problem.d)
+    return dim, cert
+
+
+def _defect_row(problem: SecantProblem, dim: int) -> DefectRow:
+    return DefectRow(
+        n=problem.n, k=problem.k, d=problem.d,
+        par=problem.parameters, N=problem.ambient, exp=problem.expected,
+        dim=dim, delta=problem.expected - dim,
+        par_minus_dim=problem.parameters - dim)
 
 
 def secant_dimension(problem: SecantProblem, trials: int = DEFAULT_TRIALS,
@@ -231,45 +302,17 @@ def secant_dimension(problem: SecantProblem, trials: int = DEFAULT_TRIALS,
                      prime: int = DEFAULT_PRIME) -> tuple[int, RankCertificate]:
     """Dimension of the k-th secant variety as the max Jacobian rank over
     seeded random prime-field points, with a reproducible certificate."""
-    if trials < 1:
-        raise ValueError("at least one trial required")
-    _check_prime(problem, prime)
-    ranks = []
-    for t in range(trials):
-        rng = SplitMix64(derive_seed(seed, problem.n, problem.d, problem.k, t))
-        comp_vals, weights = _random_modular_point(problem, prime, rng)
-        jac = _jacobian_mod_p(problem.n, problem.d, comp_vals, weights,
-                              prime)
-        ranks.append(rank_mod_p(jac, prime))
-    dim = max(ranks)
-    if dim > problem.expected:
-        raise AssertionError(
-            f"computed rank {dim} exceeds the expected dimension "
-            f"{problem.expected}; this is an implementation bug")
-    # Each Jacobian entry has degree <= d in the parameters: a moment of
-    # order <= d has degree <= d in (mu, Sigma); a component column is its
-    # weight (a free weight, or 1 - sum of them for the last component, since
-    # the last weight is eliminated linearly) times a partial of degree
-    # <= d - 1; a weight column is a difference of two moments.  So a
-    # dim x dim minor has degree <= dim*d, and by Schwartz-Zippel one that is
-    # a nonzero polynomial over GF(prime) vanishes at a uniformly random point
-    # with probability at most dim*d / prime.
-    cert = RankCertificate(prime=prime, seed=seed, trials=trials,
-                           prng=PRNG_NAME, ranks=tuple(ranks), reported=dim,
-                           degree_bound=dim * problem.d)
-    return dim, cert
+    ranks = tuple(rank_mod_p(layout, prime) for layout in
+                  _layouts(problem.n, problem.d, problem.k, trials, seed,
+                           prime))
+    return _certified(problem, ranks, seed, prime)
 
 
 def defect_row(problem: SecantProblem, trials: int = DEFAULT_TRIALS,
                seed: int = DEFAULT_SEED,
                prime: int = DEFAULT_PRIME) -> tuple[DefectRow, RankCertificate]:
     dim, cert = secant_dimension(problem, trials=trials, seed=seed, prime=prime)
-    row = DefectRow(
-        n=problem.n, k=problem.k, d=problem.d,
-        par=problem.parameters, N=problem.ambient, exp=problem.expected,
-        dim=dim, delta=problem.expected - dim,
-        par_minus_dim=problem.parameters - dim)
-    return row, cert
+    return _defect_row(problem, dim), cert
 
 
 def census(d: int, n_values, k_values, defective_only: bool = True,
@@ -280,13 +323,23 @@ def census(d: int, n_values, k_values, defective_only: bool = True,
     ``k_values`` is either an iterable of k, or a mapping n -> iterable of k.
     With ``defective_only`` rows with zero defect (in particular all rows
     that fill the ambient space) are dropped, matching the published tables.
+    Each n costs one elimination per trial, at the largest k; every row
+    equals what :func:`defect_row` gives at the same seed, prime and trials.
     """
     rows = []
     for n in sorted(set(n_values)):
         ks = k_values[n] if isinstance(k_values, dict) else k_values
-        for k in sorted(set(ks)):
-            row, _ = defect_row(SecantProblem(n, d, k), trials=trials,
-                                seed=seed, prime=prime)
+        problems = [SecantProblem(n, d, k) for k in sorted(set(ks))]
+        if not problems:
+            continue
+        # the rank of a problem's layout is that of its column prefix
+        profiles = [rank_profile_mod_p(layout, prime) for layout in
+                    _layouts(n, d, problems[-1].k, trials, seed, prime)]
+        for problem in problems:
+            ranks = tuple(bisect_left(profile, problem.parameters)
+                          for profile in profiles)
+            dim, _ = _certified(problem, ranks, seed, prime)
+            row = _defect_row(problem, dim)
             if defective_only and not row.is_defective():
                 continue
             rows.append(row)

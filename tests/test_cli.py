@@ -202,6 +202,33 @@ class TestMalformedJson:
                             command=("moments", "--d", "2", "--params"))
 
 
+    @pytest.mark.parametrize("top,message", [
+        ({"n": 2, "k": 1}, "n = 2, but the components have dimension 1"),
+        ({"n": 1, "k": 2}, "k = 2, but there are 1 components"),
+        ({"n": True}, "n must be an integer"),
+        ({"k": "1"}, "k must be an integer"),
+        ({"n": 1.0}, "n must be an integer")],
+        ids=["n-mismatch", "k-mismatch", "n-bool", "k-string", "n-float"])
+    def test_params_top_level_n_k_must_match(self, capsys, tmp_path, top,
+                                             message):
+        entry = {"weight": "1", "mean": ["0"], "cov": ["1"]}
+        self.check_rejected(capsys, tmp_path,
+                            dict(top, components=[entry]), message,
+                            command=("moments", "--d", "2", "--params"))
+
+    def test_params_top_level_n_k_optional(self, capsys, tmp_path):
+        entry = {"weight": "1", "mean": ["0"], "cov": ["1"]}
+        outs = []
+        for top in ({}, {"n": 1, "k": 1}):
+            path = tmp_path / "params.json"
+            path.write_text(json.dumps(dict(top, components=[entry])))
+            code, out, err = run(capsys, "moments", "--d", "2", "--params",
+                                 str(path))
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+
 class TestCensusAndDim:
     def test_census_csv_json_round_trip(self, capsys):
         args = ("census", "--d", "3", "--n", "5..6", "--k", "3..4",
@@ -289,6 +316,69 @@ class TestCensusAndDim:
         with pytest.raises(SystemExit) as exc:
             main(["census", "--d", "3"])  # missing --n/--k
         assert exc.value.code == 2
+
+
+GOLDEN_TABLE1 = """\
+# seed=2016
+# prime=4611686018427387847
+# trials=1
+# prng=splitmix64-v1
+n,k,d,par,N,exp,dim,delta,par_minus_dim
+5,3,3,62,55,55,51,4,11
+5,4,3,83,55,55,55,0,28
+5,5,3,104,55,55,55,0,49
+5,6,3,125,55,55,55,0,70
+6,3,3,83,83,83,71,12,12
+6,4,3,111,83,83,82,1,29
+6,5,3,139,83,83,83,0,56
+6,6,3,167,83,83,83,0,84
+7,3,3,107,119,107,94,13,13
+7,4,3,143,119,119,111,8,32
+7,5,3,179,119,119,119,0,60
+7,6,3,215,119,119,119,0,96
+8,3,3,134,164,134,120,14,14
+8,4,3,179,164,164,144,20,35
+8,5,3,224,164,164,160,4,64
+8,6,3,269,164,164,164,0,105
+9,3,3,164,219,164,149,15,15
+9,4,3,219,219,219,181,38,38
+9,5,3,274,219,219,204,15,70
+9,6,3,329,219,219,219,0,110
+10,3,3,197,285,197,181,16,16
+10,4,3,263,285,263,222,41,41
+10,5,3,329,285,285,253,32,76
+10,6,3,395,285,285,275,10,120
+"""
+
+GOLDEN_DIM = """\
+# seed=2016
+# prime=4611686018427387847
+# trials=3
+# prng=splitmix64-v1
+n,k,d,par,N,exp,dim,delta,par_minus_dim
+3,2,3,19,19,19,17,2,2
+# certificate: {"prime": 4611686018427387847, "seed": 2016, "trials": 3, \
+"prng": "splitmix64-v1", "ranks": [17, 17, 17], "reported": 17, \
+"degree_bound": 51, "failure_bound": "51/4611686018427387847"}
+"""
+
+
+class TestGoldenRankOutput:
+    """Full stdout at the default seed and prime, so a change to the random
+    stream or the Jacobian layout cannot change the output unnoticed."""
+
+    @pytest.fixture(autouse=True)
+    def _defaults(self, monkeypatch):
+        monkeypatch.delenv("GAUSSMOMENTS_SEED", raising=False)
+        monkeypatch.delenv("GAUSSMOMENTS_PRIME", raising=False)
+
+    def test_table1_census(self, capsys):
+        assert run(capsys, "census", "--d", "3", "--n", "5..10", "--k",
+                   "3..6", "--trials", "1") == (0, GOLDEN_TABLE1, "")
+
+    def test_dim(self, capsys):
+        assert run(capsys, "dim", "--n", "3", "--d", "3", "--k", "2") == \
+            (0, GOLDEN_DIM, "")
 
 
 class TestFormulas:

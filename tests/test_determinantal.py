@@ -7,7 +7,7 @@ import pytest
 
 from gaussmoments import determinantal as D
 from gaussmoments import moments as M
-from gaussmoments.linalg import poly_det
+from gaussmoments.linalg import poly_det, rank_rational
 from gaussmoments.rng import SplitMix64
 from util import rand_fraction, rand_gaussian
 
@@ -253,10 +253,15 @@ class TestWillinkMembership:
             assert res.kernel_ok is None
 
     def test_unit_minor_certificate(self):
+        # the first n+1 rows on the columns (1, n+2, ..., 2n+1) form a
+        # minor equal to +-m_0^(n+1) = +-1, so the Willink rank is >= n+1
         rng = SplitMix64(17)
         for n, d in ((1, 5), (2, 4), (3, 3), (4, 4)):
             mv = M.gaussian_moments(rand_gaussian(rng, n), d)
-            assert abs(D.willink_unit_minor(n, d, mv)) == 1
+            rows = D.willink_numeric(n, d, mv)[: n + 1]
+            cols = [0] + list(range(n + 1, 2 * n + 1))
+            assert rank_rational([[row[c] for c in cols]
+                                  for row in rows]) == n + 1
 
     def test_mixture_moments_off_the_variety(self):
         rng = SplitMix64(18)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussmoments.linalg import (_fold, _sub_matmul, det_rational, poly_det,
-                                 rank_mod_p, rank_rational)
+from gaussmoments.linalg import (_fold, _sub_matmul, poly_det, rank_mod_p,
+                                 rank_profile_mod_p, rank_rational)
 from gaussmoments.polyring import PolyRing
 from gaussmoments.rng import SplitMix64
 from util import rand_fraction, rank_mod_p_oracle
@@ -51,36 +51,6 @@ class TestRankRational:
     def test_empty_and_zero(self):
         assert rank_rational([]) == 0
         assert rank_rational([[0, 0], [0, 0]]) == 0
-
-
-def _cofactor_det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = Fraction(0)
-    for j in range(n):
-        sub = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * Fraction(m[0][j]) * _cofactor_det(sub)
-    return total
-
-
-class TestDetRational:
-    def test_identity_and_swap(self):
-        assert det_rational([[1, 0], [0, 1]]) == 1
-        assert det_rational([[0, 1], [1, 0]]) == -1
-
-    def test_singular(self):
-        assert det_rational([[1, 2], [2, 4]]) == 0
-
-    def test_against_cofactor(self):
-        rng = SplitMix64(3)
-        for _ in range(50):
-            m = [[rand_fraction(rng) for _ in range(4)] for _ in range(4)]
-            assert det_rational(m) == _cofactor_det(m)
-
-    def test_non_square(self):
-        with pytest.raises(ValueError, match="non-square"):
-            det_rational([[1, 2, 3], [4, 5, 6]])
 
 
 # primes at the limb boundaries of the modular kernel: for 1, 2 and 3 limbs
@@ -186,6 +156,38 @@ class TestRankModP:
         # entries of at most 50 keep every minor far below the primes used
         for p in (P31, P62):
             assert rank_mod_p(m, p) == rank_rational(m)
+
+
+class TestRankProfile:
+    def test_small_cases(self):
+        assert rank_profile_mod_p([[0, 1, 1, 0, 2], [0, 2, 2, 0, 5]], 7) == \
+            [1, 4]
+        assert rank_profile_mod_p([[0] * 4] * 3, 7) == []
+        assert rank_profile_mod_p([], 7) == []
+        assert rank_mod_p([[0, 1, 1, 0, 2], [0, 2, 2, 0, 5]], 7) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 40), cols=st.integers(1, 60),
+           rank=st.integers(0, 40), repeats=st.integers(0, 20),
+           p=st.sampled_from(PRIMES), seed=st.integers(0, 2 ** 64 - 1))
+    def test_property_prefix_counts_are_prefix_ranks(self, rows, cols, rank,
+                                                     repeats, p, seed):
+        # columns copied to random later positions and zero columns give the
+        # profile gaps wherever they land, both in the Python-int and in the
+        # numpy base case and across the recursive splits
+        rng = SplitMix64(seed)
+        m = residue_matrix_with_rank(rng, rows, cols, min(rank, rows, cols),
+                                     p)
+        for _ in range(repeats):
+            src, dst = rng.below(cols), rng.below(cols)
+            for row in m:
+                row[dst] = 0 if src == dst else row[src]
+        profile = rank_profile_mod_p(m, p)
+        assert profile == sorted(set(profile))
+        for c in range(cols + 1):
+            prefix = [row[:c] for row in m]
+            assert sum(j < c for j in profile) == rank_mod_p(prefix, p), \
+                (p, c)
 
 
 class TestLimbMatmul:

@@ -7,6 +7,7 @@ import pytest
 
 from gaussmoments import moments as M
 from gaussmoments import secant as S
+from gaussmoments.linalg import rank_mod_p
 from gaussmoments.rng import SplitMix64
 from util import rand_mixture
 
@@ -132,6 +133,30 @@ class TestJacobianOracle:
                     assert factorial(d) % c.numerator == 0, (q, c)
 
 
+class TestTerraciniLayout:
+    """The weight-free layout [A_1 | A_2, M_2 - M_1 | ...] that ranks are
+    computed from."""
+
+    @pytest.mark.parametrize("n,d,k", [(1, 6, 3), (2, 4, 3), (3, 3, 2),
+                                       (3, 3, 3), (5, 3, 3), (4, 4, 4)])
+    @pytest.mark.parametrize("prime", [7919, P31, S.DEFAULT_PRIME])
+    def test_rank_equals_mixture_jacobian_rank(self, n, d, k, prime):
+        # nonzero weights: the two matrices have the same column space
+        problem = S.SecantProblem(n, d, k)
+        rng = SplitMix64(100 * n + 10 * d + k)
+        checked = 0
+        while checked < 2:
+            point = rand_mixture(rng, n, k)
+            comp_vals, weights = S._params_to_modular(point, prime)
+            if not all(weights):
+                continue
+            checked += 1
+            layout = S._terracini_mod_p(n, d, comp_vals, prime)
+            assert layout.shape == (problem.ambient, problem.parameters)
+            assert rank_mod_p(layout, prime) == rank_mod_p(
+                S.secant_jacobian(problem, point, prime=prime), prime)
+
+
 class TestDimensionProperties:
     def test_univariate_nondefective(self):
         # min(d, 3k-1) for every univariate case, three seeds
@@ -213,6 +238,53 @@ class TestCensus:
         rows = S.census(3, [5, 6], {5: [3], 6: [3, 4]}, defective_only=True,
                         trials=1, seed=11, prime=P31)
         assert [(r.n, r.k) for r in rows] == [(5, 3), (6, 3), (6, 4)]
+
+    @pytest.mark.parametrize("d,ns,ks,trials,prime", [
+        (3, range(2, 8), range(1, 7), 2, P31),
+        (4, [5, 6], range(3, 8), 3, 2097169),
+        (3, [9], [3, 5], 1, S.DEFAULT_PRIME)])
+    def test_rows_equal_secant_dimension(self, d, ns, ks, trials, prime):
+        rows = S.census(d, ns, ks, defective_only=False, trials=trials,
+                        seed=23, prime=prime)
+        assert [(r.n, r.k) for r in rows] == [(n, k) for n in ns for k in ks]
+        for row in rows:
+            dim, _ = S.secant_dimension(S.SecantProblem(row.n, d, row.k),
+                                        trials=trials, seed=23, prime=prime)
+            assert row.dim == dim, (row.n, row.k)
+
+    def test_dim_point_is_a_census_prefix(self, monkeypatch):
+        seen = {}
+
+        def keep(name, kernel):
+            def wrapper(rows, p):
+                seen.setdefault(name, []).append(rows.copy())
+                return kernel(rows, p)
+            monkeypatch.setattr(S, name, wrapper)
+        keep("rank_profile_mod_p", S.rank_profile_mod_p)
+        keep("rank_mod_p", S.rank_mod_p)
+        S.census(3, [4], range(1, 6), trials=2, seed=5, prime=P31)
+        S.secant_dimension(S.SecantProblem(4, 3, 3), trials=2, seed=5,
+                           prime=P31)
+        cols = S.SecantProblem(4, 3, 3).parameters
+        assert len(seen["rank_profile_mod_p"]) == len(seen["rank_mod_p"]) == 2
+        for big, small in zip(seen["rank_profile_mod_p"], seen["rank_mod_p"]):
+            assert big.shape[1] == S.SecantProblem(4, 3, 5).parameters
+            assert (big[:, :cols] == small).all()
+
+    def test_one_elimination_per_n_and_trial(self, monkeypatch):
+        calls = []
+        kernel = S.rank_profile_mod_p
+
+        def counted(rows, p):
+            calls.append(rows.shape)
+            return kernel(rows, p)
+        monkeypatch.setattr(S, "rank_profile_mod_p", counted)
+        rows = S.census(3, range(5, 11), range(3, 7), defective_only=True,
+                        trials=1, seed=11)
+        assert len(rows) == 15
+        # one K = 6 layout per n: N rows, 6*(m+1) - 1 columns
+        assert calls == [(comb(n + 3, 3) - 1, 6 * (n * (n + 3) // 2 + 1) - 1)
+                         for n in range(5, 11)]
 
     def test_univariate_rows_never_defective(self):
         rows = S.census(3, [1], range(1, 4), defective_only=True,
