@@ -199,6 +199,10 @@ def _cmd_dim(args) -> int:
         cert_line = json.dumps(cert.to_json())
         prefix = "# " if args.format == "csv" else ""
         print(f"{prefix}certificate: {cert_line}")
+    if cert.failure_bound() >= 1:
+        print(f"note: failure bound {cert.degree_bound}/{cert.prime} is not "
+              "below 1; at this prime the certificate certifies nothing",
+              file=sys.stderr)
     return 0
 
 

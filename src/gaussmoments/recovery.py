@@ -17,14 +17,14 @@ moment equations:
    polynomial gcd leaves a linear factor, i.e. a unique rational solution.
 
 Every recovered parameter set is verified against all binom(n+3, 3) moment
-equations; the report carries the exact residual, which must be zero.
+equations, and only a set that reproduces every moment is returned.
 Inputs that are off the secant variety, or degenerate (equal first mean
 coordinates, which force m300 = 3*m100*m200 - 2*m100^3), are rejected with a
 structured error instead of being fitted approximately.
 
-For n >= 4, recovery runs on the restrictions to the coordinate subsets
-{1, i, j} in lexicographic order; the per-subset results must agree exactly
-on every shared parameter.
+For n >= 4, the n = 3 recovery runs on ceil((n-1)/2) coordinate subsets
+that cover every coordinate, and the covariances across subsets come from
+constant 2x2 blocks like those of step 3 (see ``recover_general``).
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class RecoveryInput:
 @dataclass(frozen=True)
 class RecoveryResult:
     params: MixtureParams
-    residual: Fraction  # max absolute defect over all moment equations
+    residual: Fraction  # always 0: _verified raises on any defect
 
 
 def degenerate_mean_test(m: MomentVector) -> bool:
@@ -346,56 +346,49 @@ def _verified(params: MixtureParams, m: MomentVector) -> RecoveryResult:
 
 
 def recover_general(inp: RecoveryInput) -> RecoveryResult:
-    """Recovery for n >= 4 by stitching the 3-coordinate subsets {1, i, j}.
-
-    Subsets are processed in lexicographic order; any disagreement between
-    overlapping recovered parameters is an error, never a vote.
-    """
-    m = inp.m
-    n = m.n
+    """Recovery for n >= 4 from the subsets {1, i, i+1}, i = 2, 4, ... (the
+    last one is {1, n-1, n} when n - 1 is odd), which give the weight, every
+    mean and every in-subset covariance.  Each other pair (sigma1_ij,
+    sigma2_ij) solves the block of m_{e_i+e_j} and m_{e_1+e_i+e_j}, with
+    constant matrix [[lam, 1-lam], [lam*mu11, (1-lam)*mu21]] of determinant
+    lam*(1-lam)*(mu21-mu11) != 0.  Only the final check of every moment
+    equation accepts the result."""
+    m, n = inp.m, inp.m.n
     if n < 4:
         raise RecoveryError("recover_general needs n >= 4; use recover_n3")
 
-    lam = None
-    mean1: dict[int, Fraction] = {0: inp.mu11}
-    mean2: dict[int, Fraction] = {0: inp.mu21}
-    cov1: dict[tuple[int, int], Fraction] = {}
-    cov2: dict[tuple[int, int], Fraction] = {}
+    a1, b1 = inp.mu11, inp.mu21
+    mean = ([a1] * n, [b1] * n)
+    cov: tuple[dict, dict] = ({}, {})
+    for i in sorted({*range(1, n - 1, 2), n - 2}):
+        local = (0, i, i + 1)
+        res = recover_n3(RecoveryInput(m.restrict(local), a1, b1))
+        for c, comp in enumerate(res.params.components):
+            for s in range(3):
+                mean[c][local[s]] = comp.mean[s]
+                for t in range(s, 3):
+                    cov[c][local[s], local[t]] = comp.sigma(s, t)
 
-    def put(store: dict, key, value, what: str):
-        if key in store and store[key] != value:
-            raise RecoveryError(
-                f"cross-subset inconsistency for {what}; the moment vector "
-                "is not on the secant variety")
-        store[key] = value
-
+    # moments with every cross covariance still unknown set to 0: the defects
+    # of m_{e_i+e_j} and m_{e_1+e_i+e_j} are the right-hand sides of the block
+    w = res.params.weights
+    known = [gaussian_moment_table(
+        mean[c], lambda i, j, c=c: cov[c].get((i, j), 0), 3, Fraction(1))
+        for c in (0, 1)]
+    e = lambda *coords: tuple(coords.count(x) for x in range(n))
     for i in range(1, n):
         for j in range(i + 1, n):
-            sub = m.restrict((0, i, j))
-            res = recover_n3(RecoveryInput(sub, inp.mu11, inp.mu21))
-            c1, c2 = res.params.components
-            w = res.params.weights[0]
-            if lam is None:
-                lam = w
-            elif lam != w:
-                raise RecoveryError("cross-subset inconsistency for the "
-                                    "mixture weight")
-            for pos, t in ((i, 1), (j, 2)):
-                put(mean1, pos, c1.mean[t], f"mu1{pos + 1}")
-                put(mean2, pos, c2.mean[t], f"mu2{pos + 1}")
-            local = (0, i, j)
-            for a in range(3):
-                for b in range(a, 3):
-                    key = (local[a], local[b])
-                    put(cov1, key, c1.sigma(a, b), f"sigma1{key}")
-                    put(cov2, key, c2.sigma(a, b), f"sigma2{key}")
+            if (i, j) in cov[0]:
+                continue
+            r1, r2 = (m[a] - w[0] * known[0][a] - w[1] * known[1][a]
+                      for a in (e(i, j), e(0, i, j)))
+            cov[0][i, j] = (b1 * r1 - r2) / (w[0] * (b1 - a1))
+            cov[1][i, j] = (r2 - a1 * r1) / (w[1] * (b1 - a1))
 
-    upper1 = tuple(cov1[(i, j)] for i in range(n) for j in range(i, n))
-    upper2 = tuple(cov2[(i, j)] for i in range(n) for j in range(i, n))
-    params = MixtureParams(
-        (GaussianParams(tuple(mean1[i] for i in range(n)), upper1),
-         GaussianParams(tuple(mean2[i] for i in range(n)), upper2)),
-        (lam, 1 - lam))
+    params = MixtureParams(tuple(
+        GaussianParams(tuple(mean[c]), tuple(cov[c][i, j] for i in range(n)
+                                             for j in range(i, n)))
+        for c in (0, 1)), w)
     return _verified(params, m)
 
 

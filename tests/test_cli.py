@@ -269,6 +269,19 @@ class TestCensusAndDim:
         assert data["row"]["dim"] == 17
         assert data["certificate"]["ranks"] == [17, 17, 17]
 
+    def test_small_prime_certificate_note(self, capsys):
+        # failure bound 51/29 >= 1: stdout is unchanged, stderr says why
+        # the certificate certifies nothing
+        code, out, err = run(capsys, "dim", "--n", "3", "--d", "3", "--k",
+                             "2", "--prime", "29")
+        assert code == 0
+        assert out.splitlines()[-1].endswith('"failure_bound": "51/29"}')
+        assert err == ("note: failure bound 51/29 is not below 1; at this "
+                       "prime the certificate certifies nothing\n")
+        code, out, err = run(capsys, "dim", "--n", "3", "--d", "3", "--k",
+                             "2", "--prime", str(P31))
+        assert (code, err) == (0, "")
+
     def test_env_defaults_are_echoed(self, capsys, monkeypatch):
         monkeypatch.setenv("GAUSSMOMENTS_SEED", "777")
         monkeypatch.setenv("GAUSSMOMENTS_PRIME", str(P31))
@@ -411,6 +424,74 @@ class TestFormulas:
         assert code == 2
 
 
+# recover stdout for rand_mixture(SplitMix64(11), 5, 2, distinct_first=True)
+GOLDEN_RECOVER_N5 = """\
+{
+  "params": {
+    "n": 5,
+    "k": 2,
+    "components": [
+      {
+        "weight": "1/6",
+        "mean": [
+          "4",
+          "2/3",
+          "-2",
+          "3/4",
+          "0"
+        ],
+        "cov": [
+          "-5",
+          "1/4",
+          "0",
+          "1/3",
+          "0",
+          "4",
+          "-5/4",
+          "5/3",
+          "-2",
+          "5",
+          "0",
+          "1",
+          "-4/3",
+          "-5/2",
+          "5/4"
+        ]
+      },
+      {
+        "weight": "5/6",
+        "mean": [
+          "0",
+          "2",
+          "3/4",
+          "-2",
+          "-1"
+        ],
+        "cov": [
+          "5/3",
+          "1",
+          "-2/3",
+          "1/3",
+          "-5/4",
+          "-1/4",
+          "-3/2",
+          "-2",
+          "-1/2",
+          "-2",
+          "1/4",
+          "-5/4",
+          "-3",
+          "-5/4",
+          "-2"
+        ]
+      }
+    ]
+  },
+  "residual": "0"
+}
+"""
+
+
 class TestRecoverCli:
     def test_round_trip(self, capsys, tmp_path):
         rng = SplitMix64(9)
@@ -437,6 +518,23 @@ class TestRecoverCli:
                            "--mu11", "4", "--mu21=-9/2")
         assert code == 1 and "secant" in err
 
+    def test_off_variety_message_n6(self, capsys, tmp_path):
+        # x5^2 x6 raised: only the subset {1, 5, 6} reads it, and its n = 3
+        # recovery finds no common root
+        p = rand_mixture(SplitMix64(11), 6, 2, distinct_first=True)
+        vals = dict(M.mixture_moments(p, 3).values)
+        vals[(0, 0, 0, 0, 2, 1)] += 1
+        path = write_moments(tmp_path, M.MomentVector(6, 3, vals))
+        assert run(capsys, "recover", "--moments", path, "--mu11", "2",
+                   "--mu21", "0") == (
+            1, "", "error: final system for mu22 has no common solution; "
+            "the moment vector is not on the secant variety\n")
+
+    def test_golden_n5(self, capsys, tmp_path):
+        p = rand_mixture(SplitMix64(11), 5, 2, distinct_first=True)
+        path = write_moments(tmp_path, M.mixture_moments(p, 3))
+        assert run(capsys, "recover", "--moments", path, "--mu11", "4",
+                   "--mu21", "0") == (0, GOLDEN_RECOVER_N5, "")
 
     def test_negative_fraction_values(self, capsys, tmp_path):
         half = Fraction(1, 2)

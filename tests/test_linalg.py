@@ -11,7 +11,7 @@ from gaussmoments.linalg import (_fold, _sub_matmul, poly_det, rank_mod_p,
                                  rank_profile_mod_p, rank_rational)
 from gaussmoments.polyring import PolyRing
 from gaussmoments.rng import SplitMix64
-from util import rand_fraction, rank_mod_p_oracle
+from util import rand_fraction, rand_poly, rank_mod_p_oracle, to_sympy
 
 P31 = 2 ** 31 - 1
 P62 = 2 ** 62 - 57
@@ -267,6 +267,18 @@ class TestPolyDet:
                                    rng.below(7) - 3}) for _ in range(4)]
                  for _ in range(4)]
             assert poly_det(m) == _poly_cofactor_det(m)
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        ring = PolyRing(["x", "y"])
+        rng = SplitMix64(8)
+        for size in (1, 2, 3, 4):
+            for _ in range(5):
+                m = [[rand_poly(ring, rng, max_terms=3, max_exp=2)
+                      for _ in range(size)] for _ in range(size)]
+                expected = sympy.Matrix([[to_sympy(e) for e in row]
+                                         for row in m]).det("berkowitz")
+                assert sympy.expand(to_sympy(poly_det(m)) - expected) == 0
 
     def test_singular_matrix(self):
         ring = PolyRing(["x"])

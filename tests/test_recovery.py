@@ -3,11 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussmoments import moments as M
 from gaussmoments import recovery as R
+from gaussmoments.polyring import PolyRing
 from gaussmoments.rng import SplitMix64
-from util import rand_gaussian, rand_mixture
+from util import (rand_gaussian, rand_mixture, rand_poly, recover_all_subsets,
+                  to_sympy)
 
 
 def make_instance(rng, n):
@@ -43,6 +47,44 @@ class TestRoundTrip:
             assert comp.mean == tuple(orig.mean[perm[t]] for t in range(5))
             assert all(comp.sigma(i, j) == orig.sigma(perm[i], perm[j])
                        for i in range(5) for j in range(5))
+
+
+def _mixtures(n):
+    fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    gaussian = st.builds(M.GaussianParams, st.tuples(*[fractions] * n),
+                         st.tuples(*[fractions] * (n * (n + 1) // 2)))
+    weight = st.builds(Fraction, st.integers(1, 11), st.just(12))
+    return st.builds(
+        lambda c1, c2, w: M.MixtureParams((c1, c2), (w, 1 - w)),
+        gaussian, gaussian, weight).filter(
+            lambda p: p.components[0].mean[0] != p.components[1].mean[0])
+
+
+class TestPropertyRoundTrip:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_returns_the_mixture_or_a_non_generic_error(self, n):
+        # small drawn values often give non-generic moments (a fiber point
+        # that is not unique, or the collapsed-mean identity); those may be
+        # refused, but never called off the variety, and a result that is
+        # returned is the mixture itself
+        recovered = []
+
+        @settings(max_examples=15, deadline=None, derandomize=True)
+        @given(p=_mixtures(n))
+        def round_trip(p):
+            mv = M.mixture_moments(p, 3)
+            try:
+                res = R.recover(mv, p.components[0].mean[0],
+                                p.components[1].mean[0])
+            except R.RecoveryError as err:
+                assert "secant variety" not in err.reason
+                assert err.equation is None
+                return
+            assert res.params == p
+            recovered.append(p)
+
+        round_trip()
+        assert len(recovered) >= 5
 
 
 class TestFiberFreedom:
@@ -91,6 +133,50 @@ class TestSubsetConsistency:
         bad = M.MomentVector(4, 3, vals)
         with pytest.raises(R.RecoveryError):
             R.recover(bad, p.components[0].mean[0], p.components[1].mean[0])
+
+
+class TestSubsetPlan:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_equals_the_all_subsets_reference(self, n):
+        # n = 4, 6, 8 have an odd n - 1, where the last subset overlaps
+        rng = SplitMix64(700 + n)
+        p, mv = make_instance(rng, n)
+        mu11, mu21 = p.components[0].mean[0], p.components[1].mean[0]
+        ref = recover_all_subsets(mv, mu11, mu21)
+        assert M.mixture_moments(ref, 3) == mv
+        assert R.recover(mv, mu11, mu21).params == ref
+
+    def test_one_n3_recovery_per_subset(self, monkeypatch):
+        calls = []
+        inner = R.recover_n3
+
+        def counting(inp):
+            calls.append(inp)
+            return inner(inp)
+
+        monkeypatch.setattr(R, "recover_n3", counting)
+        rng = SplitMix64(710)
+        for n in (4, 5, 6, 7, 8):
+            calls.clear()
+            p, mv = make_instance(rng, n)
+            res = R.recover(mv, p.components[0].mean[0],
+                            p.components[1].mean[0])
+            assert res.params == p
+            assert len(calls) == n // 2  # ceil((n - 1) / 2)
+
+    def test_cross_moment_read_only_by_the_closed_form(self):
+        # m_{e2+e5} at n = 6: coordinates 2 and 5 share no subset of
+        # {1,2,3}, {1,4,5}, {1,5,6}; the final check names a global equation
+        rng = SplitMix64(720)
+        p, mv = make_instance(rng, 6)
+        vals = dict(mv.values)
+        vals[(0, 1, 0, 0, 1, 0)] += 1
+        with pytest.raises(R.RecoveryError) as err:
+            R.recover(M.MomentVector(6, 3, vals), p.components[0].mean[0],
+                      p.components[1].mean[0])
+        assert "secant variety" in err.value.reason
+        assert err.value.equation is not None
+        assert len(err.value.equation) == 6
 
 
 class TestRejections:
@@ -198,3 +284,23 @@ class TestFinalSystemOracle:
             st = R._eliminate(inp)
             degrees.append(len(R._univariate(st.e_b2, "b2")) - 1)
         assert max(degrees) == 3
+
+
+class TestSympyOracle:
+    def test_sylvester_resultant(self):
+        sympy = pytest.importorskip("sympy")
+        ring = PolyRing(["x", "y"])
+        rng = SplitMix64(800)
+        for _ in range(30):
+            p, q = rand_poly(ring, rng), rand_poly(ring, rng)
+            dp, dq = p.degree_in("x"), q.degree_in("x")
+            # sympy 1.14 drops the sign (-1)^(dp*dq) when the first argument
+            # has the lower degree, so the higher degree goes first
+            if dp < dq:
+                p, q, dp, dq = q, p, dq, dp
+            expected = sympy.resultant(to_sympy(p), to_sympy(q),
+                                       sympy.Symbol("x"))
+            got = to_sympy(R._sylvester_resultant(p, q, "x"))
+            swapped = to_sympy(R._sylvester_resultant(q, p, "x"))
+            assert sympy.expand(got - expected) == 0
+            assert sympy.expand(swapped - (-1) ** (dp * dq) * expected) == 0

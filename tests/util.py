@@ -1,8 +1,10 @@
 """Shared helpers for the test suite: seeded random rationals, parameters
-and polynomials (SplitMix64-backed so runs are reproducible)."""
+and polynomials (SplitMix64-backed so runs are reproducible), and the
+reference implementations that fast paths are checked against."""
 
 from fractions import Fraction
 
+from gaussmoments import recovery
 from gaussmoments.moments import GaussianParams, MixtureParams
 from gaussmoments.rng import SplitMix64
 
@@ -47,6 +49,16 @@ def rand_poly(ring, rng: SplitMix64, max_terms: int = 6, max_exp: int = 3,
     return ring.from_terms(terms, trunc=trunc)
 
 
+def to_sympy(p):
+    """A polynomial as a sympy expression in symbols named after the
+    variables of its ring (for the sympy oracle tests)."""
+    import sympy
+    xs = [sympy.Symbol(v) for v in p.ring.vars]
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(x ** k for x, k in zip(xs, e)))
+                       for e, c in p.terms.items()))
+
+
 def rank_mod_p_oracle(rows, p: int) -> int:
     """Rank over GF(p) by textbook row echelon form with Python ints: the
     reference that linalg.rank_mod_p is checked against."""
@@ -64,3 +76,42 @@ def rank_mod_p_oracle(rows, p: int) -> int:
                 m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def recover_all_subsets(m, mu11, mu21) -> MixtureParams:
+    """Recovery for n >= 4 by running the n = 3 recovery on every subset
+    {1, i, j} and requiring exact agreement on every shared parameter: the
+    reference that recovery.recover_general is checked against."""
+    n = m.n
+    lam = None
+    mean1 = {0: Fraction(mu11)}
+    mean2 = {0: Fraction(mu21)}
+    cov1, cov2 = {}, {}
+
+    def put(store, key, value):
+        assert store.setdefault(key, value) == value, f"subsets disagree {key}"
+
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            inp = recovery.RecoveryInput(m.restrict((0, i, j)), mu11, mu21)
+            res = recovery.recover_n3(inp)
+            c1, c2 = res.params.components
+            w = res.params.weights[0]
+            assert lam is None or lam == w, "subsets disagree on the weight"
+            lam = w
+            for pos, t in ((i, 1), (j, 2)):
+                put(mean1, pos, c1.mean[t])
+                put(mean2, pos, c2.mean[t])
+            local = (0, i, j)
+            for a in range(3):
+                for b in range(a, 3):
+                    key = (local[a], local[b])
+                    put(cov1, key, c1.sigma(a, b))
+                    put(cov2, key, c2.sigma(a, b))
+
+    upper1 = tuple(cov1[(i, j)] for i in range(n) for j in range(i, n))
+    upper2 = tuple(cov2[(i, j)] for i in range(n) for j in range(i, n))
+    return MixtureParams(
+        (GaussianParams(tuple(mean1[i] for i in range(n)), upper1),
+         GaussianParams(tuple(mean2[i] for i in range(n)), upper2)),
+        (lam, 1 - lam))
