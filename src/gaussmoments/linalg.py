@@ -10,14 +10,18 @@ One elimination strategy per coefficient domain:
   ``poly_det``, whose divisions by the previous pivot are exact polynomial
   divisions; and
 * blocked Gaussian elimination over GF(p), for every prime p < 2^62, on an
-  int64 array of residues.  Its updates are matrix products mod p computed
-  with float64 BLAS, and they are exact: residues are split into limbs of at
-  most 21 bits, so a limb product is below 2^42, and no float64 product sums
-  more than 2048 of them, so every value BLAS forms is an integer below 2^53,
-  which float64 represents exactly whatever the order of summation.  The
-  limb products are recombined in int64; the one float64 quotient estimate
-  there is within 1 of the true quotient (proved in ``_sub_matmul`` and
-  ``_fold``) and is corrected with exact wrapping int64 arithmetic.
+  int64 array of residues.  The columns split in half recursively down to
+  blocks of at most _BASE_WIDTH columns, and each block is eliminated in
+  rounds: up to a block's width of its rows by Gauss-Jordan with Python
+  ints, then every other row by one matrix product.  So all other work is
+  matrix products mod p, computed with float64 BLAS, and they are exact:
+  residues are split into limbs of at most 21 bits, so a limb product is
+  below 2^42, and no float64 product sums more than 2048 of them, so every
+  value BLAS forms is an integer below 2^53, which float64 represents
+  exactly whatever the order of summation.  The limb products are
+  recombined in int64; the one float64 quotient estimate there is within 1
+  of the true quotient (proved in ``_sub_matmul`` and ``_fold``) and is
+  corrected with exact wrapping int64 arithmetic.
 
 No result depends on floating-point rounding.
 """
@@ -85,13 +89,9 @@ PRIME_LIMIT = 1 << 62
 _MAX_LIMB_BITS = 21
 _EXACT_TERMS = 1 << (53 - 2 * _MAX_LIMB_BITS)
 
-# Column blocks at most this wide go to the width-1 base case; wider ones are
-# split in half, so all other work is matmuls.  A base slab of at most
-# _TINY_SLAB entries (rows x width) is eliminated with Python ints: there the
-# fixed cost of a numpy width-1 step (some thirty array operations) exceeds
-# that of the whole Python loop.
+# Column blocks at most this wide go to the base case; wider ones are split
+# in half, so all other work is matmuls.
 _BASE_WIDTH = 8
-_TINY_SLAB = 256
 
 # Columns of the right operand per matmul tile: bounds the limb copies of it
 # (limbs^2 words per entry) and the temporaries of the result.
@@ -174,18 +174,15 @@ def _sub_matmul(c, x, y, p: int) -> None:
             ct += (ct >> 63) & p
 
 
-def _swap_rows(a, i: int, j: int) -> None:
-    a[[i, j]] = a[[j, i]]
-
-
 def _eliminate(a, c0: int, c1: int, p: int, need_g: bool) -> list[int]:
     """Column rank profile of columns c0..c1-1 of the row block a (int64
     residues), in place: the columns, in increasing order, that are not in
     the span of the columns before them in c0..c1-1.
 
-    Whole rows of a are swapped so that a[:k] are the pivot rows, k the
-    rank: each column's pivot is the first row, in the current order, that
-    is independent of the pivot rows before it.  Columns outside c0..c1-1
+    Whole rows of a are moved so that a[:k] are the pivot rows, k the
+    rank: rows whose entries in the profile columns form an invertible
+    matrix (:func:`_eliminate_narrow` says which rows it takes).  Columns
+    outside c0..c1-1
     are only permuted; inside, a is scratch, except that with need_g
     a[k:, c0:c0+k] ends holding G, the matrix with
     a[k:, c0:c1] = G @ a[:k, c0:c1] mod p for the entries as they were on
@@ -221,79 +218,101 @@ def _eliminate(a, c0: int, c1: int, p: int, need_g: bool) -> list[int]:
 
 def _eliminate_narrow(a, c0: int, c1: int, p: int,
                       need_g: bool) -> list[int]:
-    """The base case of _eliminate: one column at a time on a slab that
-    holds the block's w columns, then w columns tracking G.
+    """The base case of _eliminate: the block's w columns in rounds, on a
+    slab that holds the block and then w columns tracking G.
+
+    A round takes up to w of the rows still nonzero on the block, spread
+    evenly over them (sparse rows tend to sit together), and runs
+    Gauss-Jordan on them with Python ints (:func:`_gauss_jordan`).  That
+    gives the round's pivot columns J and its pivot rows P, reduced to
+    inv @ P with inv the inverse of P on J.  One _sub_matmul subtracts from
+    every other nonzero row its entries on J times the reduced rows: that
+    is the row's residual, zero on every pivot column so far, and its G on
+    the tracking columns.  If every column of the block is now a pivot,
+    the block is done with no check: P on the pivot columns is invertible,
+    so each residual is zero.  Otherwise the next round runs on the rows
+    whose residual is nonzero, until none is left.
+
+    The block's profile is the union of the rounds' J.  The rows of a round
+    are row-equivalent to [P; residuals], and J, the profile of the round's
+    candidate rows, is also the profile of P.  Every column of P is thus a
+    combination of the columns of J before it, so a combination of P's rows
+    that vanishes on J before column c vanishes before c.  Since the
+    residuals vanish on J, the rank of the columns before c is the number
+    of J before c plus the residuals' rank there.
 
     Invariant: every row of the slab is (entry row) - D @ (entry pivot
     rows), with D in the tracking columns.  A new pivot row t gets -1 in
-    tracking column t, so subtracting a multiple of it from the rows below
+    tracking column t, so subtracting a multiple of it from the other rows
     updates their D as well; at the end the non-pivot rows are zero on the
-    block and D is G.
+    block and D is G.  Last, the pivot rows move to the top, in pivot order.
     """
     h, w = a.shape[0], c1 - c0
     slab = np.zeros((h, 2 * w), dtype=np.int64)
     slab[:, :w] = a[:, c0:c1]
-    if h * w <= _TINY_SLAB:
-        rows = slab.tolist()
-        pivots = _eliminate_rows(rows, a, w, p)
-        slab[:] = rows
-    else:
-        pivots = []
-        for j in range(w):
-            k = len(pivots)
-            nz = np.flatnonzero(slab[k:, j])
-            if not nz.size:
-                continue
-            if nz[0]:
-                _swap_rows(slab, k, k + nz[0])
-                _swap_rows(a, k, k + nz[0])
-            slab[k, w + k] = p - 1
-            if nz.size > 1:
-                inv = pow(int(slab[k, j]), -1, p)
-                u = np.array([[x * inv % p for x in
-                               slab[k, j + 1:w + k + 1].tolist()]],
-                             dtype=np.int64)
-                # rows below with a nonzero in column j; the swap above moved
-                # a zero row to k + nz[0], so these indices are unchanged
-                below = k + nz[1:]
-                block = slab[below, j + 1:w + k + 1]
-                _sub_matmul(block, slab[below, j:j + 1], u, p)
-                slab[below, j + 1:w + k + 1] = block
-            pivots.append(j)
-            if k + 1 == h:
-                break
+    width = 2 * w if need_g else w
+    pivots, pivot_rows = [], []
+    live = np.flatnonzero(slab[:, :w].any(axis=1))
+    while live.size:
+        take = min(w, live.size)
+        pick = np.arange(take) * live.size // take
+        cand = live[pick]
+        rows = slab[cand].tolist()
+        found = _gauss_jordan(rows, w, len(pivots), p)
+        slab[cand] = rows
+        pivots += [j for j, _ in found]
+        pivot_rows += [int(cand[r]) for _, r in found]
+        others = np.delete(live, pick)
+        if not others.size or len(pivots) == w and not need_g:
+            break
+        # the reduced pivot rows are the identity on the new pivot columns
+        # and zero on the earlier ones, so the others end zero on both
+        update = slab[others, :width]
+        _sub_matmul(update, update[:, [j for j, _ in found]],
+                    np.array([rows[r][:width] for _, r in found],
+                             dtype=np.int64), p)
+        slab[others, :width] = update
+        if len(pivots) == w:
+            break
+        live = others[update[:, :w].any(axis=1)]
     k = len(pivots)
+    # pivot row t to position t; the rows it displaces fill the vacancies
+    if pivot_rows != list(range(k)):
+        taken = set(pivot_rows)
+        src = pivot_rows + [t for t in range(k) if t not in taken]
+        dst = list(range(k)) + [r for r in pivot_rows if r >= k]
+        a[dst] = a[src]
+        slab[dst] = slab[src]
     if need_g and k:
         a[k:, c0:c0 + k] = slab[k:, w:w + k]
-    return [c0 + j for j in pivots]
+    return sorted(c0 + j for j in pivots)
 
 
-def _eliminate_rows(rows: list, a, w: int, p: int) -> list[int]:
-    """_eliminate_narrow on a slab of Python ints; swaps mirrored in a.
-    Returns the pivot columns of the slab."""
-    h = len(rows)
-    pivots = []
+def _gauss_jordan(rows: list, w: int, k: int, p: int) -> list:
+    """Gauss-Jordan elimination over GF(p), in place, of rows of Python ints
+    on their first w columns, the block; the rest are tracking columns.
+    Returns the new pivots as (column, row) in column order; the i-th of
+    them, pivot k + i of the block, gets -1 in tracking column w + k + i
+    before it is used, and ends with 1 in its column and 0 in the other
+    pivot columns, as every other row does."""
+    found, used = [], set()
     for j in range(w):
-        k = len(pivots)
-        i = next((i for i in range(k, h) if rows[i][j]), None)
-        if i is None:
+        r = next((r for r, row in enumerate(rows) if row[j] and r not in used),
+                 None)
+        if r is None:
             continue
-        if i != k:
-            rows[k], rows[i] = rows[i], rows[k]
-            _swap_rows(a, k, i)
-        piv = rows[k]
-        piv[w + k] = p - 1
+        # every row not yet used is zero before column j
+        piv = rows[r]
+        piv[w + k + len(found)] = p - 1
         inv = pow(piv[j], -1, p)
-        u = [x * inv % p for x in piv[j + 1:w + k + 1]]
-        for row in rows[k + 1:]:
+        piv[j:] = [x * inv % p for x in piv[j:]]
+        for s, row in enumerate(rows):
             f = row[j]
-            if f:
-                row[j + 1:w + k + 1] = [(x - f * y) % p for x, y in
-                                        zip(row[j + 1:w + k + 1], u)]
-        pivots.append(j)
-        if k + 1 == h:
-            break
-    return pivots
+            if f and s != r:
+                row[j:] = [(x - f * y) % p for x, y in zip(row[j:], piv[j:])]
+        found.append((j, r))
+        used.add(r)
+    return found
 
 
 def rank_profile_mod_p(rows, p: int) -> list[int]:

@@ -221,8 +221,10 @@ def gaussian_moment_table(mean, sigma, d: int, one) -> dict:
 
     ``mean`` is a sequence, ``sigma`` a callable on 0-based index pairs and
     ``one`` the order-zero moment.  Only ``+``, ``*`` and small-int scalars
-    are used, so entries may be Fractions, ints or Polynomials.  The result
-    maps each multi-index to its moment in graded-lex order.
+    are used, so entries may be Fractions, ints or Polynomials, or numpy
+    object arrays of ints that hold one Gaussian per element (the tables of
+    many Gaussians at once, as the secant Jacobian builds them).  The
+    result maps each multi-index to its moment in graded-lex order.
     """
     n = len(mean)
     table = {}

@@ -18,9 +18,12 @@ moment equations:
 
 Every recovered parameter set is verified against all binom(n+3, 3) moment
 equations, and only a set that reproduces every moment is returned.
-Inputs that are off the secant variety, or degenerate (equal first mean
-coordinates, which force m300 = 3*m100*m200 - 2*m100^3), are rejected with a
-structured error instead of being fitted approximately.
+Inputs that are off the secant variety, or degenerate, are rejected with a
+structured error instead of being fitted approximately.  Equal first mean
+coordinates force m300 = 3*m100*m200 - 2*m100^3, the collapsed-mean
+identity; so does any mixture whose first coordinate has third cumulant 0,
+and such a mixture may still be recovered.  The identity is therefore
+tested only after a recovery has failed, to explain the failure.
 
 For n >= 4, the n = 3 recovery runs on ceil((n-1)/2) coordinate subsets
 that cover every coordinate, and the covariances across subsets come from
@@ -86,6 +89,22 @@ def degenerate_mean_test(m: MomentVector) -> bool:
     e1 = lambda v: tuple([v] + [0] * (m.n - 1))
     m1, m2, m3 = m[e1(1)], m[e1(2)], m[e1(3)]
     return m3 == 3 * m1 * m2 - 2 * m1 ** 3
+
+
+def _explained(recovery, inp: RecoveryInput, *args) -> RecoveryResult:
+    """recovery(inp, *args), except that a failure on moments that satisfy
+    the collapsed-mean identity is reported as that: the identity, not the
+    step that failed, explains it."""
+    try:
+        return recovery(inp, *args)
+    except RecoveryError as err:
+        if degenerate_mean_test(inp.m):
+            raise RecoveryError(
+                "moments satisfy the collapsed-mean identity m300 = "
+                "3*m100*m200 - 2*m100^3, as when the first mean coordinates "
+                "coincide, and no mixture with the fixed first coordinates "
+                "was recovered") from err
+        raise
 
 
 # -- the n = 3 core -------------------------------------------------------------
@@ -236,10 +255,6 @@ def _eliminate(inp: RecoveryInput) -> _Eliminated:
     m = inp.m
     if m.n != 3:
         raise RecoveryError("recover_n3 needs a trivariate moment vector")
-    if degenerate_mean_test(m):
-        raise RecoveryError("moments satisfy the collapsed-mean identity "
-                            "m300 = 3*m100*m200 - 2*m100^3; the fixed first "
-                            "coordinates cannot be distinct")
     a1, b1 = inp.mu11, inp.mu21
 
     lam = (m[(1, 0, 0)] - b1) / (a1 - b1)
@@ -304,20 +319,28 @@ def _eliminate(inp: RecoveryInput) -> _Eliminated:
                        eqs[(0, 0, 3)], eqs[(0, 2, 1)], eqs[(0, 1, 2)])
 
 
-def recover_n3(inp: RecoveryInput) -> RecoveryResult:
-    """Exact recovery for n = 3 from the 19 moment equations."""
+def recover_n3(inp: RecoveryInput,
+               coords: tuple[int, int, int] = (0, 1, 2)) -> RecoveryResult:
+    """Exact recovery for n = 3 from the 19 moment equations.  ``coords``
+    are the 0-based coordinates of a larger mixture that the three stand
+    for; error messages name the unknowns by them."""
+    return _explained(_recover_n3, inp, coords)
+
+
+def _recover_n3(inp: RecoveryInput, coords) -> RecoveryResult:
     m = inp.m
     st = _eliminate(inp)
 
     res1 = _sylvester_resultant(st.e_mix1, st.e_b3, "b3")
     res2 = _sylvester_resultant(st.e_mix2, st.e_b3, "b3")
     b2_star = _unique_root(
-        [_univariate(q, "b2") for q in (st.e_b2, res1, res2)], "mu22")
+        [_univariate(q, "b2") for q in (st.e_b2, res1, res2)],
+        f"mu2{coords[1] + 1}")
 
     at_b2 = {"b2": b2_star}
     b3_star = _unique_root(
         [_univariate(q.substitute(at_b2), "b3")
-         for q in (st.e_b3, st.e_mix1, st.e_mix2)], "mu23")
+         for q in (st.e_b3, st.e_mix1, st.e_mix2)], f"mu2{coords[2] + 1}")
 
     point = {"b2": b2_star, "b3": b3_star}
     point.update({name: 0 for name in _SVARS + _TVARS})
@@ -353,16 +376,19 @@ def recover_general(inp: RecoveryInput) -> RecoveryResult:
     constant matrix [[lam, 1-lam], [lam*mu11, (1-lam)*mu21]] of determinant
     lam*(1-lam)*(mu21-mu11) != 0.  Only the final check of every moment
     equation accepts the result."""
-    m, n = inp.m, inp.m.n
-    if n < 4:
+    if inp.m.n < 4:
         raise RecoveryError("recover_general needs n >= 4; use recover_n3")
+    return _explained(_recover_general, inp)
 
+
+def _recover_general(inp: RecoveryInput) -> RecoveryResult:
+    m, n = inp.m, inp.m.n
     a1, b1 = inp.mu11, inp.mu21
     mean = ([a1] * n, [b1] * n)
     cov: tuple[dict, dict] = ({}, {})
     for i in sorted({*range(1, n - 1, 2), n - 2}):
         local = (0, i, i + 1)
-        res = recover_n3(RecoveryInput(m.restrict(local), a1, b1))
+        res = recover_n3(RecoveryInput(m.restrict(local), a1, b1), local)
         for c, comp in enumerate(res.params.components):
             for s in range(3):
                 mean[c][local[s]] = comp.mean[s]

@@ -3,10 +3,11 @@
 The dimension of the k-th secant variety equals the generic rank of the
 Jacobian of the mixture parametrization, computed here exactly over a prime
 field at seeded random points.  Each entry is a Gaussian moment or one of
-its partials.  The moments of one component come from the recursion
+its partials.  The moments come from the recursion
 m_{a+e_i} = mu_i m_a + sum_j a_j sigma_ij m_{a-e_j} (see
-:func:`moments.gaussian_moment_table`), computed over the integers and
-reduced mod p; the partials then have closed forms:
+:func:`moments.gaussian_moment_table`), run once for all components, on
+object arrays that hold one exact int per component, and reduced mod p;
+the partials then have closed forms:
 
 * dm_a/dmu_i = a_i m_{a-e_i};
 * dm_a/dsigma_ij = a_i a_j m_{a-e_i-e_j} for i < j;
@@ -51,7 +52,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .linalg import PRIME_LIMIT, rank_mod_p, rank_profile_mod_p
+from .linalg import PRIME_LIMIT, _fold, rank_mod_p, rank_profile_mod_p
 from .moments import (Index, MixtureParams, gaussian_moment_table,
                       lower_index, multi_indices, sigma_var_index)
 from .rng import PRNG_NAME, SplitMix64, derive_seed
@@ -173,42 +174,59 @@ def _partials(a: Index):
                            lower_index(b, j))
 
 
-def _component_blocks(n: int, d: int, comp_vals, p: int):
-    """For each component in turn, (A, M) mod p as int64 arrays: A is the
-    N x m matrix of the partials of its moments of order 1..d in its
-    m = n(n+3)/2 (mu, sigma) coordinates, M the vector of those moments."""
+def _moment_residues(n: int, d: int, comp_vals, p: int):
+    """Every moment of order 0..d of each component mod p, as an int64
+    array: one row per moment, in graded-lex order, and one column per
+    component.  One moment table serves all K components: its entries are
+    object arrays of K exact ints."""
+    vals = np.array(comp_vals, dtype=object).T
+    table = gaussian_moment_table(
+        vals[:n], lambda i, j: vals[sigma_var_index(n, i, j)], d, 1)
+    moments = np.empty((len(table), len(comp_vals)), dtype=object)
+    for i, v in enumerate(table.values()):
+        moments[i] = v
+    return (moments % p).astype(np.int64)
+
+
+def _moment_blocks(n: int, d: int, comp_vals, p: int):
+    """All K components at once, as an N x K x (m+1) int64 array B of
+    residues mod p: B[:, l, 0] is M_l, the moments of order 1..d of
+    component l, and B[:, l, 1:] is A_l, their partials in its
+    m = n(n+3)/2 (mu, sigma) coordinates.
+
+    Each nonzero partial is c * m_b for a small int c (:func:`_partials`),
+    so the partials are gathered, in one index assignment, from the
+    moments of :func:`_moment_residues` times each distinct c.
+    """
+    m = n * (n + 3) // 2
+    moments = _moment_residues(n, d, comp_vals, p)
     # a moment's position in the graded-lex table; order 0 is position 0,
     # so the moments of order 1..d (the rows) sit at positions 1..N
     index = {a: i for i, a in enumerate(multi_indices(n, d))}
     rows, cols, coefs, srcs = np.array(
         [(index[a] - 1, j, c, index[b]) for a in list(index)[1:]
          for j, c, b in _partials(a)], dtype=np.intp).T
-    coefs, srcs = coefs.tolist(), srcs.tolist()
-    for vals in comp_vals:
-        table = [v % p for v in gaussian_moment_table(
-            vals[:n], lambda i, j: vals[sigma_var_index(n, i, j)], d,
-            1).values()]
-        partials = np.zeros((len(index) - 1, n * (n + 3) // 2),
-                            dtype=np.int64)
-        partials[rows, cols] = [c * table[s] % p
-                                for c, s in zip(coefs, srcs)]
-        yield partials, np.array(table[1:], dtype=np.int64)
+    # c * x mod p for x < p: the int64 product wraps, and its quotient
+    # estimate x * (c/p) < c is off by far less than the 1 _fold allows
+    scales, which = np.unique(coefs, return_inverse=True)
+    scaled = np.stack([_fold(c * moments, moments * (c / p), p)
+                       for c in scales])
+    blocks = np.zeros((len(moments) - 1, len(comp_vals), m + 1),
+                      dtype=np.int64)
+    blocks[:, :, 0] = moments[1:]
+    blocks[rows, :, cols + 1] = scaled[which, srcs]
+    return blocks
 
 
 def _terracini_mod_p(n: int, d: int, comp_vals, p: int):
     """The layout [A_1 | A_2, M_2 - M_1 | ... | A_K, M_K - M_1] mod p of the
     module docstring, an int64 array: its first k components fill the first
-    k*(m+1) - 1 columns."""
-    m = n * (n + 3) // 2
-    layout = np.empty((comb(n + d, d) - 1, len(comp_vals) * (m + 1) - 1),
-                      dtype=np.int64)
-    blocks = _component_blocks(n, d, comp_vals, p)
-    layout[:, :m], first = next(blocks)
-    for ell, (partials, moments) in enumerate(blocks, 1):
-        col = ell * (m + 1) - 1
-        layout[:, col] = (moments - first) % p
-        layout[:, col + 1:col + 1 + m] = partials
-    return layout
+    k*(m+1) - 1 columns.  It is a view of :func:`_moment_blocks` with M_1
+    subtracted, less its first column (M_1 - M_1 = 0)."""
+    blocks = _moment_blocks(n, d, comp_vals, p)
+    moments = blocks[:, :, 0]
+    moments[:] = (moments - moments[:, :1]) % p
+    return blocks.reshape(len(blocks), -1)[:, 1:]
 
 
 def _check_prime(d: int, prime: int) -> None:
@@ -243,14 +261,13 @@ def secant_jacobian(problem: SecantProblem, point: MixtureParams,
     if point.n != problem.n or point.k != problem.k:
         raise ValueError("parameter point does not match the problem")
     comp_vals, weights = _params_to_modular(point, prime)
-    blocks = list(_component_blocks(problem.n, problem.d, comp_vals, prime))
-    last = blocks[-1][1]
     # object arrays: a weight times a residue overflows int64
-    cols = [partials.astype(object) * lam % prime
-            for (partials, _), lam in zip(blocks, weights)]
-    cols += [((moments - last) % prime).astype(object)[:, None]
-             for _, moments in blocks[:-1]]
-    return np.hstack(cols).tolist()
+    blocks = _moment_blocks(problem.n, problem.d, comp_vals,
+                            prime).astype(object)
+    moments = blocks[:, :, 0]
+    partials = blocks[:, :, 1:] * np.array(weights, dtype=object)[:, None]
+    return np.hstack([partials.reshape(len(blocks), -1) % prime,
+                      (moments[:, :-1] - moments[:, -1:]) % prime]).tolist()
 
 
 def _layouts(n: int, d: int, top: int, trials: int, seed: int, prime: int):

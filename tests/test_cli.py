@@ -527,7 +527,7 @@ class TestRecoverCli:
         path = write_moments(tmp_path, M.MomentVector(6, 3, vals))
         assert run(capsys, "recover", "--moments", path, "--mu11", "2",
                    "--mu21", "0") == (
-            1, "", "error: final system for mu22 has no common solution; "
+            1, "", "error: final system for mu25 has no common solution; "
             "the moment vector is not on the secant variety\n")
 
     def test_golden_n5(self, capsys, tmp_path):

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussmoments.linalg import (_fold, _sub_matmul, poly_det, rank_mod_p,
-                                 rank_profile_mod_p, rank_rational)
+from gaussmoments import linalg
+from gaussmoments.linalg import (_BASE_WIDTH, _fold, _sub_matmul, poly_det,
+                                 rank_mod_p, rank_profile_mod_p,
+                                 rank_rational)
 from gaussmoments.polyring import PolyRing
 from gaussmoments.rng import SplitMix64
 from util import rand_fraction, rand_poly, rank_mod_p_oracle, to_sympy
@@ -173,8 +175,8 @@ class TestRankProfile:
     def test_property_prefix_counts_are_prefix_ranks(self, rows, cols, rank,
                                                      repeats, p, seed):
         # columns copied to random later positions and zero columns give the
-        # profile gaps wherever they land, both in the Python-int and in the
-        # numpy base case and across the recursive splits
+        # profile gaps wherever they land, inside the base case's blocks and
+        # across the recursive splits
         rng = SplitMix64(seed)
         m = residue_matrix_with_rank(rng, rows, cols, min(rank, rows, cols),
                                      p)
@@ -188,6 +190,115 @@ class TestRankProfile:
             prefix = [row[:c] for row in m]
             assert sum(j < c for j in profile) == rank_mod_p(prefix, p), \
                 (p, c)
+
+
+def _split_counts(width: int) -> tuple[int, int]:
+    """(base blocks, splits) of the column recursion on ``width`` columns."""
+    if width <= _BASE_WIDTH:
+        return 1, 0
+    left, right = _split_counts(width // 2), _split_counts(width - width // 2)
+    return left[0] + right[0], left[1] + right[1] + 1
+
+
+class TestBlockRounds:
+    """The base case eliminates whole blocks in rounds: a round takes rows
+    spread over the nonzero ones, and the rows it leaves nonzero go to the
+    next round."""
+
+    def test_sub_matmul_calls_per_base_block(self, monkeypatch):
+        calls = []
+        inner = linalg._sub_matmul
+
+        def counted(c, x, y, p):
+            calls.append(x.shape)
+            inner(c, x, y, p)
+        monkeypatch.setattr(linalg, "_sub_matmul", counted)
+        rng = SplitMix64(13)
+        m = np.array([[rng.below(P31) for _ in range(300)]
+                      for _ in range(300)], dtype=np.int64)
+        assert len(rank_profile_mod_p(m, P31)) == 300
+        blocks, splits = _split_counts(300)
+        # at most two per base block and two per split; a base case that
+        # finished every column with a rank-1 update would make 300 more
+        assert len(calls) <= 2 * (blocks + splits) < 300
+
+    def test_pivot_rows_found_out_of_row_order(self):
+        # row 0 is zero in column 0, so a round takes row 1 as the pivot of
+        # column 0 and row 0 as that of column 1; the three rows below are
+        # combinations of the two, and the right half copies the left, so
+        # the profile is [0, 1] only if G follows the pivot rows' order
+        for p in PRIMES:
+            rng = SplitMix64(14)
+            a = [0] + [rng.below(p - 1) + 1 for _ in range(7)]
+            b = [rng.below(p - 1) + 1 for _ in range(8)]
+            rows = [a, b] + [[(x * s + y * t) % p for s, t in zip(a, b)]
+                             for x, y in ((1, 2), (3, 1), (2, 5))]
+            m = [row + row for row in rows] + [[0] * 16] * 35
+            assert rank_profile_mod_p(m, p) == [0, 1], p
+
+    def test_property_tall_structured_profiles(self, monkeypatch):
+        # tall matrices, rank-deficient by structure: low-rank products,
+        # zero bands of rows, and rows that copy one row onto every position
+        # a round of any width takes first, so that round finds one pivot;
+        # columns copied to later positions make the right half of a split
+        # depend on the left half, which a wrong G would break
+        rounds, open_calls = [], []
+        narrow, gauss_jordan = linalg._eliminate_narrow, linalg._gauss_jordan
+
+        def counted_narrow(*args):
+            open_calls.append(0)
+            try:
+                return narrow(*args)
+            finally:
+                rounds.append(open_calls.pop())
+
+        def counted_gauss_jordan(*args):
+            open_calls[-1] += 1
+            return gauss_jordan(*args)
+        monkeypatch.setattr(linalg, "_eliminate_narrow", counted_narrow)
+        monkeypatch.setattr(linalg, "_gauss_jordan", counted_gauss_jordan)
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(rows=st.integers(33, 300), cols=st.integers(1, 40),
+               rank=st.integers(0, 12), repeats=st.integers(0, 8),
+               kind=st.sampled_from(("product", "band", "spread")),
+               p=st.sampled_from(PRIMES), seed=st.integers(0, 2 ** 64 - 1))
+        def check(rows, cols, rank, repeats, kind, p, seed):
+            rng = SplitMix64(seed)
+            m = residue_matrix_with_rank(rng, rows, cols, min(rank, cols), p)
+            for _ in range(repeats):
+                src = rng.below(cols)
+                dst = src + rng.below(cols - src)
+                for row in m:
+                    row[dst] = row[src]
+            if kind == "band":
+                # half the time only up to one block's worth of top rows
+                # stays nonzero, with some entries zeroed, so that a round
+                # finds its pivots out of row order
+                if rng.below(2):
+                    lo, hi = 1 + rng.below(_BASE_WIDTH), rows
+                    for row in m[:lo]:
+                        for j in range(cols):
+                            if not rng.below(3):
+                                row[j] = 0
+                else:
+                    lo = rng.below(rows)
+                    hi = lo + 1 + rng.below(rows - lo)
+                m[lo:hi] = [[0] * cols for _ in range(hi - lo)]
+            elif kind == "spread":
+                for w in range(1, _BASE_WIDTH + 1):
+                    for t in range(w):
+                        m[t * rows // w] = list(m[0])
+            profile = rank_profile_mod_p(m, p)
+            assert profile == sorted(set(profile))
+            # the rank rises by one at every profile column and nowhere
+            # else: checked at each side of every profile column
+            for c in {0, cols} | set(profile) | {j + 1 for j in profile}:
+                assert sum(j < c for j in profile) == rank_mod_p_oracle(
+                    [row[:c] for row in m], p), (p, kind, c)
+
+        check()
+        assert 1 in rounds and max(rounds) > 1
 
 
 class TestLimbMatmul:

@@ -31,6 +31,21 @@ class TestRoundTrip:
             assert res.residual == 0
             assert M.mixture_moments(res.params, 3) == mv
 
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_vanishing_third_cumulant(self, n):
+        # equal weights, first means 0 and 1, equal first variances: the
+        # first coordinate's third cumulant is 0, so the moments satisfy the
+        # collapsed-mean identity, and the mixture still comes back exactly
+        rng = SplitMix64(520 + n)
+        c1, c2 = rand_gaussian(rng, n), rand_gaussian(rng, n)
+        c1 = M.GaussianParams((Fraction(0),) + c1.mean[1:], c1.cov_upper)
+        c2 = M.GaussianParams((Fraction(1),) + c2.mean[1:],
+                              c1.cov_upper[:1] + c2.cov_upper[1:])
+        p = M.MixtureParams((c1, c2), (Fraction(1, 2), Fraction(1, 2)))
+        mv = M.mixture_moments(p, 3)
+        assert R.degenerate_mean_test(mv)
+        assert R.recover(mv, 0, 1).params == p
+
     def test_relabeling_invariance(self):
         # permuting coordinates 2..n of the input permutes the output
         rng = SplitMix64(200)
@@ -150,9 +165,9 @@ class TestSubsetPlan:
         calls = []
         inner = R.recover_n3
 
-        def counting(inp):
+        def counting(inp, *coords):
             calls.append(inp)
-            return inner(inp)
+            return inner(inp, *coords)
 
         monkeypatch.setattr(R, "recover_n3", counting)
         rng = SplitMix64(710)

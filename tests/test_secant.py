@@ -3,13 +3,14 @@
 from fractions import Fraction
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
 from gaussmoments import moments as M
 from gaussmoments import secant as S
 from gaussmoments.linalg import rank_mod_p
 from gaussmoments.rng import SplitMix64
-from util import rand_mixture
+from util import jacobian_reference, rand_mixture, terracini_reference
 
 P31 = 2 ** 31 - 1
 
@@ -157,6 +158,45 @@ class TestTerraciniLayout:
                 S.secant_jacobian(problem, point, prime=prime), prime)
 
 
+# every (n, d) with n = 1..4 and d = 1..6, for K = 1 and 3
+BUILD_SHAPES = [(n, d, k) for n in range(1, 5) for d in range(1, 7)
+                for k in (1, 3)]
+
+
+def _residues(rng, n, k, p):
+    """k components of random residues mod p, a quarter of them 0, 1 or
+    p - 1."""
+    edge = (0, 1, p - 1)
+    return [[edge[rng.below(3)] if rng.below(4) == 0 else rng.below(p)
+             for _ in range(n * (n + 3) // 2)] for _ in range(k)]
+
+
+class TestAllComponentBuild:
+    """The one-pass build of every component against the per-component
+    reference in ``tests/util.py``."""
+
+    @pytest.mark.parametrize("prime", [7919, P31, S.DEFAULT_PRIME])
+    def test_layout_equals_reference(self, prime):
+        rng = SplitMix64(prime % 10007)
+        for n, d, k in BUILD_SHAPES + [(10, 4, 15)]:
+            comp_vals = _residues(rng, n, k, prime)
+            layout = S._terracini_mod_p(n, d, comp_vals, prime)
+            assert layout.dtype == np.int64
+            assert np.array_equal(
+                layout, terracini_reference(n, d, comp_vals, prime)), \
+                (n, d, k)
+
+    @pytest.mark.parametrize("prime", [7919, P31, S.DEFAULT_PRIME])
+    def test_jacobian_equals_reference(self, prime):
+        rng = SplitMix64(prime % 10007)
+        for n, d, k in BUILD_SHAPES + [(10, 4, 3)]:
+            point = rand_mixture(rng, n, k)
+            comp_vals, weights = S._params_to_modular(point, prime)
+            assert S.secant_jacobian(S.SecantProblem(n, d, k), point,
+                                     prime=prime) == \
+                jacobian_reference(n, d, comp_vals, weights, prime), (n, d, k)
+
+
 class TestDimensionProperties:
     def test_univariate_nondefective(self):
         # min(d, 3k-1) for every univariate case, three seeds
@@ -285,6 +325,19 @@ class TestCensus:
         # one K = 6 layout per n: N rows, 6*(m+1) - 1 columns
         assert calls == [(comb(n + 3, 3) - 1, 6 * (n * (n + 3) // 2 + 1) - 1)
                          for n in range(5, 11)]
+
+    def test_one_moment_table_per_n_and_trial(self, monkeypatch):
+        # every component of a layout comes from one moment table
+        shapes = []
+        table = S.gaussian_moment_table
+
+        def counted(mean, sigma, d, one):
+            shapes.append(mean.shape)
+            return table(mean, sigma, d, one)
+        monkeypatch.setattr(S, "gaussian_moment_table", counted)
+        S.census(3, range(5, 8), range(3, 7), trials=2, seed=11, prime=P31)
+        # mean holds the n mean coordinates of all K = 6 components
+        assert shapes == [(n, 6) for n in range(5, 8) for _ in range(2)]
 
     def test_univariate_rows_never_defective(self):
         rows = S.census(3, [1], range(1, 4), defective_only=True,

@@ -4,9 +4,14 @@ reference implementations that fast paths are checked against."""
 
 from fractions import Fraction
 
+import numpy as np
+
 from gaussmoments import recovery
-from gaussmoments.moments import GaussianParams, MixtureParams
+from gaussmoments.moments import (GaussianParams, MixtureParams,
+                                  gaussian_moment_table, multi_indices,
+                                  sigma_var_index)
 from gaussmoments.rng import SplitMix64
+from gaussmoments.secant import _partials
 
 
 def rand_fraction(rng: SplitMix64, span: int = 5, max_den: int = 4) -> Fraction:
@@ -115,3 +120,51 @@ def recover_all_subsets(m, mu11, mu21) -> MixtureParams:
         (GaussianParams(tuple(mean1[i] for i in range(n)), upper1),
          GaussianParams(tuple(mean2[i] for i in range(n)), upper2)),
         (lam, 1 - lam))
+
+
+def component_blocks_reference(n: int, d: int, comp_vals, p: int):
+    """For each component in turn, (A, M) mod p as int64 arrays: A is the
+    N x m matrix of the partials of its moments of order 1..d in its
+    m = n(n+3)/2 (mu, sigma) coordinates, M the vector of those moments.
+    One moment table per component, with Python ints: the reference that
+    secant's all-components build is checked against."""
+    index = {a: i for i, a in enumerate(multi_indices(n, d))}
+    rows, cols, coefs, srcs = np.array(
+        [(index[a] - 1, j, c, index[b]) for a in list(index)[1:]
+         for j, c, b in _partials(a)], dtype=np.intp).T
+    coefs, srcs = coefs.tolist(), srcs.tolist()
+    for vals in comp_vals:
+        table = [v % p for v in gaussian_moment_table(
+            vals[:n], lambda i, j: vals[sigma_var_index(n, i, j)], d,
+            1).values()]
+        partials = np.zeros((len(index) - 1, n * (n + 3) // 2),
+                            dtype=np.int64)
+        partials[rows, cols] = [c * table[s] % p
+                                for c, s in zip(coefs, srcs)]
+        yield partials, np.array(table[1:], dtype=np.int64)
+
+
+def terracini_reference(n: int, d: int, comp_vals, p: int):
+    """The layout [A_1 | A_2, M_2 - M_1 | ... | A_K, M_K - M_1] mod p,
+    assembled component by component from component_blocks_reference."""
+    m = n * (n + 3) // 2
+    blocks = list(component_blocks_reference(n, d, comp_vals, p))
+    layout = [blocks[0][0]]
+    for partials, moments in blocks[1:]:
+        layout += [((moments - blocks[0][1]) % p)[:, None], partials]
+    out = np.hstack(layout)
+    assert out.shape[1] == len(comp_vals) * (m + 1) - 1
+    return out
+
+
+def jacobian_reference(n: int, d: int, comp_vals, weights, p: int):
+    """The mixture Jacobian [lambda_1 A_1 | ... | lambda_K A_K | M_1 - M_K
+    | ... | M_{K-1} - M_K] mod p as lists of Python ints, component by
+    component from component_blocks_reference."""
+    blocks = list(component_blocks_reference(n, d, comp_vals, p))
+    last = blocks[-1][1]
+    cols = [partials.astype(object) * lam % p
+            for (partials, _), lam in zip(blocks, weights)]
+    cols += [((moments - last) % p).astype(object)[:, None]
+             for _, moments in blocks[:-1]]
+    return np.hstack(cols).tolist()
