@@ -36,6 +36,14 @@ def _parse_int(text: str, what: str) -> int:
         raise SystemExit2(f"{what} must be an integer, not {text!r}") from None
 
 
+def _parse_fraction(text: str, what: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise SystemExit2(f"{what} must be a rational number, not "
+                          f"{text!r}") from None
+
+
 def _parse_range(text: str) -> list[int]:
     """'5..10' -> [5..10]; '7' -> [7]."""
     lo, sep, hi = text.partition("..")
@@ -263,8 +271,10 @@ def _cmd_formulas(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    mu11 = _parse_fraction(args.mu11, "--mu11")
+    mu21 = _parse_fraction(args.mu21, "--mu21")
     mv = moments.moment_vector_from_json(_load_json(args.moments))
-    result = recovery.recover(mv, Fraction(args.mu11), Fraction(args.mu21))
+    result = recovery.recover(mv, mu11, mu21)
     _print_json({
         "params": moments.mixture_params_to_json(result.params),
         "residual": str(result.residual),

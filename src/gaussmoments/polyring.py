@@ -23,6 +23,7 @@ instances can be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Union
 
 Exponent = tuple[int, ...]
@@ -66,6 +67,28 @@ def _coerce(c: ScalarLike) -> Fraction:
 def grlex_key(e: Exponent):
     """Sort key realizing the graded lexicographic order (ascending)."""
     return (sum(e), e)
+
+
+def _graded(terms: dict) -> list:
+    """(exponent, coefficient, total degree) for each term."""
+    return [(e, c, sum(e)) for e, c in terms.items()]
+
+
+def _accumulate(out: dict, shift: Exponent, c: Fraction, graded: list,
+                room: int | None) -> None:
+    """out += c * x^shift * (the graded terms of degree <= room), summing
+    Fractions only; a sum may reach zero and stays in ``out``."""
+    get = out.get
+    for e, v, deg in graded:
+        if room is not None and deg > room:
+            continue
+        t = tuple(map(add, shift, e))
+        old = get(t)
+        out[t] = c * v if old is None else old + c * v
+
+
+def _nonzero(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c}
 
 
 class PolyRing:
@@ -212,18 +235,11 @@ class Polynomial:
         self._check_compatible(other)
         trunc = self._merge_trunc(self.trunc, other.trunc)
         out: dict = {}
+        graded = _graded(other.terms)
         for ea, ca in self.terms.items():
-            da = sum(ea)
-            for eb, cb in other.terms.items():
-                if trunc is not None and da + sum(eb) > trunc:
-                    continue
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Polynomial(self.ring, out, trunc)
+            _accumulate(out, ea, ca, graded,
+                        None if trunc is None else trunc - sum(ea))
+        return Polynomial(self.ring, _nonzero(out), trunc)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -290,30 +306,60 @@ class Polynomial:
         """Substitute polynomials (or scalars) for a subset of the variables.
 
         Substituted polynomials must live in the same ring.  Variables not in
-        ``mapping`` are left alone.
+        ``mapping`` are left alone.  The result is truncated at the least of
+        ``self.trunc`` and the bounds of those substituted polynomials whose
+        variable occurs in some term; if no substituted variable occurs in
+        any term, the result is ``self``.
         """
         ring = self.ring
-        subs: dict[int, Polynomial] = {}
+        subs: dict[int, Polynomial | Fraction] = {}
         for name, val in mapping.items():
             i = ring.var_index(name)
             if isinstance(val, Polynomial):
                 self._check_compatible(val)
                 subs[i] = val
             else:
-                subs[i] = ring.const(val)
-        out = ring.zero(self.trunc)
+                subs[i] = _coerce(val)
+        live = [i for i in subs if any(e[i] for e in self.terms)]
+        if not live:
+            return self
+        trunc = self.trunc
+        for i in live:
+            if isinstance(subs[i], Polynomial):
+                trunc = self._merge_trunc(trunc, subs[i].trunc)
+        # powers of the substituted polynomials in a term -> their product
+        factors: dict[tuple, list] = {}
+        out: dict = {}
         for e, c in self.terms.items():
             rest = list(e)
-            factor = None
-            for i, p in subs.items():
+            powers = []
+            for i in live:
                 k = e[i]
                 if k:
                     rest[i] = 0
-                    q = p ** k
+                    val = subs[i]
+                    if isinstance(val, Polynomial):
+                        powers.append((i, k))
+                    else:
+                        c = c * val ** k
+            room = None if trunc is None else trunc - sum(rest)
+            if not c or (room is not None and room < 0):
+                continue
+            if not powers:
+                t = tuple(rest)
+                old = out.get(t)
+                out[t] = c if old is None else old + c
+                continue
+            key = tuple(powers)
+            graded = factors.get(key)
+            if graded is None:
+                factor = None
+                for i, k in powers:
+                    q = subs[i] if k == 1 else subs[i] ** k
                     factor = q if factor is None else factor * q
-            term = ring.monomial(tuple(rest), c, self.trunc)
-            out = out + (term * factor if factor is not None else term)
-        return out
+                graded = factors[key] = _graded(factor.terms)
+            _accumulate(out, rest, c, graded, room)
+        return Polynomial(ring, _nonzero(out), trunc)
 
     # -- serialization -----------------------------------------------------
 
@@ -391,22 +437,40 @@ def series_log(p: Polynomial) -> Polynomial:
 def exact_div(num: Polynomial, den: Polynomial) -> Polynomial:
     """Exact polynomial division: returns q with num = q * den.
 
-    Raises ``ValueError``.  Used by fraction-free elimination, where
-    divisibility is guaranteed; works with any monomial order, here grlex.
+    Raises ``ValueError`` if den does not divide num and
+    ``ZeroDivisionError`` if den is zero.  Used by fraction-free
+    elimination, where divisibility is guaranteed; works with any monomial
+    order, here grlex.  The remainder is one dict from which c * x^e * den
+    is subtracted term by term.  As a truncated difference would, the first
+    subtraction also drops the terms of num above the smaller bound of the
+    two operands.
     """
     num._check_compatible(den)
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    ring = num.ring
     den_lead, den_lc = max(den.terms.items(), key=lambda t: grlex_key(t[0]))
-    rem = num
+    trunc = num._merge_trunc(num.trunc, den.trunc)
+    cut = trunc is not None and trunc != num.trunc
+    rem = dict(num.terms)
     q_terms: dict = {}
-    while not rem.is_zero():
-        lead, lc = max(rem.terms.items(), key=lambda t: grlex_key(t[0]))
+    while rem:
+        lead = max(rem, key=grlex_key)
         e = tuple(a - b for a, b in zip(lead, den_lead))
         if any(k < 0 for k in e):
             raise ValueError("inexact polynomial division")
-        c = lc / den_lc
+        c = rem[lead] / den_lc
         q_terms[e] = c
-        rem = rem - den * ring.monomial(e, c)
-    return ring.from_terms(q_terms)
+        for ed, cd in den.terms.items():
+            t = tuple(map(add, ed, e))
+            if trunc is not None and sum(t) > trunc:
+                continue
+            v = rem.get(t)
+            v = -(c * cd) if v is None else v - c * cd
+            if v:
+                rem[t] = v
+            else:
+                rem.pop(t, None)
+        if cut:
+            rem = {t: v for t, v in rem.items() if sum(t) <= trunc}
+            cut = False
+    return num.ring.from_terms(q_terms)

@@ -15,6 +15,11 @@ moment equations:
    mean coordinates of the second component.  Eliminating one unknown by a
    Sylvester resultant and intersecting with the univariate residual by a
    polynomial gcd leaves a linear factor, i.e. a unique rational solution.
+   The univariate residual in b3 is the resultant's first argument, so the
+   Sylvester rows with constant entries come first and Bareiss pivots on
+   constants before it multiplies polynomials.  That order changes the
+   resultant by the sign (-1)^(deg*deg) only, and only its roots are used:
+   the gcd is made monic.
 
 Every recovered parameter set is verified against all binom(n+3, 3) moment
 equations, and only a set that reproduces every moment is returned.
@@ -284,7 +289,8 @@ def _eliminate(inp: RecoveryInput) -> _Eliminated:
     # the covariances occur linearly; solve them in 2x2 blocks
     solutions: dict[str, Polynomial] = {}
     for i1, i2, u, v in _PAIR_STEPS:
-        e1, e2 = eqs[i1], eqs[i2]
+        # a solved pair's equations are used up: later substitutions skip them
+        e1, e2 = eqs.pop(i1), eqs.pop(i2)
         for (e, name) in ((e1, u), (e1, v), (e2, u), (e2, v)):
             if e.degree_in(name) > 1:
                 raise AssertionError(f"covariance {name} is not linear in "
@@ -331,8 +337,8 @@ def _recover_n3(inp: RecoveryInput, coords) -> RecoveryResult:
     m = inp.m
     st = _eliminate(inp)
 
-    res1 = _sylvester_resultant(st.e_mix1, st.e_b3, "b3")
-    res2 = _sylvester_resultant(st.e_mix2, st.e_b3, "b3")
+    res1 = _sylvester_resultant(st.e_b3, st.e_mix1, "b3")
+    res2 = _sylvester_resultant(st.e_b3, st.e_mix2, "b3")
     b2_star = _unique_root(
         [_univariate(q, "b2") for q in (st.e_b2, res1, res2)],
         f"mu2{coords[1] + 1}")

@@ -1,9 +1,13 @@
 """Command-line interface: output formats, reproducibility, exit codes."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussmoments import moments as M
 from gaussmoments.cli import main
@@ -553,6 +557,105 @@ class TestRecoverCli:
         assert spaced == joined
         assert spaced[0] == 0
         assert M.mixture_params_from_json(json.loads(spaced[1])["params"]) == p
+
+    @pytest.mark.parametrize("option", ["--mu11", "--mu21"])
+    @pytest.mark.parametrize("value", ["abc", "nan", "1/0"])
+    def test_malformed_fixed_coordinate_is_usage_error(self, capsys, tmp_path,
+                                                       option, value):
+        p = rand_mixture(SplitMix64(9), 3, 2, distinct_first=True)
+        path = write_moments(tmp_path, M.mixture_moments(p, 3))
+        values = {"--mu11": "1", "--mu21": "2", option: value}
+        assert run(capsys, "recover", "--moments", path,
+                   *(f"{k}={v}" for k, v in values.items())) == (
+            2, "", f"usage error: {option} must be a rational number, "
+            f"not {value!r}\n")
+
+    def test_equal_fixed_coordinates_stay_a_domain_error(self, capsys,
+                                                         tmp_path):
+        p = rand_mixture(SplitMix64(9), 3, 2, distinct_first=True)
+        path = write_moments(tmp_path, M.mixture_moments(p, 3))
+        assert run(capsys, "recover", "--moments", path, "--mu11", "-1/2",
+                   "--mu21=-2/4") == (
+            1, "", "error: the fixed first coordinates must be distinct\n")
+
+
+# text for --mu11/--mu21: three times in four a rational, else junk from
+# the characters of numeric literals (no 'e', so no literal asks for a huge
+# power of ten)
+MU_TEXT = st.integers(0, 3).flatmap(lambda pick: st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1/0", "", " 2 ", "0x1", "1_000"]),
+    st.text(alphabet="0123456789-+/._ abcn", max_size=6)) if pick == 0 else
+    st.fractions(max_denominator=6, min_value=-5, max_value=5).map(str))
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(),
+                         st.integers(-3, 5), st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["n", "d", "values", "idx", "num",
+                                         "den"]), inner, max_size=4)),
+    max_leaves=8)
+
+
+def is_rational(text: str) -> bool:
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+@st.composite
+def moment_files(draw):
+    """A moment-vector JSON file's text: the moments of a random mixture
+    with n = 3 or 4, perhaps with one entry raised, one key replaced or one
+    entry dropped; arbitrary small JSON; or text that is not JSON."""
+    kind = draw(st.sampled_from(["moments"] * 4 + ["json", "text"]))
+    if kind == "json":
+        return json.dumps(draw(JSON_VALUES))
+    if kind == "text":
+        return draw(st.text(max_size=12))
+    n = draw(st.sampled_from([3, 4]))
+    p = rand_mixture(SplitMix64(draw(st.integers(0, 2 ** 32))), n, 2)
+    data = M.moment_vector_to_json(M.mixture_moments(p, 3))
+    values = data["values"]
+    spot = draw(st.integers(0, len(values) - 1))
+    edit = draw(st.sampled_from(["none", "none", "none", "raise", "drop",
+                                 "key", "top"]))
+    if edit == "raise":
+        values[spot]["num"] += values[spot]["den"]
+    elif edit == "drop":
+        del values[spot]
+    elif edit == "key":
+        values[spot][draw(st.sampled_from(["idx", "num", "den"]))] = draw(
+            JSON_VALUES)
+    elif edit == "top":
+        data[draw(st.sampled_from(["n", "d", "values"]))] = draw(JSON_VALUES)
+    return json.dumps(data)
+
+
+class TestRecoverFuzz:
+    """Random --mu11/--mu21 text and moment files: every run ends in exit 0,
+    1 or 2, with at most one line on stderr and no output on error."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(moment_files(), MU_TEXT, MU_TEXT)
+    def test_exit_codes_and_streams(self, tmp_path_factory, text, mu11, mu21):
+        path = tmp_path_factory.mktemp("fuzz") / "moments.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["recover", "--moments", str(path),
+                         f"--mu11={mu11}", f"--mu21={mu21}"])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        if not all(map(is_rational, (mu11, mu21))):
+            assert code == 2 and err.startswith("usage error: --mu")
+        assert "Traceback" not in err and err.count("\n") <= 1
+        if code:
+            assert out == "" and err.endswith("\n")
+        else:
+            assert err == "" and json.loads(out)["residual"] == "0"
 
 
 class TestStructuralAndMatrix:

@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gaussmoments.polyring import (PolyRing, exact_div, is_prime, series_exp,
                                    series_log)
 from gaussmoments.rng import SplitMix64
-from util import rand_poly
+from util import (exact_div_reference, mul_reference, rand_fraction,
+                  rand_poly, substitute_reference, to_sympy)
 
 XYZ = PolyRing(["x", "y", "z"])
 
@@ -227,6 +230,189 @@ class TestSubstitute:
         x, y, z = xyz()
         p = x * y + z
         assert p.substitute({"y": XYZ.const(5)}) == x.scale(5) + z
+
+
+SEEDS = st.integers(0, 2 ** 64 - 1)
+TRUNCS = st.one_of(st.none(), st.integers(0, 6))
+
+
+def assert_same(got, want):
+    assert got.terms == want.terms and got.trunc == want.trunc
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the exception it raised."""
+    try:
+        return f(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+class TestMulOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(SEEDS, TRUNCS, TRUNCS)
+    def test_equals_reference(self, seed, ta, tb):
+        rng = SplitMix64(seed)
+        a = rand_poly(XYZ, rng, trunc=ta)
+        b = rand_poly(XYZ, rng, trunc=tb)
+        assert_same(a * b, mul_reference(a, b))
+        # (a + b)(a - b): the cross terms cancel
+        assert_same((a + b) * (a - b), mul_reference(a + b, a - b))
+
+
+def without(p, names):
+    """p with every term's exponent of the named variables set to 0."""
+    drop = [p.ring.var_index(v) for v in names]
+    return p.ring.from_terms(
+        {tuple(0 if i in drop else k for i, k in enumerate(e)): c
+         for e, c in p.terms.items()}, trunc=p.trunc)
+
+
+# what a variable of XYZ maps to: nothing, a scalar, a variable (so that
+# terms cancel), or a polynomial truncated at the given bound
+VALUE_KINDS = st.one_of(st.none(), st.just("scalar"),
+                        st.sampled_from(XYZ.vars).map(lambda v: ("var", v)),
+                        TRUNCS.map(lambda t: ("poly", t)))
+
+
+class TestSubstituteOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(SEEDS, TRUNCS, st.lists(VALUE_KINDS, min_size=3, max_size=3),
+           st.sets(st.sampled_from(XYZ.vars), max_size=3))
+    def test_equals_reference(self, seed, trunc, kinds, absent):
+        rng = SplitMix64(seed)
+        p = without(rand_poly(XYZ, rng, trunc=trunc), absent)
+        mapping = {}
+        for name, kind in zip(XYZ.vars, kinds):
+            if kind == "scalar":
+                mapping[name] = rand_fraction(rng)  # 0 now and then
+            elif kind is not None and kind[0] == "var":
+                mapping[name] = XYZ.var(kind[1])
+            elif kind is not None:
+                mapping[name] = rand_poly(XYZ, rng, max_terms=3, max_exp=2,
+                                          trunc=kind[1])
+        got = p.substitute(mapping)
+        assert_same(got, substitute_reference(p, mapping))
+        if not any(e[XYZ.var_index(v)] for v in mapping for e in p.terms):
+            assert got is p
+
+    def test_cancellation_leaves_no_zero_terms(self):
+        x, y, z = xyz()
+        assert (x * z - y * z).substitute({"x": y}).terms == {}
+        assert (x + y).substitute({"x": z - y}).terms == {(0, 0, 1): 1}
+
+    def test_truncated_value_truncates_the_result(self):
+        x, y, z = xyz()
+        p = x * y + z * z * z
+        q = p.substitute({"x": XYZ.var("y", trunc=2)})
+        assert q.trunc == 2 and q == y * y
+        r = p.substitute({"y": XYZ.var("z", trunc=1)})
+        assert r.trunc == 1 and r.is_zero()
+        # a truncated value of a variable that does not occur is ignored
+        assert z.substitute({"x": XYZ.var("y", trunc=0)}) is z
+
+    @pytest.mark.parametrize("substitute", [
+        lambda p, m: p.substitute(m), substitute_reference])
+    def test_unknown_variable(self, substitute):
+        p = XYZ.var("x") + XYZ.const(1)
+        with pytest.raises(ValueError, match="unknown variable 'w'"):
+            substitute(p, {"w": 1})
+
+    @pytest.mark.parametrize("substitute", [
+        lambda p, m: p.substitute(m), substitute_reference])
+    def test_ring_mismatch_even_where_the_variable_is_absent(self,
+                                                             substitute):
+        other = PolyRing(["x", "y"])
+        p = XYZ.var("y") + XYZ.const(1)
+        with pytest.raises(ValueError, match="variable-list mismatch"):
+            substitute(p, {"x": other.var("x")})
+
+
+class TestExactDivOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(SEEDS)
+    def test_product_divides(self, seed):
+        rng = SplitMix64(seed)
+        q = rand_poly(XYZ, rng, max_terms=4)
+        d = rand_poly(XYZ, rng, max_terms=3)
+        assume(not d.is_zero())
+        assert exact_div(q * d, d) == q == exact_div_reference(q * d, d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(SEEDS)
+    def test_inexact_raises(self, seed):
+        # r != 0 has lower total degree than d, so d does not divide q*d + r
+        rng = SplitMix64(seed)
+        q = rand_poly(XYZ, rng, max_terms=4)
+        d = rand_poly(XYZ, rng, max_terms=3) + XYZ.var("x")
+        r = rand_poly(XYZ, rng, max_terms=3)
+        r = XYZ.from_terms({e: c for e, c in r.terms.items()
+                            if sum(e) < d.total_degree()})
+        if r.is_zero():
+            r = XYZ.one()
+        for div in (exact_div, exact_div_reference):
+            with pytest.raises(ValueError, match="inexact"):
+                div(q * d + r, d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(SEEDS, TRUNCS, TRUNCS, TRUNCS)
+    def test_truncated_operands_as_the_reference(self, seed, tq, tn, td):
+        # num may have terms above the bound of d, and then the first
+        # subtraction drops them
+        rng = SplitMix64(seed)
+        d = rand_poly(XYZ, rng, max_terms=3)
+        num = XYZ.from_terms((rand_poly(XYZ, rng, max_terms=4, trunc=tq)
+                              * d).terms, trunc=tn)
+        d = XYZ.from_terms(d.terms, trunc=td)
+        want = outcome(exact_div_reference, num, d)
+        got = outcome(exact_div, num, d)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert_same(got, want)
+
+    @pytest.mark.parametrize("div", [exact_div, exact_div_reference])
+    def test_division_by_zero(self, div):
+        with pytest.raises(ZeroDivisionError):
+            div(XYZ.var("x"), XYZ.zero())
+
+
+class TestSeriesSympyOracle:
+    """series_exp(P) and series_log(1 + Q) against sympy's expansion of
+    exp(P(t x)) and log(1 + Q(t x)) to order t^(T+1), at t = 1."""
+
+    @staticmethod
+    def expected(fn, p):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        scaled = to_sympy(p).subs({sympy.Symbol(v): t * sympy.Symbol(v)
+                                   for v in p.ring.vars}, simultaneous=True)
+        return sympy.series(fn(scaled), t, 0, p.trunc + 1).removeO().subs(t, 1)
+
+    @staticmethod
+    def random_series(seed):
+        """A random polynomial in x, y with zero constant term, truncated
+        at a random T in 1..5."""
+        rng = SplitMix64(seed)
+        ring = PolyRing(["x", "y"])
+        trunc = rng.below(5) + 1
+        p = rand_poly(ring, rng, max_terms=4, max_exp=2, trunc=trunc)
+        return p - ring.const(p.constant_term(), trunc=trunc)
+
+    @pytest.mark.parametrize("seed", range(950, 958))
+    def test_series_exp(self, seed):
+        sympy = pytest.importorskip("sympy")
+        p = self.random_series(seed)
+        got = to_sympy(series_exp(p))
+        assert sympy.expand(got - self.expected(sympy.exp, p)) == 0
+
+    @pytest.mark.parametrize("seed", range(960, 968))
+    def test_series_log(self, seed):
+        sympy = pytest.importorskip("sympy")
+        q = self.random_series(seed)
+        got = to_sympy(series_log(q + q.ring.one(q.trunc)))
+        expected = self.expected(lambda u: sympy.log(1 + u), q)
+        assert sympy.expand(got - expected) == 0
 
 
 class TestExactDiv:

@@ -10,8 +10,8 @@ from gaussmoments import moments as M
 from gaussmoments import recovery as R
 from gaussmoments.polyring import PolyRing
 from gaussmoments.rng import SplitMix64
-from util import (rand_gaussian, rand_mixture, rand_poly, recover_all_subsets,
-                  to_sympy)
+from util import (rand_fraction, rand_gaussian, rand_mixture, rand_poly,
+                  recover_all_subsets, to_sympy)
 
 
 def make_instance(rng, n):
@@ -299,6 +299,45 @@ class TestFinalSystemOracle:
             st = R._eliminate(inp)
             degrees.append(len(R._univariate(st.e_b2, "b2")) - 1)
         assert max(degrees) == 3
+
+
+class TestHotPathCounts:
+    def test_substitutions_per_n3_recovery(self, monkeypatch):
+        # 12 scalar substitutions for the covariance blocks, 14 + 12 + ...
+        # + 4 into the equations not yet used, and 3 at b2 = mu22;
+        # substituting into all 16 equations after each pair makes 111
+        calls = []
+        sub = R.Polynomial.substitute
+
+        def counting(self, mapping):
+            calls.append(mapping)
+            return sub(self, mapping)
+
+        monkeypatch.setattr(R.Polynomial, "substitute", counting)
+        rng = SplitMix64(730)
+        for _ in range(4):
+            calls.clear()
+            p, mv = make_instance(rng, 3)
+            res = R.recover(mv, p.components[0].mean[0],
+                            p.components[1].mean[0])
+            assert res.params == p
+            assert len(calls) <= 69
+
+
+class TestResultantArgumentOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 64 - 1), st.booleans())
+    def test_swapped_arguments_change_only_the_sign(self, seed, constant):
+        # constant: p has constant coefficients in x, like e_b3 in recovery
+        ring = PolyRing(["x", "y"])
+        rng = SplitMix64(seed)
+        p = rand_poly(ring, rng, max_terms=4)
+        if constant:
+            p = p.substitute({"y": rand_fraction(rng)})
+        q = rand_poly(ring, rng, max_terms=4)
+        dp, dq = max(p.degree_in("x"), 0), max(q.degree_in("x"), 0)
+        assert (R._sylvester_resultant(p, q, "x")
+                == R._sylvester_resultant(q, p, "x").scale((-1) ** (dp * dq)))
 
 
 class TestSympyOracle:

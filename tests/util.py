@@ -10,6 +10,7 @@ from gaussmoments import recovery
 from gaussmoments.moments import (GaussianParams, MixtureParams,
                                   gaussian_moment_table, multi_indices,
                                   sigma_var_index)
+from gaussmoments.polyring import Polynomial, grlex_key
 from gaussmoments.rng import SplitMix64
 from gaussmoments.secant import _partials
 
@@ -52,6 +53,75 @@ def rand_poly(ring, rng: SplitMix64, max_terms: int = 6, max_exp: int = 3,
         e = tuple(rng.below(max_exp + 1) for _ in range(nvars))
         terms[e] = rand_fraction(rng)
     return ring.from_terms(terms, trunc=trunc)
+
+
+def mul_reference(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Polynomial product with a zero test after every term product: the
+    reference that Polynomial.__mul__ is checked against."""
+    a._check_compatible(b)
+    trunc = a._merge_trunc(a.trunc, b.trunc)
+    out: dict = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            if trunc is not None and sum(ea) + sum(eb) > trunc:
+                continue
+            e = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(e, 0) + ca * cb
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return Polynomial(a.ring, out, trunc)
+
+
+def substitute_reference(p: Polynomial, mapping) -> Polynomial:
+    """Substitution term by term, one monomial and one power product per
+    term, summed as polynomials: the reference that Polynomial.substitute
+    is checked against."""
+    ring = p.ring
+    subs: dict[int, Polynomial] = {}
+    for name, val in mapping.items():
+        i = ring.var_index(name)
+        if isinstance(val, Polynomial):
+            p._check_compatible(val)
+            subs[i] = val
+        else:
+            subs[i] = ring.const(val)
+    out = ring.zero(p.trunc)
+    for e, c in p.terms.items():
+        rest = list(e)
+        factor = None
+        for i, q in subs.items():
+            k = e[i]
+            if k:
+                rest[i] = 0
+                qk = q ** k
+                factor = qk if factor is None else factor * qk
+        term = ring.monomial(tuple(rest), c, p.trunc)
+        out = out + (term * factor if factor is not None else term)
+    return out
+
+
+def exact_div_reference(num: Polynomial, den: Polynomial) -> Polynomial:
+    """Exact division that rebuilds the remainder as a polynomial after every
+    quotient term: the reference that polyring.exact_div is checked
+    against."""
+    num._check_compatible(den)
+    if den.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    ring = num.ring
+    den_lead, den_lc = max(den.terms.items(), key=lambda t: grlex_key(t[0]))
+    rem = num
+    q_terms: dict = {}
+    while not rem.is_zero():
+        lead, lc = max(rem.terms.items(), key=lambda t: grlex_key(t[0]))
+        e = tuple(a - b for a, b in zip(lead, den_lead))
+        if any(k < 0 for k in e):
+            raise ValueError("inexact polynomial division")
+        c = lc / den_lc
+        q_terms[e] = c
+        rem = rem - den * ring.monomial(e, c)
+    return ring.from_terms(q_terms)
 
 
 def to_sympy(p):
