@@ -4,7 +4,7 @@ from .moments import (CumulantVector, GaussianParams, MixtureParams,
                       MomentVector, cumulants_to_moments, gaussian_moments,
                       mixture_moments, moment_polynomials,
                       moments_to_cumulants, multi_indices, univariate_moments)
-from .polyring import Polynomial, PolyRing, series_exp, series_log
+from .polyring import Polynomial, PolyRing
 from .recovery import (RecoveryError, RecoveryInput, RecoveryResult,
                        degenerate_mean_test, recover, recover_general,
                        recover_n3)
@@ -25,7 +25,7 @@ __all__ = [
     "gaussian_moments", "mixture_moments",
     "moment_polynomials", "moments_to_cumulants", "multi_indices",
     "recover", "recover_general", "recover_n3", "secant_dimension",
-    "secant_jacobian", "series_exp", "series_log", "univariate_moments",
+    "secant_jacobian", "univariate_moments",
 ]
 
 __version__ = "0.1.0"

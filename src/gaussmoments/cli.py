@@ -37,6 +37,9 @@ def _parse_int(text: str, what: str) -> int:
 
 
 def _parse_fraction(text: str, what: str) -> Fraction:
+    if moments.DECIMAL_EXPONENT.search(text):
+        raise SystemExit2(f"{what} must be a rational number without a "
+                          f"decimal exponent (a/b or a decimal), not {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -431,6 +434,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_signed_values(argv))
     try:
+        # argparse reads --opt=-- as the empty list; no option takes a list
+        for name, value in vars(args).items():
+            if value == []:
+                raise SystemExit2(f"--{name.replace('_', '-')} needs a value, "
+                                  "not '--'")
         return args.func(args)
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ Three matrix families, each with linear-form entries:
   the univariate moments), together with the structural facts about those
   minors that drive the surface nondefectivity argument (the minors come
   from their continuant recurrence, the homogenized three-term moment
-  recursion, with ``linalg.poly_det`` on the matrix as the test oracle); and
+  recursion); and
 * the Willink moment matrix for n-dimensional Gaussians, whose rank-(n+1)
   locus is the affine moment variety and whose explicit kernel vectors carry
   the mean and covariance.

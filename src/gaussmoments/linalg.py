@@ -1,14 +1,11 @@
-"""Exact matrix kernels: integer/rational rank, prime-field rank and column
-rank profile, and determinants of small matrices with polynomial entries.
+"""Exact matrix kernels: integer/rational rank, and prime-field rank and
+column rank profile.
 
 One elimination strategy per coefficient domain:
 
 * fraction-free (Bareiss) elimination over the integers for rational
   matrices (rows are scaled integer vectors, so no coefficient blow-up from
-  fractions);
-* the same fraction-free elimination in the rational polynomial ring for
-  ``poly_det``, whose divisions by the previous pivot are exact polynomial
-  divisions; and
+  fractions); and
 * blocked Gaussian elimination over GF(p), for every prime p < 2^62, on an
   int64 array of residues.  The columns split in half recursively down to
   blocks of at most _BASE_WIDTH columns, and each block is eliminated in
@@ -32,8 +29,6 @@ from fractions import Fraction
 from math import lcm
 
 import numpy as np
-
-from .polyring import Polynomial, exact_div
 
 
 def _rows_to_int(rows) -> list[list[int]]:
@@ -346,34 +341,3 @@ def rank_mod_p(rows, p: int) -> int:
     same inputs, range and in-place behaviour."""
     return len(rank_profile_mod_p(rows, p))
 
-
-def poly_det(rows: list[list[Polynomial]]) -> Polynomial:
-    """Determinant of a square matrix of polynomials (fraction-free Bareiss).
-
-    Intermediate entries are k x k minors, so divisions by the previous
-    pivot are exact in the polynomial ring.
-    """
-    n = len(rows)
-    if n == 0:
-        raise ValueError("determinant of an empty matrix")
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    ring = rows[0][0].ring
-    m = [list(r) for r in rows]
-    sign = 1
-    prev: Polynomial | None = None
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            piv = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if piv is None:
-                return ring.zero()
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = exact_div(num, prev) if prev is not None else num
-            m[i][k] = ring.zero()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det

@@ -8,15 +8,19 @@ recursion m_i = mu*m_{i-1} + (i-1)*var*m_{i-2}:
 
 It runs on Fractions for exact moments, on Polynomials for the symbolic
 moment polynomials and the recovery equations, and on ints for the secant
-Jacobian.  Mixture moments are the weighted sum of component moments.  The
-moment generating function exp(sum t_i mu_i) * exp(1/2 sum sigma_ij t_i t_j),
-expanded as a truncated power series, is the independent oracle: the tests
-read moments off it, and the cumulant transforms below go through it.
+Jacobian.  Mixture moments are the weighted sum of component moments.
 
 All values are rationals in the affine chart where the order-zero moment is 1.
-Cumulant vectors are obtained through log of the moment generating function
-and back through exp; a single Gaussian is characterized by the vanishing of
-every cumulant of order 3..d.
+Cumulants are the coefficients of the log of the moment generating function,
+times a!.  Differentiating M = exp(K) gives d_i M = (d_i K) M, and so the
+moment-cumulant recursion
+
+    m_{b+e_i} = sum_{c <= b} binom(b, c) kappa_{c+e_i} m_{b-c},
+
+with binom(b, c) the product of the binomials binom(b_j, c_j).  It runs in
+graded-lex order both ways, from cumulants to moments and, solved for its
+c = b term kappa_{b+e_i}, from moments to cumulants.  A single Gaussian is
+characterized by the vanishing of every cumulant of order 3..d.
 
 Multi-index enumeration is graded lexicographic (total order ascending, then
 tuple-lexicographic with the first index most significant), fixed so that
@@ -25,12 +29,14 @@ serialized output is reproducible.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from itertools import product
+from math import comb
 
-from .polyring import PolyRing, series_exp, series_log
+from .polyring import PolyRing
 
 Index = tuple[int, ...]
 
@@ -59,18 +65,6 @@ def multi_indices(n: int, d: int, min_order: int = 0) -> list[Index]:
     if n < 1:
         raise ValueError("multi_indices requires n >= 1")
     return list(_multi_indices_cached(n, d, min_order))
-
-
-def index_factorial(idx: Index) -> int:
-    f = 1
-    for i in idx:
-        f *= factorial(i)
-    return f
-
-
-def moment_count(n: int, d: int) -> int:
-    """Number of moments of order <= d, i.e. N + 1 = binom(n+d, d)."""
-    return comb(n + d, d)
 
 
 # -- parameter and vector types ----------------------------------------------
@@ -131,12 +125,6 @@ class MixtureParams:
             raise ValueError("dimension mismatch among components")
         if sum(self.weights) != 1:
             raise ValueError("weights must sum to 1 exactly")
-
-    @classmethod
-    def from_free_weights(cls, components, free_weights) -> "MixtureParams":
-        """Construct from k-1 free weights; the last is 1 minus their sum."""
-        free = [_frac(w) for w in free_weights]
-        return cls(tuple(components), tuple(free + [1 - sum(free)]))
 
     @property
     def k(self) -> int:
@@ -206,10 +194,6 @@ class CumulantVector:
 
     def __getitem__(self, idx: Index) -> Fraction:
         return self.values[tuple(idx)]
-
-    def max_nonzero_order(self) -> int:
-        return max((sum(i) for i, v in self.values.items() if v != 0),
-                   default=0)
 
 
 # -- the moment recursion -------------------------------------------------------
@@ -305,32 +289,35 @@ def univariate_moments(mu, var, d: int) -> MomentVector:
         (_frac(mu),), lambda i, j: var, d, Fraction(1)))
 
 
-def _t_ring(n: int, d: int) -> PolyRing:
-    return PolyRing([f"t{i}" for i in range(1, n + 1)])
+def _recursion_terms(a: Index):
+    """The terms of the moment-cumulant recursion for m_a, a of order >= 1:
+    (binom(b, c), c + e_i, b - c) for each c <= b, with i the first nonzero
+    coordinate of a and b = a - e_i.  The term c = b is (1, a, 0)."""
+    i = next(i for i, v in enumerate(a) if v)
+    b = lower_index(a, i)
+    for c in product(*(range(v + 1) for v in b)):
+        coef = 1
+        for bj, cj in zip(b, c):
+            coef *= comb(bj, cj)
+        yield (coef, c[:i] + (c[i] + 1,) + c[i + 1:],
+               tuple(bj - cj for bj, cj in zip(b, c)))
 
 
 def moments_to_cumulants(m: MomentVector) -> CumulantVector:
-    """Cumulants via log of the moment generating function."""
-    ring = _t_ring(m.n, m.d)
-    series = ring.from_terms(
-        {idx: v / index_factorial(idx) for idx, v in m.values.items()},
-        trunc=m.d)
-    logk = series_log(series)
-    values = {idx: logk.coefficient(idx) * index_factorial(idx)
-              for idx in multi_indices(m.n, m.d, min_order=1)}
-    return CumulantVector(m.n, m.d, values)
+    """Cumulants by the moment-cumulant recursion, solved for kappa_a."""
+    mv, kappa = m.values, {}
+    for a in multi_indices(m.n, m.d, min_order=1):
+        kappa[a] = mv[a] - sum(coef * kappa[k] * mv[r]
+                               for coef, k, r in _recursion_terms(a) if k != a)
+    return CumulantVector(m.n, m.d, kappa)
 
 
 def cumulants_to_moments(c: CumulantVector) -> MomentVector:
-    """Moments via exp of the cumulant generating function."""
-    ring = _t_ring(c.n, c.d)
-    series = ring.from_terms(
-        {idx: v / index_factorial(idx) for idx, v in c.values.items()},
-        trunc=c.d)
-    expm = series_exp(series)
-    values = {idx: expm.coefficient(idx) * index_factorial(idx)
-              for idx in multi_indices(c.n, c.d)}
-    return MomentVector(c.n, c.d, values)
+    """Moments by the moment-cumulant recursion."""
+    kappa, m = c.values, {(0,) * c.n: Fraction(1)}
+    for a in multi_indices(c.n, c.d, min_order=1):
+        m[a] = sum(coef * kappa[k] * m[r] for coef, k, r in _recursion_terms(a))
+    return MomentVector(c.n, c.d, m)
 
 
 # -- JSON shapes ---------------------------------------------------------------
@@ -357,6 +344,19 @@ def _json_list(x, what: str) -> list:
     if not isinstance(x, list):
         raise ValueError(f"{what} must be a JSON list")
     return x
+
+
+# a decimal exponent, as Fraction reads one ('1e5', '2.5E-3'): Fraction
+# expands it into an exact power of ten, so a short text can take minutes
+DECIMAL_EXPONENT = re.compile(r"[\d.][eE]")
+
+
+def _json_rational(x, what: str) -> Fraction:
+    text = str(x)
+    if DECIMAL_EXPONENT.search(text):
+        raise ValueError(f"{what} {text!r} has a decimal exponent; write it "
+                         "as a/b or as a decimal")
+    return Fraction(text)
 
 
 def _json_int(x, what: str) -> int:
@@ -428,10 +428,12 @@ def mixture_params_from_json(data) -> MixtureParams:
         for key in ("weight", "mean", "cov"):
             if key not in entry:
                 raise ValueError(f"components[{pos}] has no {key!r} key")
-        weights.append(Fraction(str(entry["weight"])))
+        weights.append(_json_rational(entry["weight"], "weight"))
         comps.append(GaussianParams(
-            tuple(Fraction(str(x)) for x in _json_list(entry["mean"], "mean")),
-            tuple(Fraction(str(x)) for x in _json_list(entry["cov"], "cov")),
+            tuple(_json_rational(x, "mean entry")
+                  for x in _json_list(entry["mean"], "mean")),
+            tuple(_json_rational(x, "cov entry")
+                  for x in _json_list(entry["cov"], "cov")),
         ))
     params = MixtureParams(tuple(comps), tuple(weights))
     if declared.get("n", params.n) != params.n:

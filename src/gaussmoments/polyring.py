@@ -1,4 +1,4 @@
-"""Exact sparse multivariate polynomial and truncated power-series arithmetic.
+"""Exact sparse multivariate polynomial arithmetic.
 
 A polynomial is a map from exponent tuples to nonzero coefficients, tied to a
 ring that fixes the ordered variable list.  Coefficients are rationals,
@@ -9,12 +9,6 @@ There is no floating point anywhere in this module.  Term order for
 iteration and text serialization is graded lexicographic (total degree
 first, then lexicographic with the first variable most significant), which
 makes all output deterministic.
-
-A polynomial may carry a truncation bound T: terms of total degree > T are
-discarded on construction and after every operation, which turns the ring
-into the quotient by the (T+1)st power of the maximal ideal.  That is the
-representation used for truncated power series, and it is what
-:func:`series_exp` and :func:`series_log` operate on.
 
 Polynomials are immutable values; all operations are pure functions, so
 instances can be shared freely across threads.
@@ -69,19 +63,11 @@ def grlex_key(e: Exponent):
     return (sum(e), e)
 
 
-def _graded(terms: dict) -> list:
-    """(exponent, coefficient, total degree) for each term."""
-    return [(e, c, sum(e)) for e, c in terms.items()]
-
-
-def _accumulate(out: dict, shift: Exponent, c: Fraction, graded: list,
-                room: int | None) -> None:
-    """out += c * x^shift * (the graded terms of degree <= room), summing
-    Fractions only; a sum may reach zero and stays in ``out``."""
+def _accumulate(out: dict, shift: Exponent, c: Fraction, terms) -> None:
+    """out += c * x^shift * (the (exponent, coefficient) pairs of terms),
+    summing Fractions only; a sum may reach zero and stays in ``out``."""
     get = out.get
-    for e, v, deg in graded:
-        if room is not None and deg > room:
-            continue
+    for e, v in terms:
         t = tuple(map(add, shift, e))
         old = get(t)
         out[t] = c * v if old is None else old + c * v
@@ -116,48 +102,43 @@ class PolyRing:
         except KeyError:
             raise ValueError(f"unknown variable {name!r}") from None
 
-    def zero(self, trunc: int | None = None) -> "Polynomial":
-        return Polynomial(self, {}, trunc)
+    def zero(self) -> "Polynomial":
+        return Polynomial(self, {})
 
-    def one(self, trunc: int | None = None) -> "Polynomial":
-        return self.const(1, trunc)
+    def one(self) -> "Polynomial":
+        return self.const(1)
 
-    def const(self, c: ScalarLike, trunc: int | None = None) -> "Polynomial":
-        return self.monomial(self._zero_exp, c, trunc)
+    def const(self, c: ScalarLike) -> "Polynomial":
+        return self.monomial(self._zero_exp, c)
 
-    def var(self, name: str, trunc: int | None = None) -> "Polynomial":
+    def var(self, name: str) -> "Polynomial":
         i = self.var_index(name)
         e = list(self._zero_exp)
         e[i] = 1
-        return Polynomial(self, {tuple(e): Fraction(1)}, trunc)
+        return Polynomial(self, {tuple(e): Fraction(1)})
 
-    def monomial(self, exponent: Exponent, c: ScalarLike = 1,
-                 trunc: int | None = None) -> "Polynomial":
+    def monomial(self, exponent: Exponent, c: ScalarLike = 1) -> "Polynomial":
         if len(exponent) != len(self.vars):
             raise ValueError("exponent length does not match variable count")
         c = _coerce(c)
-        return Polynomial(self, {tuple(exponent): c} if c else {}, trunc)
+        return Polynomial(self, {tuple(exponent): c} if c else {})
 
-    def from_terms(self, terms: Mapping[Exponent, ScalarLike],
-                   trunc: int | None = None) -> "Polynomial":
+    def from_terms(self, terms: Mapping[Exponent, ScalarLike]) -> "Polynomial":
         clean = {}
         for e, c in terms.items():
             if c:
                 clean[tuple(e)] = _coerce(c)
-        return Polynomial(self, clean, trunc)
+        return Polynomial(self, clean)
 
 
 class Polynomial:
-    """Immutable sparse polynomial, optionally truncated at total degree T."""
+    """Immutable sparse polynomial."""
 
-    __slots__ = ("ring", "terms", "trunc")
+    __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: PolyRing, terms: dict, trunc: int | None = None):
-        if trunc is not None:
-            terms = {e: c for e, c in terms.items() if sum(e) <= trunc}
+    def __init__(self, ring: PolyRing, terms: dict):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "trunc", trunc)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Polynomial is immutable")
@@ -193,14 +174,6 @@ class Polynomial:
         if self.ring.vars != other.ring.vars:
             raise ValueError("variable-list mismatch between polynomial operands")
 
-    @staticmethod
-    def _merge_trunc(a: int | None, b: int | None) -> int | None:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
-
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             other = self.ring.const(other)
@@ -212,14 +185,13 @@ class Polynomial:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return Polynomial(self.ring, out, self._merge_trunc(self.trunc, other.trunc))
+        return Polynomial(self.ring, out)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()},
-                          self.trunc)
+        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -233,13 +205,11 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_compatible(other)
-        trunc = self._merge_trunc(self.trunc, other.trunc)
         out: dict = {}
-        graded = _graded(other.terms)
+        terms = list(other.terms.items())
         for ea, ca in self.terms.items():
-            _accumulate(out, ea, ca, graded,
-                        None if trunc is None else trunc - sum(ea))
-        return Polynomial(self.ring, _nonzero(out), trunc)
+            _accumulate(out, ea, ca, terms)
+        return Polynomial(self.ring, _nonzero(out))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -247,14 +217,13 @@ class Polynomial:
     def scale(self, c: ScalarLike) -> "Polynomial":
         c = _coerce(c)
         if not c:
-            return Polynomial(self.ring, {}, self.trunc)
-        return Polynomial(self.ring, {e: v * c for e, v in self.terms.items()},
-                          self.trunc)
+            return Polynomial(self.ring, {})
+        return Polynomial(self.ring, {e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = self.ring.one(self.trunc)
+        result = self.ring.one()
         base = self
         while n:
             if n & 1:
@@ -275,7 +244,7 @@ class Polynomial:
     # -- calculus and evaluation -------------------------------------------
 
     def differentiate(self, name: str) -> "Polynomial":
-        """Formal partial derivative; the truncation bound is preserved."""
+        """Formal partial derivative."""
         i = self.ring.var_index(name)
         out = {}
         for e, c in self.terms.items():
@@ -284,7 +253,7 @@ class Polynomial:
                 d = list(e)
                 d[i] = k - 1
                 out[tuple(d)] = c * k
-        return Polynomial(self.ring, out, self.trunc)
+        return Polynomial(self.ring, out)
 
     def evaluate(self, point: Mapping[str, ScalarLike]) -> Fraction:
         """Exact evaluation; ``point`` must assign every ring variable."""
@@ -306,10 +275,8 @@ class Polynomial:
         """Substitute polynomials (or scalars) for a subset of the variables.
 
         Substituted polynomials must live in the same ring.  Variables not in
-        ``mapping`` are left alone.  The result is truncated at the least of
-        ``self.trunc`` and the bounds of those substituted polynomials whose
-        variable occurs in some term; if no substituted variable occurs in
-        any term, the result is ``self``.
+        ``mapping`` are left alone.  If no substituted variable occurs in any
+        term, the result is ``self``.
         """
         ring = self.ring
         subs: dict[int, Polynomial | Fraction] = {}
@@ -323,10 +290,6 @@ class Polynomial:
         live = [i for i in subs if any(e[i] for e in self.terms)]
         if not live:
             return self
-        trunc = self.trunc
-        for i in live:
-            if isinstance(subs[i], Polynomial):
-                trunc = self._merge_trunc(trunc, subs[i].trunc)
         # powers of the substituted polynomials in a term -> their product
         factors: dict[tuple, list] = {}
         out: dict = {}
@@ -342,8 +305,7 @@ class Polynomial:
                         powers.append((i, k))
                     else:
                         c = c * val ** k
-            room = None if trunc is None else trunc - sum(rest)
-            if not c or (room is not None and room < 0):
+            if not c:
                 continue
             if not powers:
                 t = tuple(rest)
@@ -351,15 +313,15 @@ class Polynomial:
                 out[t] = c if old is None else old + c
                 continue
             key = tuple(powers)
-            graded = factors.get(key)
-            if graded is None:
+            terms = factors.get(key)
+            if terms is None:
                 factor = None
                 for i, k in powers:
                     q = subs[i] if k == 1 else subs[i] ** k
                     factor = q if factor is None else factor * q
-                graded = factors[key] = _graded(factor.terms)
-            _accumulate(out, rest, c, graded, room)
-        return Polynomial(ring, _nonzero(out), trunc)
+                terms = factors[key] = list(factor.terms.items())
+            _accumulate(out, rest, c, terms)
+        return Polynomial(ring, _nonzero(out))
 
     # -- serialization -----------------------------------------------------
 
@@ -387,90 +349,5 @@ class Polynomial:
         return " ".join(pieces)
 
     def __repr__(self):  # pragma: no cover
-        t = f", trunc={self.trunc}" if self.trunc is not None else ""
-        return f"<Polynomial {self}{t}>"
+        return f"<Polynomial {self}>"
 
-
-# -- truncated power series ------------------------------------------------
-
-
-def series_exp(p: Polynomial) -> Polynomial:
-    """exp of a truncated series: sum of p^j / j! for j = 0..T.
-
-    Requires a zero constant term and a truncation bound T.
-    """
-    if p.trunc is None:
-        raise ValueError("series_exp requires a truncation bound")
-    if p.constant_term():
-        raise ValueError("series_exp requires a zero constant term")
-    acc = p.ring.one(p.trunc)
-    term = p.ring.one(p.trunc)
-    for j in range(1, p.trunc + 1):
-        term = (term * p).scale(Fraction(1, j))
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc
-
-
-def series_log(p: Polynomial) -> Polynomial:
-    """log of a truncated series: sum of (-1)^(j+1) (p-1)^j / j for j = 1..T.
-
-    Requires constant term 1 and a truncation bound T.
-    """
-    if p.trunc is None:
-        raise ValueError("series_log requires a truncation bound")
-    if p.constant_term() != 1:
-        raise ValueError("series_log requires constant term 1")
-    q = p - p.ring.one(p.trunc)
-    acc = p.ring.zero(p.trunc)
-    power = p.ring.one(p.trunc)
-    for j in range(1, p.trunc + 1):
-        power = power * q
-        if power.is_zero():
-            break
-        term = power.scale(Fraction(1, j))
-        acc = acc + term if j % 2 else acc - term
-    return acc
-
-
-def exact_div(num: Polynomial, den: Polynomial) -> Polynomial:
-    """Exact polynomial division: returns q with num = q * den.
-
-    Raises ``ValueError`` if den does not divide num and
-    ``ZeroDivisionError`` if den is zero.  Used by fraction-free
-    elimination, where divisibility is guaranteed; works with any monomial
-    order, here grlex.  The remainder is one dict from which c * x^e * den
-    is subtracted term by term.  As a truncated difference would, the first
-    subtraction also drops the terms of num above the smaller bound of the
-    two operands.
-    """
-    num._check_compatible(den)
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    den_lead, den_lc = max(den.terms.items(), key=lambda t: grlex_key(t[0]))
-    trunc = num._merge_trunc(num.trunc, den.trunc)
-    cut = trunc is not None and trunc != num.trunc
-    rem = dict(num.terms)
-    q_terms: dict = {}
-    while rem:
-        lead = max(rem, key=grlex_key)
-        e = tuple(a - b for a, b in zip(lead, den_lead))
-        if any(k < 0 for k in e):
-            raise ValueError("inexact polynomial division")
-        c = rem[lead] / den_lc
-        q_terms[e] = c
-        for ed, cd in den.terms.items():
-            t = tuple(map(add, ed, e))
-            if trunc is not None and sum(t) > trunc:
-                continue
-            v = rem.get(t)
-            v = -(c * cd) if v is None else v - c * cd
-            if v:
-                rem[t] = v
-            else:
-                rem.pop(t, None)
-        if cut:
-            rem = {t: v for t, v in rem.items() if sum(t) <= trunc}
-            cut = False
-    return num.ring.from_terms(q_terms)

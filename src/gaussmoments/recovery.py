@@ -12,14 +12,12 @@ moment equations:
    whose coefficient matrices are constant (their determinants are nonzero
    multiples of lambda*(1-lambda)*(mu21 - mu11));
 4. what remains is a system of four polynomial equations in the two unknown
-   mean coordinates of the second component.  Eliminating one unknown by a
-   Sylvester resultant and intersecting with the univariate residual by a
+   mean coordinates b2, b3 of the second component.  The residual of m003
+   is a polynomial g in b3 alone, so b3 leaves each coupled equation h
+   through the determinant of multiplication by h on Q[b2][b3]/(g), a
+   matrix of at most 3 x 3 (see ``_eliminant``).  Intersecting these
+   eliminants with the residual of m030, a polynomial in b2 alone, by a
    polynomial gcd leaves a linear factor, i.e. a unique rational solution.
-   The univariate residual in b3 is the resultant's first argument, so the
-   Sylvester rows with constant entries come first and Bareiss pivots on
-   constants before it multiplies polynomials.  That order changes the
-   resultant by the sign (-1)^(deg*deg) only, and only its roots are used:
-   the gcd is made monic.
 
 Every recovered parameter set is verified against all binom(n+3, 3) moment
 equations, and only a set that reproduces every moment is returned.
@@ -39,8 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, permutations
 
-from .linalg import poly_det
 from .moments import (GaussianParams, MixtureParams, MomentVector,
                       gaussian_moment_table, mixture_moments, multi_indices)
 from .polyring import Polynomial, PolyRing
@@ -158,34 +156,6 @@ def _coeffs_in(p: Polynomial, var: str) -> list[Polynomial]:
     return [ring.from_terms(b) for b in buckets]
 
 
-def _sylvester_resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
-    """Resultant eliminating ``var``; entries stay polynomials in the rest."""
-    ring = p.ring
-    if p.is_zero() or q.is_zero():
-        return ring.zero()
-    pc = _coeffs_in(p, var)
-    qc = _coeffs_in(q, var)
-    dp, dq = len(pc) - 1, len(qc) - 1
-    if dp == 0:
-        return pc[0] ** dq
-    if dq == 0:
-        return qc[0] ** dp
-    size = dp + dq
-    zero = ring.zero()
-    rows = []
-    for shift in range(dq):
-        row = [zero] * size
-        for t, c in enumerate(reversed(pc)):
-            row[shift + t] = c
-        rows.append(row)
-    for shift in range(dp):
-        row = [zero] * size
-        for t, c in enumerate(reversed(qc)):
-            row[shift + t] = c
-        rows.append(row)
-    return poly_det(rows)
-
-
 def _univariate(p: Polynomial, var: str) -> list[Fraction]:
     """Fraction coefficient list (ascending) of a polynomial that may only
     involve ``var``."""
@@ -195,6 +165,47 @@ def _univariate(p: Polynomial, var: str) -> list[Fraction]:
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def _eliminant(g: list[Fraction], h: Polynomial, var: str) -> Polynomial:
+    """The determinant of multiplication by h on Q[rest][var]/(g), in the
+    basis 1, var, ..., var^(k-1), k = deg g: the product of h over the roots
+    of g (with multiplicity), which is Res_var(g, h) / lc(g)^deg h.
+
+    g is a coefficient list (ascending, as from :func:`_univariate`), so
+    var^m mod g has rational coefficients, each matrix entry is a rational
+    combination of h's coefficients in var, and the determinant is a
+    Leibniz sum of k! products with no division.  Degenerate inputs follow
+    the Sylvester resultant: zero if g or h is zero, h^k if h does not
+    involve var, and 1 if g is a nonzero constant.
+    """
+    ring = h.ring
+    if not g or h.is_zero():
+        return ring.zero()
+    k = len(g) - 1
+    if k == 0:
+        return ring.one()
+    hc = _coeffs_in(h, var)
+    # reduced[m]: the coefficients of var^m mod g, for m < k + deg h
+    reduced = [[Fraction(r == m) for r in range(k)] for m in range(k)]
+    for _ in range(len(hc) - 1):
+        prev = reduced[-1]
+        top = prev[-1] / g[k]
+        reduced.append([(prev[r - 1] if r else 0) - top * g[r]
+                        for r in range(k)])
+    # column i is h * var^i mod g
+    matrix = [[sum((c.scale(reduced[i + j][r])
+                    for j, c in enumerate(hc) if reduced[i + j][r]),
+                   ring.zero())
+               for i in range(k)] for r in range(k)]
+    det = ring.zero()
+    for perm in permutations(range(k)):
+        term = ring.one()
+        for r, i in enumerate(perm):
+            term = term * matrix[r][i]
+        odd = sum(a > b for a, b in combinations(perm, 2)) % 2
+        det = det - term if odd else det + term
+    return det
 
 
 def _gcd_lists(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -337,8 +348,9 @@ def _recover_n3(inp: RecoveryInput, coords) -> RecoveryResult:
     m = inp.m
     st = _eliminate(inp)
 
-    res1 = _sylvester_resultant(st.e_b3, st.e_mix1, "b3")
-    res2 = _sylvester_resultant(st.e_b3, st.e_mix2, "b3")
+    g = _univariate(st.e_b3, "b3")
+    res1 = _eliminant(g, st.e_mix1, "b3")
+    res2 = _eliminant(g, st.e_mix2, "b3")
     b2_star = _unique_root(
         [_univariate(q, "b2") for q in (st.e_b2, res1, res2)],
         f"mu2{coords[1] + 1}")

@@ -149,9 +149,6 @@ class DefectRow:
         return (self.n, self.k, self.d, self.par, self.N, self.exp, self.dim,
                 self.delta, self.par_minus_dim)
 
-    def fills_ambient(self) -> bool:
-        return self.dim == self.N
-
     def is_defective(self) -> bool:
         return self.delta > 0
 

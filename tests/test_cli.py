@@ -205,6 +205,18 @@ class TestMalformedJson:
                             f"components[1] has no '{key}' key",
                             command=("moments", "--d", "2", "--params"))
 
+    @pytest.mark.parametrize("key,value,what", [
+        ("mean", ["1e1000000"], "mean entry '1e1000000'"),
+        ("cov", ["2.5E-3"], "cov entry '2.5E-3'"),
+        ("weight", "1e0", "weight '1e0'")])
+    def test_params_decimal_exponent(self, capsys, tmp_path, key, value,
+                                     what):
+        # Fraction would expand 1e1000000 into a million-digit integer
+        entry = dict({"weight": "1", "mean": ["0"], "cov": ["1"]},
+                     **{key: value})
+        self.check_rejected(capsys, tmp_path, {"components": [entry]},
+                            f"{what} has a decimal exponent",
+                            command=("moments", "--d", "2", "--params"))
 
     @pytest.mark.parametrize("top,message", [
         ({"n": 2, "k": 1}, "n = 2, but the components have dimension 1"),
@@ -570,6 +582,21 @@ class TestRecoverCli:
             2, "", f"usage error: {option} must be a rational number, "
             f"not {value!r}\n")
 
+    @pytest.mark.parametrize("option", ["--mu11", "--mu21"])
+    @pytest.mark.parametrize("value", ["1e10000", "1e100000000", "-2.5E-3",
+                                       "1.e5"])
+    def test_decimal_exponent_is_usage_error(self, capsys, tmp_path, option,
+                                             value):
+        # parsed at once: Fraction would expand 1e100000000 for minutes, and
+        # a recovered 1e10000 would trip the 4300-digit print limit
+        p = rand_mixture(SplitMix64(7), 3, 2, distinct_first=True)
+        path = write_moments(tmp_path, M.mixture_moments(p, 3))
+        values = {"--mu11": "1", "--mu21": "0", option: value}
+        assert run(capsys, "recover", "--moments", path,
+                   *(f"{k}={v}" for k, v in values.items())) == (
+            2, "", f"usage error: {option} must be a rational number without "
+            f"a decimal exponent (a/b or a decimal), not {value!r}\n")
+
     def test_equal_fixed_coordinates_stay_a_domain_error(self, capsys,
                                                          tmp_path):
         p = rand_mixture(SplitMix64(9), 3, 2, distinct_first=True)
@@ -656,6 +683,26 @@ class TestRecoverFuzz:
             assert out == "" and err.endswith("\n")
         else:
             assert err == "" and json.loads(out)["residual"] == "0"
+
+
+class TestDoubleDashValue:
+    """argparse reads --opt=-- as an empty list, which no option takes: a
+    one-line usage error, not a traceback."""
+
+    @pytest.mark.parametrize("argv,option", [
+        (("recover", "--moments", "M", "--mu11=--", "--mu21=1"), "--mu11"),
+        (("recover", "--moments", "M", "--mu11=1", "--mu21=--"), "--mu21"),
+        (("census", "--d", "3", "--n", "5", "--k", "3", "--seed=--"),
+         "--seed"),
+        (("census", "--n=--", "--d", "3", "--k", "3"), "--n"),
+        (("moments", "--params=--", "--d", "2"), "--params")],
+        ids=["mu11", "mu21", "seed", "census-n", "params"])
+    def test_usage_error(self, capsys, tmp_path, argv, option):
+        p = rand_mixture(SplitMix64(9), 3, 2, distinct_first=True)
+        path = write_moments(tmp_path, M.mixture_moments(p, 3))
+        argv = [path if a == "M" else a for a in argv]
+        assert run(capsys, *argv) == (
+            2, "", f"usage error: {option} needs a value, not '--'\n")
 
 
 class TestStructuralAndMatrix:

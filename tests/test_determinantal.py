@@ -7,9 +7,9 @@ import pytest
 
 from gaussmoments import determinantal as D
 from gaussmoments import moments as M
-from gaussmoments.linalg import poly_det, rank_rational
+from gaussmoments.linalg import rank_rational
 from gaussmoments.rng import SplitMix64
-from util import rand_fraction, rand_gaussian
+from util import poly_det_reference, rand_fraction, rand_gaussian
 
 
 class TestMomentMatrix:
@@ -136,12 +136,12 @@ class TestBandedMinors:
             assert nxt.coefficient((1, d - 3, 2)) == -comb(d - 1, 2)
 
     def test_recurrence_equals_the_matrix_minors(self):
-        # b_i is the minor that deletes column i, computed by poly_det
+        # b_i is the minor that deletes column i, computed by Bareiss
         for d in range(2, 15):
             rows = D.build_hilbert_burch(d).entries
             minors = tuple(
-                poly_det([[row[c] for c in range(d + 1) if c != i]
-                          for row in rows])
+                poly_det_reference([[row[c] for c in range(d + 1) if c != i]
+                                    for row in rows])
                 for i in range(d + 1))
             assert D.hb_minors(d) == minors
 

@@ -1,14 +1,15 @@
 """Moment generation, cumulant transforms, and their cross-oracles."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from gaussmoments import moments as M
-from gaussmoments.polyring import PolyRing, series_exp
+from gaussmoments.polyring import PolyRing
 from gaussmoments.rng import SplitMix64
-from util import rand_fraction, rand_gaussian, rand_mixture
+from util import (free_weight_mixture, index_factorial, moment_count,
+                  rand_fraction, rand_gaussian, rand_mixture)
 
 
 class TestMultiIndices:
@@ -20,7 +21,7 @@ class TestMultiIndices:
         assert M.multi_indices(2, 2, min_order=1)[0] == (0, 1)
 
     def test_count(self):
-        assert len(M.multi_indices(3, 4)) == M.moment_count(3, 4) == comb(7, 4)
+        assert len(M.multi_indices(3, 4)) == moment_count(3, 4) == comb(7, 4)
 
 
 class TestMomentPolynomials:
@@ -51,7 +52,9 @@ class TestMomentPolynomials:
     @pytest.mark.parametrize("n,d", [(1, 6), (1, 24), (2, 4), (3, 3)])
     def test_against_series_expansion(self, n, d):
         # independent oracle: expand the generating function
-        # exp(sum t_i mu_i + 1/2 sum sigma_ij t_i t_j) and read coefficients
+        # exp(sum t_i mu_i + 1/2 sum sigma_ij t_i t_j) as the sum of its
+        # argument's powers over j!, j <= d (the j-th power has no term of
+        # t-degree below j), and read coefficients
         tnames = [f"t{i}" for i in range(1, n + 1)]
         pring = M.parameter_ring(n)
         ring = PolyRing(tnames + list(pring.vars))
@@ -74,8 +77,11 @@ class TestMomentPolynomials:
                 e[j] += 1
                 e[n + M.sigma_var_index(n, i, j)] = 1
                 terms[tuple(e)] = Fraction(1) if i != j else Fraction(1, 2)
-        arg = ring.from_terms(terms, trunc=2 * d)
-        series = series_exp(arg)
+        arg = ring.from_terms(terms)
+        series, power = ring.one(), ring.one()
+        for j in range(1, d + 1):
+            power = power * arg
+            series = series + power.scale(Fraction(1, factorial(j)))
 
         mp = M.moment_polynomials(n, d)
         collected = {idx: {} for idx in M.multi_indices(n, d)}
@@ -84,7 +90,7 @@ class TestMomentPolynomials:
             if sum(tpart) <= d and tpart in collected:
                 collected[tpart][e[n:]] = c
         for idx in M.multi_indices(n, d):
-            want = {e: c * M.index_factorial(idx)
+            want = {e: c * index_factorial(idx)
                     for e, c in collected[idx].items()}
             assert dict(mp[idx].terms) == want, idx
 
@@ -200,8 +206,7 @@ class TestMixtureMoments:
 
     def test_from_free_weights(self):
         g = M.GaussianParams((0,), (1,))
-        p = M.MixtureParams.from_free_weights((g, g, g),
-                                              (Fraction(1, 5), Fraction(2, 5)))
+        p = free_weight_mixture((g, g, g), (Fraction(1, 5), Fraction(2, 5)))
         assert p.weights == (Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))
 
 
@@ -252,6 +257,32 @@ class TestCumulants:
             vals[(0,) * n] = Fraction(1)
             mv2 = M.MomentVector(n, d, vals)
             assert M.cumulants_to_moments(M.moments_to_cumulants(mv2)) == mv2
+
+
+class TestCumulantSympyOracle:
+    """The moment-cumulant recursion against sympy's series of the log of
+    the moment generating function, sum m_a t^|a| x^a / a!, in t."""
+
+    @pytest.mark.parametrize("n,d", [(1, 5), (2, 5), (3, 5)])
+    def test_log_of_the_mgf(self, n, d):
+        sympy = pytest.importorskip("sympy")
+        mv = M.mixture_moments(rand_mixture(SplitMix64(70 + n), n, 2), d)
+        xs = sympy.symbols(f"x1:{n + 1}")
+        t = sympy.Symbol("t")
+
+        def monomial(a):
+            return sympy.Mul(*(x ** k for x, k in zip(xs, a)))
+
+        mgf = sympy.Add(*(
+            sympy.Rational(v.numerator, v.denominator * index_factorial(a))
+            * monomial(a) * t ** sum(a) for a, v in mv.items()))
+        log = sympy.Poly(sympy.series(sympy.log(mgf), t, 0, d + 1)
+                         .removeO().subs(t, 1), *xs)
+        cum = M.moments_to_cumulants(mv)
+        for a in M.multi_indices(n, d, min_order=1):
+            want = log.coeff_monomial(monomial(a)) * index_factorial(a)
+            assert cum[a] == Fraction(int(want.p), int(want.q)), a
+        assert M.cumulants_to_moments(cum) == mv
 
 
 class TestMembershipCharacterizations:

@@ -255,21 +255,36 @@ class TestRejections:
         assert "secant" in str(err.value)
 
 
+def sympy_coeffs(expr, var):
+    """Ascending rational coefficient list of a sympy polynomial in var,
+    without trailing zeros."""
+    sympy = pytest.importorskip("sympy")
+    out = [Fraction(int(c.p), int(c.q))
+           for c in reversed(sympy.Poly(expr, var).all_coeffs())]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 class TestFinalSystemOracle:
     def test_unique_solution_by_resultants(self):
         # independent enumeration of the final bivariate system: the gcd of
-        # the univariate residual with the two resultant eliminants must be
-        # linear (exactly one common root), and likewise for the second
-        # unknown after substitution
+        # the univariate residual with sympy's resultants of the coupled
+        # equations and the residual in b3 must be linear (exactly one
+        # common root), and likewise for the second unknown after
+        # substitution
+        sympy = pytest.importorskip("sympy")
+        b2, b3 = sympy.symbols("b2 b3")
         rng = SplitMix64(600)
         for _ in range(10):
             p, mv = make_instance(rng, 3)
             inp = R.RecoveryInput(mv, p.components[0].mean[0],
                                   p.components[1].mean[0])
             st = R._eliminate(inp)
-            res1 = R._sylvester_resultant(st.e_mix1, st.e_b3, "b3")
-            res2 = R._sylvester_resultant(st.e_mix2, st.e_b3, "b3")
-            cands = [R._univariate(q, "b2") for q in (st.e_b2, res1, res2)]
+            cands = [R._univariate(st.e_b2, "b2")] + [
+                sympy_coeffs(sympy.resultant(to_sympy(st.e_b3), to_sympy(q),
+                                             b3), b2)
+                for q in (st.e_mix1, st.e_mix2)]
             g = cands[0]
             for c in cands[1:]:
                 if c:
@@ -324,37 +339,88 @@ class TestHotPathCounts:
             assert len(calls) <= 69
 
 
-class TestResultantArgumentOrder:
+def eliminant_ratio(g, h):
+    """sympy's resultant of g and h in x over R._eliminant(g, h, "x"), a
+    rational constant, or None if both are zero."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    g_expr = sympy.Add(*(sympy.Rational(c.numerator, c.denominator) * x ** i
+                         for i, c in enumerate(g)))
+    res = sympy.expand(sympy.resultant(g_expr, to_sympy(h), x))
+    got = to_sympy(R._eliminant(g, h, "x"))
+    if got == 0 or res == 0:
+        assert got == res == 0
+        return None
+    ratio = sympy.cancel(res / got)
+    assert ratio.is_Rational, ratio
+    return Fraction(int(ratio.p), int(ratio.q))
+
+
+def lc_powers(g, h):
+    """+- lc(g)^deg h: the ratio of the resultant to the eliminant."""
+    lc = g[-1] ** max(h.degree_in("x"), 0)
+    return {lc, -lc}
+
+
+class TestEliminant:
+    """R._eliminant(g, h) is Res_x(g, h) / lc(g)^deg h up to sign: the
+    ratio to sympy's resultant is +- lc(g)^deg h, and zero matches zero."""
+
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2 ** 64 - 1), st.booleans())
-    def test_swapped_arguments_change_only_the_sign(self, seed, constant):
-        # constant: p has constant coefficients in x, like e_b3 in recovery
+    @given(st.lists(st.fractions(min_value=-4, max_value=4,
+                                 max_denominator=3), max_size=5),
+           st.integers(0, 2 ** 64 - 1), st.sampled_from(["x", "none", "0"]))
+    def test_ratio_to_the_resultant(self, g, seed, kind):
+        while g and g[-1] == 0:
+            g.pop()
         ring = PolyRing(["x", "y"])
         rng = SplitMix64(seed)
-        p = rand_poly(ring, rng, max_terms=4)
-        if constant:
-            p = p.substitute({"y": rand_fraction(rng)})
-        q = rand_poly(ring, rng, max_terms=4)
-        dp, dq = max(p.degree_in("x"), 0), max(q.degree_in("x"), 0)
-        assert (R._sylvester_resultant(p, q, "x")
-                == R._sylvester_resultant(q, p, "x").scale((-1) ** (dp * dq)))
+        h = rand_poly(ring, rng, max_terms=4)
+        if kind == "none":
+            h = h.substitute({"x": rand_fraction(rng)})
+        elif kind == "0":
+            h = ring.zero()
+        ratio = eliminant_ratio(g, h)
+        if ratio is not None:
+            assert ratio in lc_powers(g, h)
+
+    def test_degenerate_inputs(self):
+        ring = PolyRing(["x", "y"])
+        x, y = ring.var("x"), ring.var("y")
+        h = x * y + ring.const(2)
+        g = [Fraction(1), Fraction(0), Fraction(3)]
+        # g or h zero
+        assert R._eliminant([], h, "x").is_zero()
+        assert R._eliminant(g, ring.zero(), "x").is_zero()
+        # h without x: h^deg g
+        assert R._eliminant(g, y + ring.one(), "x") == (y + ring.one()) ** 2
+        # g a nonzero constant
+        assert R._eliminant([Fraction(-5)], h, "x") == ring.one()
+        for g_, h_ in (([], h), (g, y + ring.one()), ([Fraction(-5)], h)):
+            ratio = eliminant_ratio(g_, h_)
+            assert ratio is None or ratio in lc_powers(g_, h_)
+
+    def test_product_over_the_roots(self):
+        # g = 2(x - 1)(x - 2)(x + 3): the eliminant is h(1) h(2) h(-3)
+        ring = PolyRing(["x", "y"])
+        x, y = ring.var("x"), ring.var("y")
+        g = [Fraction(12), Fraction(-14), Fraction(0), Fraction(2)]
+        h = x * x * y - x + ring.const(Fraction(1, 2))
+        want = ring.one()
+        for root in (1, 2, -3):
+            want = want * h.substitute({"x": root})
+        assert R._eliminant(g, h, "x") == want
 
 
 class TestSympyOracle:
     def test_sylvester_resultant(self):
-        sympy = pytest.importorskip("sympy")
+        # the eliminant of a random g in x alone and a random h in x, y
+        # against sympy's Sylvester resultant
         ring = PolyRing(["x", "y"])
         rng = SplitMix64(800)
         for _ in range(30):
-            p, q = rand_poly(ring, rng), rand_poly(ring, rng)
-            dp, dq = p.degree_in("x"), q.degree_in("x")
-            # sympy 1.14 drops the sign (-1)^(dp*dq) when the first argument
-            # has the lower degree, so the higher degree goes first
-            if dp < dq:
-                p, q, dp, dq = q, p, dq, dp
-            expected = sympy.resultant(to_sympy(p), to_sympy(q),
-                                       sympy.Symbol("x"))
-            got = to_sympy(R._sylvester_resultant(p, q, "x"))
-            swapped = to_sympy(R._sylvester_resultant(q, p, "x"))
-            assert sympy.expand(got - expected) == 0
-            assert sympy.expand(swapped - (-1) ** (dp * dq) * expected) == 0
+            g = R._univariate(rand_poly(ring, rng).substitute(
+                {"y": rand_fraction(rng)}), "x")
+            h = rand_poly(ring, rng)
+            ratio = eliminant_ratio(g, h)
+            assert ratio is None or ratio in lc_powers(g, h)

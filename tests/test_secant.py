@@ -10,7 +10,8 @@ from gaussmoments import moments as M
 from gaussmoments import secant as S
 from gaussmoments.linalg import rank_mod_p
 from gaussmoments.rng import SplitMix64
-from util import jacobian_reference, rand_mixture, terracini_reference
+from util import (fills_ambient, jacobian_reference, rand_mixture,
+                  terracini_reference)
 
 P31 = 2 ** 31 - 1
 
@@ -265,7 +266,7 @@ class TestCensus:
                             trials=1, seed=11, prime=P31)
         assert [(r.n, r.k) for r in all_rows] == [(5, 3), (5, 4), (5, 5), (5, 6)]
         fills = [r for r in all_rows if r.k > 3]
-        assert all(r.fills_ambient() and not r.is_defective() for r in fills)
+        assert all(fills_ambient(r) and not r.is_defective() for r in fills)
 
     def test_row_shape(self):
         row, cert = S.defect_row(S.SecantProblem(6, 3, 4), trials=1, seed=11,

@@ -3,6 +3,7 @@ and polynomials (SplitMix64-backed so runs are reproducible), and the
 reference implementations that fast paths are checked against."""
 
 from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 
@@ -45,33 +46,53 @@ def rand_mixture(rng: SplitMix64, n: int, k: int,
     return MixtureParams(tuple(comps), tuple(weights))
 
 
-def rand_poly(ring, rng: SplitMix64, max_terms: int = 6, max_exp: int = 3,
-              trunc=None):
+def rand_poly(ring, rng: SplitMix64, max_terms: int = 6, max_exp: int = 3):
     terms = {}
     nvars = len(ring.vars)
     for _ in range(rng.below(max_terms) + 1):
         e = tuple(rng.below(max_exp + 1) for _ in range(nvars))
         terms[e] = rand_fraction(rng)
-    return ring.from_terms(terms, trunc=trunc)
+    return ring.from_terms(terms)
+
+
+def free_weight_mixture(components, free_weights) -> MixtureParams:
+    """A mixture from k-1 free weights; the last is 1 minus their sum."""
+    free = [Fraction(w) for w in free_weights]
+    return MixtureParams(tuple(components), tuple(free + [1 - sum(free)]))
+
+
+def moment_count(n: int, d: int) -> int:
+    """Number of moments of order <= d, i.e. N + 1 = binom(n+d, d)."""
+    return comb(n + d, d)
+
+
+def index_factorial(idx) -> int:
+    """a! = a_1! ... a_n! for a multi-index a."""
+    f = 1
+    for i in idx:
+        f *= factorial(i)
+    return f
+
+
+def fills_ambient(row) -> bool:
+    """Whether a census row's secant variety fills its ambient space."""
+    return row.dim == row.N
 
 
 def mul_reference(a: Polynomial, b: Polynomial) -> Polynomial:
     """Polynomial product with a zero test after every term product: the
     reference that Polynomial.__mul__ is checked against."""
     a._check_compatible(b)
-    trunc = a._merge_trunc(a.trunc, b.trunc)
     out: dict = {}
     for ea, ca in a.terms.items():
         for eb, cb in b.terms.items():
-            if trunc is not None and sum(ea) + sum(eb) > trunc:
-                continue
             e = tuple(x + y for x, y in zip(ea, eb))
             s = out.get(e, 0) + ca * cb
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-    return Polynomial(a.ring, out, trunc)
+    return Polynomial(a.ring, out)
 
 
 def substitute_reference(p: Polynomial, mapping) -> Polynomial:
@@ -87,7 +108,7 @@ def substitute_reference(p: Polynomial, mapping) -> Polynomial:
             subs[i] = val
         else:
             subs[i] = ring.const(val)
-    out = ring.zero(p.trunc)
+    out = ring.zero()
     for e, c in p.terms.items():
         rest = list(e)
         factor = None
@@ -97,15 +118,15 @@ def substitute_reference(p: Polynomial, mapping) -> Polynomial:
                 rest[i] = 0
                 qk = q ** k
                 factor = qk if factor is None else factor * qk
-        term = ring.monomial(tuple(rest), c, p.trunc)
+        term = ring.monomial(tuple(rest), c)
         out = out + (term * factor if factor is not None else term)
     return out
 
 
 def exact_div_reference(num: Polynomial, den: Polynomial) -> Polynomial:
     """Exact division that rebuilds the remainder as a polynomial after every
-    quotient term: the reference that polyring.exact_div is checked
-    against."""
+    quotient term, in grlex order.  Raises ``ValueError`` if den does not
+    divide num and ``ZeroDivisionError`` if den is zero."""
     num._check_compatible(den)
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
@@ -122,6 +143,39 @@ def exact_div_reference(num: Polynomial, den: Polynomial) -> Polynomial:
         q_terms[e] = c
         rem = rem - den * ring.monomial(e, c)
     return ring.from_terms(q_terms)
+
+
+def poly_det_reference(rows) -> Polynomial:
+    """Determinant of a square matrix of polynomials by fraction-free
+    Bareiss elimination: intermediate entries are minors, so each division
+    by the previous pivot is exact (:func:`exact_div_reference`).  The
+    oracle that determinantal.hb_minors is checked against."""
+    n = len(rows)
+    if n == 0:
+        raise ValueError("determinant of an empty matrix")
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant of a non-square matrix")
+    ring = rows[0][0].ring
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            piv = next((i for i in range(k + 1, n) if not m[i][k].is_zero()),
+                       None)
+            if piv is None:
+                return ring.zero()
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = (exact_div_reference(num, prev) if prev is not None
+                           else num)
+            m[i][k] = ring.zero()
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return -det if sign < 0 else det
 
 
 def to_sympy(p):
