@@ -20,6 +20,7 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
 
@@ -29,22 +30,34 @@ from .polyring import is_prime
 from .rng import PRNG_NAME
 
 
+def _shown(value) -> str:
+    """str(value) for a message, cut to its first 20 characters and its
+    length when it is longer than 40, so that an error stays one short
+    line."""
+    text = str(value)
+    if len(text) <= 40:
+        return text
+    return f"{text[:20]}... ({len(text)} characters)"
+
+
 def _parse_int(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise SystemExit2(f"{what} must be an integer, not {text!r}") from None
+        raise SystemExit2(f"{what} must be an integer, not "
+                          f"{_shown(text)!r}") from None
 
 
 def _parse_fraction(text: str, what: str) -> Fraction:
     if moments.DECIMAL_EXPONENT.search(text):
         raise SystemExit2(f"{what} must be a rational number without a "
-                          f"decimal exponent (a/b or a decimal), not {text!r}")
+                          "decimal exponent (a/b or a decimal), not "
+                          f"{_shown(text)!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise SystemExit2(f"{what} must be a rational number, not "
-                          f"{text!r}") from None
+                          f"{_shown(text)!r}") from None
 
 
 def _parse_range(text: str) -> list[int]:
@@ -108,9 +121,12 @@ def _rank_config(args, d: int) -> dict:
                                           str(secant.DEFAULT_PRIME)),
                            "GAUSSMOMENTS_PRIME")
     if prime >= PRIME_LIMIT:
-        raise SystemExit2(f"--prime {prime} must be below 2^62")
+        raise SystemExit2(f"--prime {_shown(prime)} must be below 2^62")
     if not is_prime(prime):
         raise SystemExit2(f"--prime {prime} is not prime")
+    if d > 20:  # 21! > 2^62 > prime, and d! is not formed
+        raise SystemExit2(f"--prime {prime} must exceed d!, which is above "
+                          f"2^62 for --d {_shown(d)}")
     if prime <= factorial(d):
         raise SystemExit2(f"--prime {prime} must exceed d! = {factorial(d)}")
     if args.trials < 1:
@@ -128,7 +144,7 @@ class SystemExit2(Exception):
 
 def _check_order(d: int | None) -> None:
     if d is not None and d < 1:
-        raise SystemExit2(f"--d must be at least 1, not {d}")
+        raise SystemExit2(f"--d must be at least 1, not {_shown(d)}")
 
 
 def _cmd_moments(args) -> int:
@@ -429,7 +445,29 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     return out
 
 
+@contextmanager
+def _whole_ints():
+    """Lift Python's limit on the digits of int <-> str conversions (4300
+    by default, in CPython 3.11 and 3.10.7 on) and restore it on exit:
+    exact inputs and results can be longer, and are read and printed
+    whole."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit to lift
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
+    with _whole_ints():
+        return _main(argv)
+
+
+def _main(argv) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_signed_values(argv))

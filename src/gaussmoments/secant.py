@@ -33,7 +33,11 @@ of every k <= K as a column prefix.  The component values of a trial come
 from one stream, derive_seed(seed, n, d, trial), drawn one component after
 another, so they do not depend on k, and one elimination's column rank
 profile gives the rank for every k <= K: :func:`census` does one
-elimination per (n, trial).
+elimination per (n, trial).  For d >= 2 that elimination starts below the
+first component's order-<=2 block, which is invertible in closed form: only
+the Schur complement of that block is eliminated (:func:`_layout_profile`
+says why the profile is preserved), and :func:`secant_dimension` does the
+same.
 
 A reported dimension is a certified lower bound for the generic rank; by
 Schwartz-Zippel it equals the generic rank with probability at least
@@ -48,11 +52,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
 
-from .linalg import PRIME_LIMIT, _fold, rank_mod_p, rank_profile_mod_p
+# rank_mod_p stays importable here: bench/spans.py wraps secant.rank_mod_p
+from .linalg import (PRIME_LIMIT, _fold, _sub_matmul, rank_mod_p,  # noqa: F401
+                     rank_profile_mod_p)
 from .moments import (Index, MixtureParams, gaussian_moment_table,
                       lower_index, multi_indices, sigma_var_index)
 from .rng import PRNG_NAME, SplitMix64, derive_seed
@@ -185,6 +192,26 @@ def _moment_residues(n: int, d: int, comp_vals, p: int):
     return (moments % p).astype(np.int64)
 
 
+@lru_cache(maxsize=32)
+def _partials_index(n: int, d: int):
+    """Where :func:`_moment_blocks` puts each nonzero partial c * m_b, as
+    read-only intp arrays: its row (the moment differentiated, less 1), its
+    column in a component's block (1 + parameter position), the graded-lex
+    position of b, and which of the distinct coefficients ``scales`` c is.
+    They do not depend on the point, so they are built once per (n, d)."""
+    # a moment's position in the graded-lex table; order 0 is position 0,
+    # so the moments of order 1..d (the rows) sit at positions 1..N
+    index = {a: i for i, a in enumerate(multi_indices(n, d))}
+    rows, cols, coefs, srcs = np.array(
+        [(index[a] - 1, j + 1, c, index[b]) for a in list(index)[1:]
+         for j, c, b in _partials(a)], dtype=np.intp).T
+    scales, which = np.unique(coefs, return_inverse=True)
+    out = rows, cols, srcs, scales, which
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def _moment_blocks(n: int, d: int, comp_vals, p: int):
     """All K components at once, as an N x K x (m+1) int64 array B of
     residues mod p: B[:, l, 0] is M_l, the moments of order 1..d of
@@ -197,21 +224,15 @@ def _moment_blocks(n: int, d: int, comp_vals, p: int):
     """
     m = n * (n + 3) // 2
     moments = _moment_residues(n, d, comp_vals, p)
-    # a moment's position in the graded-lex table; order 0 is position 0,
-    # so the moments of order 1..d (the rows) sit at positions 1..N
-    index = {a: i for i, a in enumerate(multi_indices(n, d))}
-    rows, cols, coefs, srcs = np.array(
-        [(index[a] - 1, j, c, index[b]) for a in list(index)[1:]
-         for j, c, b in _partials(a)], dtype=np.intp).T
+    rows, cols, srcs, scales, which = _partials_index(n, d)
     # c * x mod p for x < p: the int64 product wraps, and its quotient
     # estimate x * (c/p) < c is off by far less than the 1 _fold allows
-    scales, which = np.unique(coefs, return_inverse=True)
     scaled = np.stack([_fold(c * moments, moments * (c / p), p)
                        for c in scales])
     blocks = np.zeros((len(moments) - 1, len(comp_vals), m + 1),
                       dtype=np.int64)
     blocks[:, :, 0] = moments[1:]
-    blocks[rows, :, cols + 1] = scaled[which, srcs]
+    blocks[rows, :, cols] = scaled[which, srcs]
     return blocks
 
 
@@ -224,6 +245,53 @@ def _terracini_mod_p(n: int, d: int, comp_vals, p: int):
     moments = blocks[:, :, 0]
     moments[:] = (moments - moments[:, :1]) % p
     return blocks.reshape(len(blocks), -1)[:, 1:]
+
+
+def _unit_columns(n: int) -> list[int]:
+    """For each moment of order 1 and 2, in graded-lex order, the coordinate
+    in which its partial is 1: mu_i for x_i, and sigma_ij for x_i x_j."""
+    cols = []
+    for a in multi_indices(n, 2, min_order=1):
+        pos = [i for i in range(n) for _ in range(a[i])]
+        cols.append(pos[0] if len(pos) == 1 else sigma_var_index(n, *pos))
+    return cols
+
+
+def _layout_profile(layout, n: int, d: int, p: int) -> list[int]:
+    """Column rank profile mod p of a layout from :func:`_terracini_mod_p`,
+    eliminating only the Schur complement of its first m x m block; the
+    layout is overwritten.
+
+    For d >= 2 the first m = n(n+3)/2 rows, the moments of order 1 and 2,
+    meet the first m columns, component 1's partials, in
+    T = [[P1, 0], [X, P2]]: the row of x_i has a 1 in column mu_i, that of
+    x_i x_j a 1 in column sigma_ij (:func:`_unit_columns`), and X holds the
+    order-2 rows' mean partials mu_j and 2 mu_i.  So T is invertible at
+    every point and every prime.  With L = [[T, B], [C, D]], subtracting
+    C T^-1 times the first m rows from the others changes no dependency
+    among the columns, and then subtracting the first m columns times
+    T^-1 B from the later ones adds to each column a combination of
+    earlier ones.  Neither step changes the column rank profile, and they
+    leave [[T, 0], [0, S]] with S = D - C T^-1 B.  So the profile is
+    0..m-1 followed by m + the profile of S.
+
+    S is formed in place on the layout.  With P = diag(P1, P2),
+    T^-1 B = [P1^T B1; P2^T (B2 - X P1^T B1)] = P^T B' for
+    B' = [B1; B2 - X P1^T B1].  B2 is overwritten by B2 - X P1^T B1, and D
+    by S = D - (C P^T) B'.  X P1^T and C P^T are the columns of X and C in
+    the order of the rows' unit entries, taken from the index maps and not
+    from matrix values, so each update is one _sub_matmul.  At d = 1 there
+    are no order-2 rows, and the whole layout is eliminated.
+    """
+    if d < 2:
+        return rank_profile_mod_p(layout, p)
+    m = n * (n + 3) // 2
+    cols = _unit_columns(n)
+    b = layout[:m, m:]
+    _sub_matmul(b[n:], layout[n:m, cols[:n]], b[:n], p)
+    _sub_matmul(layout[m:, m:], layout[m:, cols], b, p)
+    return list(range(m)) + [m + j for j in
+                             rank_profile_mod_p(layout[m:, m:], p)]
 
 
 def _check_prime(d: int, prime: int) -> None:
@@ -316,9 +384,9 @@ def secant_dimension(problem: SecantProblem, trials: int = DEFAULT_TRIALS,
                      prime: int = DEFAULT_PRIME) -> tuple[int, RankCertificate]:
     """Dimension of the k-th secant variety as the max Jacobian rank over
     seeded random prime-field points, with a reproducible certificate."""
-    ranks = tuple(rank_mod_p(layout, prime) for layout in
-                  _layouts(problem.n, problem.d, problem.k, trials, seed,
-                           prime))
+    n, d = problem.n, problem.d
+    ranks = tuple(len(_layout_profile(layout, n, d, prime)) for layout in
+                  _layouts(n, d, problem.k, trials, seed, prime))
     return _certified(problem, ranks, seed, prime)
 
 
@@ -347,7 +415,7 @@ def census(d: int, n_values, k_values, defective_only: bool = True,
         if not problems:
             continue
         # the rank of a problem's layout is that of its column prefix
-        profiles = [rank_profile_mod_p(layout, prime) for layout in
+        profiles = [_layout_profile(layout, n, d, prime) for layout in
                     _layouts(n, d, problems[-1].k, trials, seed, prime)]
         for problem in problems:
             ranks = tuple(bisect_left(profile, problem.parameters)

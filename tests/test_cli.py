@@ -3,14 +3,18 @@
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussmoments import moments as M
+from gaussmoments import secant as S
 from gaussmoments.cli import main
+from gaussmoments.linalg import rank_mod_p
 from gaussmoments.rng import SplitMix64
 from util import rand_mixture
 
@@ -587,8 +591,7 @@ class TestRecoverCli:
                                        "1.e5"])
     def test_decimal_exponent_is_usage_error(self, capsys, tmp_path, option,
                                              value):
-        # parsed at once: Fraction would expand 1e100000000 for minutes, and
-        # a recovered 1e10000 would trip the 4300-digit print limit
+        # parsed at once: Fraction would expand 1e100000000 for minutes
         p = rand_mixture(SplitMix64(7), 3, 2, distinct_first=True)
         path = write_moments(tmp_path, M.mixture_moments(p, 3))
         values = {"--mu11": "1", "--mu21": "0", option: value}
@@ -683,6 +686,136 @@ class TestRecoverFuzz:
             assert out == "" and err.endswith("\n")
         else:
             assert err == "" and json.loads(out)["residual"] == "0"
+
+
+def run_captured(argv):
+    """main(argv) with its streams captured: (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestLongNumbers:
+    """Python refuses int <-> str conversions above 4300 digits by default.
+    The CLI reads and prints exact numbers of any length, restores the
+    limit when it returns, and echoes a long malformed value cut short."""
+
+    @pytest.mark.parametrize("digits", [4001, 10001])
+    def test_long_fixed_coordinate(self, capsys, tmp_path, digits):
+        p = rand_mixture(SplitMix64(7), 3, 2, distinct_first=True)
+        path = write_moments(tmp_path, M.mixture_moments(p, 3))
+        limit = sys.get_int_max_str_digits()
+        mu11 = "1" + "0" * (digits - 1)
+        code, out, err = run(capsys, "recover", "--moments", path,
+                             f"--mu11={mu11}", "--mu21=0")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        data = json.loads(out)
+        assert data["residual"] == "0"
+        assert data["params"]["components"][0]["mean"][0] == mu11
+
+    def test_long_mean_in_a_params_file(self, capsys, tmp_path):
+        mean = "1" + "0" * 4000
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"components": [
+            {"weight": "1", "mean": [mean], "cov": ["1"]}]}))
+        code, out, err = run(capsys, "moments", "--params", str(path),
+                             "--d", "2")
+        assert (code, err) == (0, "")
+        # m1 = mean and m2 = mean^2 + 1, printed whole
+        assert f'"num": {mean},' in out
+        assert '"num": 1' + "0" * 7999 + "1," in out
+
+    @pytest.mark.parametrize("option", ["--mu11", "--mu21"])
+    def test_long_malformed_value_is_one_short_line(self, capsys, tmp_path,
+                                                    option):
+        p = rand_mixture(SplitMix64(7), 3, 2, distinct_first=True)
+        path = write_moments(tmp_path, M.mixture_moments(p, 3))
+        values = {"--mu11": "1", "--mu21": "0", option: "1" * 10000 + "x"}
+        assert run(capsys, "recover", "--moments", path,
+                   *(f"{k}={v}" for k, v in values.items())) == (
+            2, "", f"usage error: {option} must be a rational number, not "
+            "'11111111111111111111... (10001 characters)'\n")
+
+    @pytest.mark.parametrize("d,shown", [
+        ("21", "21"), ("2000", "2000"),
+        ("1" + "0" * 5000, "10000000000000000000... (5001 characters)")])
+    def test_large_order_is_one_short_line(self, capsys, d, shown):
+        # d! is above every prime the kernel takes, and is not printed
+        assert run(capsys, "dim", "--n", "1", "--d", d, "--k", "1",
+                   "--prime", str(P31)) == (
+            2, "", f"usage error: --prime {P31} must exceed d!, which is "
+            f"above 2^62 for --d {shown}\n")
+
+    def test_long_prime_is_one_short_line(self, capsys):
+        assert run(capsys, "dim", "--n", "1", "--d", "3", "--k", "1",
+                   "--prime", "1" + "0" * 5000) == (
+            2, "", "usage error: --prime 10000000000000000000... "
+            "(5001 characters) must be below 2^62\n")
+
+
+# census/dim option values: --d 1..5 and ranges that may be empty, reversed
+# or not integers; primes that may be composite, at most d! or at least
+# 2^62; 0 to 3 trials.  Valid values are drawn more often, so that about
+# half the runs reach the rank computation.
+RANGE_TEXT = st.integers(0, 3).flatmap(lambda pick: st.sampled_from(
+    ["", "..", "2..", "..3", "x", "1..y", "2.5", "1..2..3", "3..1", "4..0"])
+    if pick == 0 else st.tuples(st.integers(0, 4), st.integers(0, 2)).map(
+        lambda b: f"{b[0]}..{b[0] + b[1]}" if b[1] else str(b[0])))
+PRIMES = st.integers(0, 3).flatmap(lambda pick: st.sampled_from(
+    [2, 5, 23, 113, 719, 91, 2 ** 31 - 3, 2 ** 62, 2 ** 62 + 135,
+     2 ** 64 - 59]) if pick == 0 else st.sampled_from(
+    [7919, 2 ** 21 - 9, 2 ** 31 - 1, S.DEFAULT_PRIME]))
+
+
+@st.composite
+def rank_argv(draw):
+    d = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        argv = ["census", "--d", str(d), "--n", draw(RANGE_TEXT),
+                "--k", draw(RANGE_TEXT)]
+        if draw(st.booleans()):
+            argv.append("--defective-only")
+    else:
+        argv = ["dim", "--d", str(d), "--n", str(draw(st.integers(0, 4))),
+                "--k", str(draw(st.integers(0, 4)))]
+    return argv + ["--prime", str(draw(PRIMES)),
+                   "--trials", str(draw(st.sampled_from([0, 1, 1, 2, 3]))),
+                   "--seed", str(draw(st.integers(0, 2 ** 64))),
+                   "--format", "json"]
+
+
+def full_layout_rank(n, d, k, trials, seed, prime):
+    """The max over trials of the rank of the whole layout of k components,
+    with no Schur step."""
+    return max(rank_mod_p(layout, prime)
+               for layout in S._layouts(n, d, k, trials, seed, prime))
+
+
+class TestRankFuzz:
+    """Random census/dim argv: exit 0, 1 or 2, no traceback, one stderr line
+    at most, no output on error, and on success every dimension equal to the
+    rank of the whole layout."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rank_argv())
+    def test_exit_codes_streams_and_ranks(self, argv):
+        code, out, err = run_captured(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err and err.count("\n") <= 1
+        if code:
+            assert out == "" and err.endswith("\n")
+            return
+        data = json.loads(out)
+        cfg = data["config"]
+        d = int(argv[2])
+        assert 1 <= cfg["trials"] and factorial(d) < cfg["prime"] < 2 ** 62
+        rows = data["rows"] if argv[0] == "census" else [data["row"]]
+        for row in rows:
+            assert row["dim"] == full_layout_rank(
+                row["n"], d, row["k"], cfg["trials"], cfg["seed"],
+                cfg["prime"]), row
 
 
 class TestDoubleDashValue:

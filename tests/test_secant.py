@@ -8,10 +8,10 @@ import pytest
 
 from gaussmoments import moments as M
 from gaussmoments import secant as S
-from gaussmoments.linalg import rank_mod_p
+from gaussmoments.linalg import rank_mod_p, rank_profile_mod_p
 from gaussmoments.rng import SplitMix64
 from util import (fills_ambient, jacobian_reference, rand_mixture,
-                  terracini_reference)
+                  rank_mod_p_oracle, terracini_reference)
 
 P31 = 2 ** 31 - 1
 
@@ -294,22 +294,24 @@ class TestCensus:
             assert row.dim == dim, (row.n, row.k)
 
     def test_dim_point_is_a_census_prefix(self, monkeypatch):
-        seen = {}
+        # both eliminate the Schur complement of component 1's block, whose
+        # columns depend only on the layout columns above them
+        seen = []
+        kernel = S.rank_profile_mod_p
 
-        def keep(name, kernel):
-            def wrapper(rows, p):
-                seen.setdefault(name, []).append(rows.copy())
-                return kernel(rows, p)
-            monkeypatch.setattr(S, name, wrapper)
-        keep("rank_profile_mod_p", S.rank_profile_mod_p)
-        keep("rank_mod_p", S.rank_mod_p)
+        def keep(rows, p):
+            seen.append(rows.copy())
+            return kernel(rows, p)
+        monkeypatch.setattr(S, "rank_profile_mod_p", keep)
         S.census(3, [4], range(1, 6), trials=2, seed=5, prime=P31)
         S.secant_dimension(S.SecantProblem(4, 3, 3), trials=2, seed=5,
                            prime=P31)
-        cols = S.SecantProblem(4, 3, 3).parameters
-        assert len(seen["rank_profile_mod_p"]) == len(seen["rank_mod_p"]) == 2
-        for big, small in zip(seen["rank_profile_mod_p"], seen["rank_mod_p"]):
-            assert big.shape[1] == S.SecantProblem(4, 3, 5).parameters
+        m = 4 * 7 // 2
+        cols = S.SecantProblem(4, 3, 3).parameters - m
+        assert len(seen) == 4
+        for big, small in zip(seen[:2], seen[2:]):
+            assert big.shape == (S.SecantProblem(4, 3, 5).ambient - m,
+                                 S.SecantProblem(4, 3, 5).parameters - m)
             assert (big[:, :cols] == small).all()
 
     def test_one_elimination_per_n_and_trial(self, monkeypatch):
@@ -323,9 +325,40 @@ class TestCensus:
         rows = S.census(3, range(5, 11), range(3, 7), defective_only=True,
                         trials=1, seed=11)
         assert len(rows) == 15
-        # one K = 6 layout per n: N rows, 6*(m+1) - 1 columns
-        assert calls == [(comb(n + 3, 3) - 1, 6 * (n * (n + 3) // 2 + 1) - 1)
+        # one K = 6 layout per n, less the m = n(n+3)/2 rows and columns
+        # of the first component's order-<=2 block: N - m rows and
+        # 6*(m+1) - 1 - m columns
+        assert calls == [(comb(n + 3, 3) - 1 - n * (n + 3) // 2,
+                          5 * (n * (n + 3) // 2 + 1))
                          for n in range(5, 11)]
+
+    def test_kernel_works_on_a_view_of_the_layout(self, monkeypatch):
+        # the Schur complement is formed in place: no copy of the layout
+        layouts, calls = [], []
+        build, kernel = S._terracini_mod_p, S.rank_profile_mod_p
+
+        def built(*args):
+            layouts.append(build(*args))
+            return layouts[-1]
+
+        def counted(rows, p):
+            calls.append(rows)
+            return kernel(rows, p)
+        monkeypatch.setattr(S, "_terracini_mod_p", built)
+        monkeypatch.setattr(S, "rank_profile_mod_p", counted)
+        # (d = 2 leaves no rows below the block: an empty view shares none)
+        for d in (1, 3, 4):
+            S.census(d, [3], range(1, 4), trials=2, seed=3, prime=P31)
+        assert len(calls) == len(layouts) == 6
+        for rows, layout in zip(calls, layouts):
+            assert np.shares_memory(rows, layout)
+
+    def test_partials_index_built_once_per_n_and_d(self):
+        S._partials_index.cache_clear()
+        S.census(4, [2, 3], range(1, 4), trials=3, seed=3, prime=P31)
+        info = S._partials_index.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
+        assert not any(a.flags.writeable for a in S._partials_index(3, 4))
 
     def test_one_moment_table_per_n_and_trial(self, monkeypatch):
         # every component of a layout comes from one moment table
@@ -344,6 +377,72 @@ class TestCensus:
         rows = S.census(3, [1], range(1, 4), defective_only=True,
                         trials=1, seed=11, prime=P31)
         assert rows == []
+
+
+class TestSchurStep:
+    """Eliminating only the Schur complement of the first component's
+    order-<=2 block gives the profile of the whole layout."""
+
+    @pytest.mark.parametrize("prime", [29, 7919, P31, S.DEFAULT_PRIME])
+    def test_profile_equals_full_layout_profile(self, prime):
+        rng = SplitMix64(prime % 10007)
+        for n in range(1, 5):
+            for d in range(1, 6):
+                if prime <= factorial(d):
+                    continue
+                for k in (1, 2, 4):
+                    layout = S._terracini_mod_p(
+                        n, d, _residues(rng, n, k, prime), prime)
+                    want = rank_profile_mod_p(layout.copy(), prime)
+                    assert S._layout_profile(layout, n, d, prime) == want, \
+                        (n, d, k)
+
+    @pytest.mark.parametrize("prime", [29, 7919, P31, S.DEFAULT_PRIME])
+    def test_profile_for_any_later_columns(self, prime):
+        # only the form of the first m x m block matters: here the later
+        # columns are random, and every third one a combination of the
+        # columns before it, so the profile has gaps to get right
+        rng = SplitMix64(prime % 10009)
+        for n in range(1, 5):
+            for d in range(2, 5):
+                if prime <= factorial(d):
+                    continue
+                first = S._terracini_mod_p(
+                    n, d, _residues(rng, n, 1, prime), prime)
+                cols = first.T.tolist()
+                for j in range(len(first) + 3):
+                    if j % 3 == 2:
+                        coefs = [rng.below(prime) for _ in cols]
+                        cols.append([sum(c * x for c, x in zip(coefs, row))
+                                     % prime for row in zip(*cols)])
+                    else:
+                        cols.append([rng.below(prime) for _ in first])
+                layout = np.array(cols, dtype=np.int64).T.copy()
+                want = rank_profile_mod_p(layout.copy(), prime)
+                assert len(want) < len(cols) - 2
+                assert S._layout_profile(layout, n, d, prime) == want, \
+                    (n, d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("prime", [7919, P31, S.DEFAULT_PRIME])
+    def test_census_and_dim_equal_full_layout_rank(self, d, prime):
+        # K = 1 too; d = 1 has no order-2 rows, d = 2 no rows below them
+        for n in (1, 2, 3):
+            for top in (1, 3):
+                layouts = [layout.tolist() for layout in
+                           S._layouts(n, d, top, 2, 31, prime)]
+                rows = S.census(d, [n], range(1, top + 1),
+                                defective_only=False, trials=2, seed=31,
+                                prime=prime)
+                assert [r.k for r in rows] == list(range(1, top + 1))
+                for row in rows:
+                    want = max(rank_mod_p_oracle(
+                        [r[:row.par] for r in layout], prime)
+                        for layout in layouts)
+                    dim, _ = S.secant_dimension(
+                        S.SecantProblem(n, d, row.k), trials=2, seed=31,
+                        prime=prime)
+                    assert row.dim == dim == want, (n, row.k)
 
 
 class TestDimensionFormulaD3:
