@@ -22,22 +22,10 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from math import factorial
 
 from . import determinantal, moments, recovery, secant
-from .linalg import PRIME_LIMIT
-from .polyring import is_prime
 from .rng import PRNG_NAME
-
-
-def _shown(value) -> str:
-    """str(value) for a message, cut to its first 20 characters and its
-    length when it is longer than 40, so that an error stays one short
-    line."""
-    text = str(value)
-    if len(text) <= 40:
-        return text
-    return f"{text[:20]}... ({len(text)} characters)"
+from .secant import _shown
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -120,15 +108,10 @@ def _rank_config(args, d: int) -> dict:
         prime = _parse_int(os.environ.get("GAUSSMOMENTS_PRIME",
                                           str(secant.DEFAULT_PRIME)),
                            "GAUSSMOMENTS_PRIME")
-    if prime >= PRIME_LIMIT:
-        raise SystemExit2(f"--prime {_shown(prime)} must be below 2^62")
-    if not is_prime(prime):
-        raise SystemExit2(f"--prime {prime} is not prime")
-    if d > 20:  # 21! > 2^62 > prime, and d! is not formed
-        raise SystemExit2(f"--prime {prime} must exceed d!, which is above "
-                          f"2^62 for --d {_shown(d)}")
-    if prime <= factorial(d):
-        raise SystemExit2(f"--prime {prime} must exceed d! = {factorial(d)}")
+    try:
+        secant._check_prime(d, prime)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from None
     if args.trials < 1:
         raise SystemExit2("--trials must be at least 1")
     return {"seed": seed, "prime": prime, "trials": args.trials,
@@ -136,7 +119,24 @@ def _rank_config(args, d: int) -> dict:
 
 
 class SystemExit2(Exception):
-    """Usage error discovered after argparse (exit code 2)."""
+    """Usage error (exit code 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose own errors are one-line usage errors."""
+
+    def error(self, message):
+        raise SystemExit2(message)
+
+
+def _integer(text: str) -> int:
+    """The type of the integer options: argparse's message for a value
+    that is not an integer, with a long value cut short."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {_shown(text)!r}") from None
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -335,13 +335,13 @@ def _cmd_matrix(args) -> int:
 
 
 def _add_rank_options(sp) -> None:
-    sp.add_argument("--seed", type=int, default=None,
+    sp.add_argument("--seed", type=_integer, default=None,
                     help="PRNG seed (default: env GAUSSMOMENTS_SEED or "
                          f"{secant.DEFAULT_SEED})")
-    sp.add_argument("--prime", type=int, default=None,
+    sp.add_argument("--prime", type=_integer, default=None,
                     help="prime modulus for rank computations (default: env "
                          f"GAUSSMOMENTS_PRIME or {secant.DEFAULT_PRIME})")
-    sp.add_argument("--trials", type=int, default=secant.DEFAULT_TRIALS,
+    sp.add_argument("--trials", type=_integer, default=secant.DEFAULT_TRIALS,
                     help="independent random points per rank")
 
 
@@ -351,21 +351,21 @@ def _add_format(sp, default="csv") -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="gaussmoments",
         description="Exact computations with Gaussian mixture moment varieties")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("moments", help="moment vector of a mixture")
     sp.add_argument("--params", required=True, help="MixtureParams JSON file")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--d", type=_integer, required=True)
+    sp.add_argument("--n", type=_integer, default=None)
     sp.set_defaults(func=_cmd_moments)
 
     sp = sub.add_parser("cumulants", help="cumulant vector")
     sp.add_argument("--params", default=None)
     sp.add_argument("--moments", default=None)
-    sp.add_argument("--d", type=int, default=None)
+    sp.add_argument("--d", type=_integer, default=None)
     sp.set_defaults(func=_cmd_cumulants)
 
     sp = sub.add_parser("check", help="moment-variety membership")
@@ -375,15 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_check)
 
     sp = sub.add_parser("dim", help="secant dimension with certificate")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--n", type=_integer, required=True)
+    sp.add_argument("--d", type=_integer, required=True)
+    sp.add_argument("--k", type=_integer, required=True)
     _add_rank_options(sp)
     _add_format(sp)
     sp.set_defaults(func=_cmd_dim)
 
     sp = sub.add_parser("census", help="defect census over (n, k) ranges")
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=_integer, required=True)
     sp.add_argument("--n", required=True, help="range, e.g. 5..10")
     sp.add_argument("--k", required=True, help="range, e.g. 3..6")
     sp.add_argument("--defective-only", action="store_true")
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--defect-d3", action="store_true")
     group.add_argument("--conj-eleven", action="store_true")
     sp.add_argument("--d", default=None)
-    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--n", type=_integer, default=None)
     sp.add_argument("--k", default=None)
     sp.add_argument("--r", default=None)
     _add_format(sp)
@@ -420,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("matrix", help="dump a determinantal matrix as CSV")
     sp.add_argument("--which", choices=("gd", "hb", "willink"), required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--d", type=_integer, required=True)
+    sp.add_argument("--n", type=_integer, default=None)
     sp.add_argument("--moments", default=None)
     sp.set_defaults(func=_cmd_matrix)
 
@@ -470,8 +470,8 @@ def main(argv=None) -> int:
 def _main(argv) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_attach_signed_values(argv))
     try:
+        args = parser.parse_args(_attach_signed_values(argv))
         # argparse reads --opt=-- as the empty list; no option takes a list
         for name, value in vars(args).items():
             if value == []:

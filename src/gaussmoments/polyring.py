@@ -152,11 +152,6 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def degree_in(self, name: str) -> int:
-        """Degree in one variable; -1 for the zero polynomial."""
-        i = self.ring.var_index(name)
-        return max((e[i] for e in self.terms), default=-1)
-
     def coefficient(self, exponent: Exponent) -> Fraction:
         return self.terms.get(tuple(exponent), _ZERO)
 
@@ -270,58 +265,6 @@ class Polynomial:
                     t = t * vals[i] ** k
             acc = acc + t
         return acc
-
-    def substitute(self, mapping: Mapping[str, "Polynomial | ScalarLike"]) -> "Polynomial":
-        """Substitute polynomials (or scalars) for a subset of the variables.
-
-        Substituted polynomials must live in the same ring.  Variables not in
-        ``mapping`` are left alone.  If no substituted variable occurs in any
-        term, the result is ``self``.
-        """
-        ring = self.ring
-        subs: dict[int, Polynomial | Fraction] = {}
-        for name, val in mapping.items():
-            i = ring.var_index(name)
-            if isinstance(val, Polynomial):
-                self._check_compatible(val)
-                subs[i] = val
-            else:
-                subs[i] = _coerce(val)
-        live = [i for i in subs if any(e[i] for e in self.terms)]
-        if not live:
-            return self
-        # powers of the substituted polynomials in a term -> their product
-        factors: dict[tuple, list] = {}
-        out: dict = {}
-        for e, c in self.terms.items():
-            rest = list(e)
-            powers = []
-            for i in live:
-                k = e[i]
-                if k:
-                    rest[i] = 0
-                    val = subs[i]
-                    if isinstance(val, Polynomial):
-                        powers.append((i, k))
-                    else:
-                        c = c * val ** k
-            if not c:
-                continue
-            if not powers:
-                t = tuple(rest)
-                old = out.get(t)
-                out[t] = c if old is None else old + c
-                continue
-            key = tuple(powers)
-            terms = factors.get(key)
-            if terms is None:
-                factor = None
-                for i, k in powers:
-                    q = subs[i] if k == 1 else subs[i] ** k
-                    factor = q if factor is None else factor * q
-                terms = factors[key] = list(factor.terms.items())
-            _accumulate(out, rest, c, terms)
-        return Polynomial(ring, _nonzero(out))
 
     # -- serialization -----------------------------------------------------
 

@@ -8,16 +8,21 @@ moment equations:
 1. the mixture weight comes from the first-coordinate mean equation;
 2. the two remaining first-component mean coordinates are eliminated
    linearly;
-3. all 12 covariance entries occur linearly and are solved in 2x2 blocks
-   whose coefficient matrices are constant (their determinants are nonzero
-   multiples of lambda*(1-lambda)*(mu21 - mu11));
-4. what remains is a system of four polynomial equations in the two unknown
-   mean coordinates b2, b3 of the second component.  The residual of m003
-   is a polynomial g in b3 alone, so b3 leaves each coupled equation h
+3. all 12 covariance entries occur linearly.  With the means written as
+   polynomials in the two unknown mean coordinates b2, b3 of the second
+   component, each pair (sigma1_ij, sigma2_ij) solves a 2x2 block of
+   m_{e_i+e_j} and m_{e_1+e_i+e_j} whose matrix is constant, of nonzero
+   determinant c*lambda*(1-lambda)*(mu21 - mu11), c = 1, 2 or 3, so each
+   covariance is a polynomial in Q[b2, b3] (``_solve_covariances``);
+4. what remains is a system of four polynomial equations in b2 and b3, the
+   residuals of m030, m003, m021 and m012.  The residual of m003 is a
+   polynomial g in b3 alone, so b3 leaves each coupled equation h
    through the determinant of multiplication by h on Q[b2][b3]/(g), a
    matrix of at most 3 x 3 (see ``_eliminant``).  Intersecting these
    eliminants with the residual of m030, a polynomial in b2 alone, by a
    polynomial gcd leaves a linear factor, i.e. a unique rational solution.
+   Its coordinate b2 makes the coefficients of the residuals in b3
+   rational, and their gcd gives b3 in the same way.
 
 Every recovered parameter set is verified against all binom(n+3, 3) moment
 equations, and only a set that reproduces every moment is returned.
@@ -30,7 +35,7 @@ tested only after a recovery has failed, to explain the failure.
 
 For n >= 4, the n = 3 recovery runs on ceil((n-1)/2) coordinate subsets
 that cover every coordinate, and the covariances across subsets come from
-constant 2x2 blocks like those of step 3 (see ``recover_general``).
+the same solver as step 3, with Fractions (see ``recover_general``).
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .moments import (GaussianParams, MixtureParams, MomentVector,
-                      gaussian_moment_table, mixture_moments, multi_indices)
+                      mixture_moments, multi_indices)
 from .polyring import Polynomial, PolyRing
 
 Index = tuple[int, ...]
@@ -110,37 +115,48 @@ def _explained(recovery, inp: RecoveryInput, *args) -> RecoveryResult:
         raise
 
 
+# -- the covariance blocks -----------------------------------------------------
+
+def _third(w, mean, cov, i: int, j: int, k: int):
+    """The mixture's moment E[x_i x_j x_k]: the weighted sum over both
+    components of mu_i mu_j mu_k + mu_i s_jk + mu_j s_ik + mu_k s_ij
+    (Isserlis), with cov[t] keyed by (a, b), a <= b."""
+    out = 0
+    for wt, mu, s in zip(w, mean, cov):
+        sig = lambda a, b: s[min(a, b), max(a, b)]
+        out = out + wt * (mu[i] * mu[j] * mu[k] + mu[i] * sig(j, k)
+                          + mu[j] * sig(i, k) + mu[k] * sig(i, j))
+    return out
+
+
+def _solve_covariances(m: MomentVector, w, mean, cov, pairs) -> None:
+    """Solve, in order, the pair (sigma1_ij, sigma2_ij) of each 0-based
+    (i, j) in ``pairs`` into cov[0] and cov[1].  Means and covariances may
+    be Fractions or polynomials; the weights w and the first mean
+    coordinates a0, b0 are Fractions.
+
+    With the pair set to 0, r1 = m_{e_i+e_j} - sum_t w_t mu_ti mu_tj is
+    w0 s + w1 t, and r2, the defect of m_{e_0+e_i+e_j}, is
+    c (w0 a0 s + w1 b0 t), where the pair occurs c = 1 + [i = 0] + [j = 0]
+    times.  So the block is constant, of determinant c w0 w1 (b0 - a0),
+    nonzero because RecoveryInput and the weight step exclude a0 = b0 and
+    w0 in {0, 1}.  r2 reads the pairs (0, i) and (0, j): ``pairs`` lists
+    them first, or ``cov`` holds them already.
+    """
+    e = lambda *coords: tuple(coords.count(x) for x in range(m.n))
+    a0, b0 = mean[0][0], mean[1][0]
+    for i, j in pairs:
+        for s in cov:
+            s[i, j] = 0
+        r1 = (m[e(i, j)] - w[0] * mean[0][i] * mean[0][j]
+              - w[1] * mean[1][i] * mean[1][j])
+        r2 = ((m[e(0, i, j)] - _third(w, mean, cov, 0, i, j))
+              * Fraction(1, 1 + (i == 0) + (j == 0)))
+        cov[0][i, j] = (b0 * r1 - r2) * (1 / (w[0] * (b0 - a0)))
+        cov[1][i, j] = (r2 - a0 * r1) * (1 / (w[1] * (b0 - a0)))
+
+
 # -- the n = 3 core -------------------------------------------------------------
-
-_SVARS = ("s11", "s12", "s13", "s22", "s23", "s33")
-_TVARS = ("t11", "t12", "t13", "t22", "t23", "t33")
-
-# (equation for the plain entry, equation with one extra first-coordinate
-# power, unknown pair); later pairs may use earlier solutions
-_PAIR_STEPS = (
-    ((2, 0, 0), (3, 0, 0), "s11", "t11"),
-    ((1, 1, 0), (2, 1, 0), "s12", "t12"),
-    ((1, 0, 1), (2, 0, 1), "s13", "t13"),
-    ((0, 2, 0), (1, 2, 0), "s22", "t22"),
-    ((0, 0, 2), (1, 0, 2), "s33", "t33"),
-    ((0, 1, 1), (1, 1, 1), "s23", "t23"),
-)
-
-_RESIDUAL_EQS = ((0, 3, 0), (0, 0, 3), (0, 2, 1), (0, 1, 2))
-
-
-def _sigma_name(prefix: str, i: int, j: int) -> str:
-    if i > j:
-        i, j = j, i
-    return f"{prefix}{i + 1}{j + 1}"
-
-
-def _constant_of(p: Polynomial, what: str) -> Fraction:
-    if p.total_degree() > 0:
-        raise RecoveryError(f"{what} is not constant; the moment vector is "
-                            "not in the generic regime")
-    return p.constant_term()
-
 
 def _coeffs_in(p: Polynomial, var: str) -> list[Polynomial]:
     """Coefficients of p as a polynomial in one variable, ascending."""
@@ -156,15 +172,23 @@ def _coeffs_in(p: Polynomial, var: str) -> list[Polynomial]:
     return [ring.from_terms(b) for b in buckets]
 
 
+def _trimmed(coeffs: list[Fraction]) -> list[Fraction]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
 def _univariate(p: Polynomial, var: str) -> list[Fraction]:
     """Fraction coefficient list (ascending) of a polynomial that may only
     involve ``var``."""
     out = []
     for c in _coeffs_in(p, var):
-        out.append(_constant_of(c, "coefficient in the final system"))
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+        if c.total_degree() > 0:
+            raise RecoveryError("coefficient in the final system is not "
+                                "constant; the moment vector is not in the "
+                                "generic regime")
+        out.append(c.constant_term())
+    return _trimmed(out)
 
 
 def _eliminant(g: list[Fraction], h: Polynomial, var: str) -> Polynomial:
@@ -257,9 +281,8 @@ class _Eliminated:
     remain unknown."""
 
     lam: Fraction
-    a2: Polynomial            # mu12 as a polynomial in b2
-    a3: Polynomial            # mu13 as a polynomial in b3
-    solutions: dict           # covariance name -> polynomial in (b2, b3)
+    mean: tuple[list, list]   # the two mean vectors, over Q[b2, b3]
+    cov: tuple[dict, dict]    # (i, j) -> covariance, over Q[b2, b3]
     e_b2: Polynomial          # residual of m030, univariate in b2
     e_b3: Polynomial          # residual of m003, univariate in b3
     e_mix1: Polynomial        # residual of m021
@@ -278,62 +301,23 @@ def _eliminate(inp: RecoveryInput) -> _Eliminated:
         raise RecoveryError(
             "degenerate mixture weight for the chosen first coordinates")
 
-    ring = PolyRing(("b2", "b3") + _SVARS + _TVARS)
+    ring = PolyRing(("b2", "b3"))
     b2, b3 = ring.var("b2"), ring.var("b3")
 
     # eliminate the first component's remaining mean coordinates
     a2 = ring.const(m[(0, 1, 0)] / lam) - b2.scale((1 - lam) / lam)
     a3 = ring.const(m[(0, 0, 1)] / lam) - b3.scale((1 - lam) / lam)
 
-    mean_a = [ring.const(a1), a2, a3]
-    mean_b = [ring.const(b1), b2, b3]
-    sig_a = lambda i, j: ring.var(_sigma_name("s", i, j))
-    sig_b = lambda i, j: ring.var(_sigma_name("t", i, j))
-
-    table_a = gaussian_moment_table(mean_a, sig_a, 3, ring.one())
-    table_b = gaussian_moment_table(mean_b, sig_b, 3, ring.one())
-    eqs: dict[Index, Polynomial] = {
-        idx: (table_a[idx].scale(lam) + table_b[idx].scale(1 - lam)
-              - ring.const(m[idx]))
-        for idx in multi_indices(3, 3, min_order=2)}
-
-    # the covariances occur linearly; solve them in 2x2 blocks
-    solutions: dict[str, Polynomial] = {}
-    for i1, i2, u, v in _PAIR_STEPS:
-        # a solved pair's equations are used up: later substitutions skip them
-        e1, e2 = eqs.pop(i1), eqs.pop(i2)
-        for (e, name) in ((e1, u), (e1, v), (e2, u), (e2, v)):
-            if e.degree_in(name) > 1:
-                raise AssertionError(f"covariance {name} is not linear in "
-                                     f"equation {i1}/{i2}")
-        cu1 = _constant_of(e1.differentiate(u), f"coefficient of {u}")
-        cv1 = _constant_of(e1.differentiate(v), f"coefficient of {v}")
-        cu2 = _constant_of(e2.differentiate(u), f"coefficient of {u}")
-        cv2 = _constant_of(e2.differentiate(v), f"coefficient of {v}")
-        det = cu1 * cv2 - cv1 * cu2
-        if det == 0:
-            raise RecoveryError(
-                f"singular covariance block for ({u}, {v}); the chosen first "
-                "coordinates are degenerate")
-        rest1 = e1.substitute({u: 0, v: 0})
-        rest2 = e2.substitute({u: 0, v: 0})
-        u_sol = (rest2.scale(cv1) - rest1.scale(cv2)).scale(1 / det)
-        v_sol = (rest1.scale(cu2) - rest2.scale(cu1)).scale(1 / det)
-        solutions[u] = u_sol
-        solutions[v] = v_sol
-        sub = {u: u_sol, v: v_sol}
-        eqs = {idx: e.substitute(sub) for idx, e in eqs.items()}
-
-    for idx in _RESIDUAL_EQS:
-        for name in _SVARS + _TVARS:
-            if eqs[idx].degree_in(name) > 0:
-                raise AssertionError(f"covariance {name} survived elimination")
-    if (eqs[(0, 3, 0)].degree_in("b3") > 0
-            or eqs[(0, 0, 3)].degree_in("b2") > 0):
-        raise AssertionError("unexpected coupling in the univariate residuals")
-
-    return _Eliminated(lam, a2, a3, solutions, eqs[(0, 3, 0)],
-                       eqs[(0, 0, 3)], eqs[(0, 2, 1)], eqs[(0, 1, 2)])
+    w = (lam, 1 - lam)
+    mean = ([a1, a2, a3], [b1, b2, b3])
+    cov: tuple[dict, dict] = ({}, {})
+    _solve_covariances(m, w, mean, cov,
+                       [(i, j) for i in range(3) for j in range(i, 3)])
+    residual = lambda i, j, k: (_third(w, mean, cov, i, j, k)
+                                - m[tuple((i, j, k).count(x)
+                                          for x in range(3))])
+    return _Eliminated(lam, mean, cov, residual(1, 1, 1), residual(2, 2, 2),
+                       residual(1, 1, 2), residual(1, 2, 2))
 
 
 def recover_n3(inp: RecoveryInput,
@@ -345,7 +329,6 @@ def recover_n3(inp: RecoveryInput,
 
 
 def _recover_n3(inp: RecoveryInput, coords) -> RecoveryResult:
-    m = inp.m
     st = _eliminate(inp)
 
     g = _univariate(st.e_b3, "b3")
@@ -355,24 +338,20 @@ def _recover_n3(inp: RecoveryInput, coords) -> RecoveryResult:
         [_univariate(q, "b2") for q in (st.e_b2, res1, res2)],
         f"mu2{coords[1] + 1}")
 
-    at_b2 = {"b2": b2_star}
+    # the coefficients in b3 involve b2 alone
+    at_b2 = {"b2": b2_star, "b3": 0}
     b3_star = _unique_root(
-        [_univariate(q.substitute(at_b2), "b3")
+        [_trimmed([c.evaluate(at_b2) for c in _coeffs_in(q, "b3")])
          for q in (st.e_b3, st.e_mix1, st.e_mix2)], f"mu2{coords[2] + 1}")
 
     point = {"b2": b2_star, "b3": b3_star}
-    point.update({name: 0 for name in _SVARS + _TVARS})
-    sval = {name: st.solutions[name].evaluate(point) for name in _SVARS}
-    tval = {name: st.solutions[name].evaluate(point) for name in _TVARS}
-
-    comp1 = GaussianParams(
-        (inp.mu11, st.a2.evaluate(point), st.a3.evaluate(point)),
-        tuple(sval[n] for n in _SVARS))
-    comp2 = GaussianParams(
-        (inp.mu21, b2_star, b3_star),
-        tuple(tval[n] for n in _TVARS))
-    params = MixtureParams((comp1, comp2), (st.lam, 1 - st.lam))
-    return _verified(params, m)
+    at = lambda x: x.evaluate(point) if isinstance(x, Polynomial) else x
+    params = MixtureParams(tuple(
+        GaussianParams(tuple(at(x) for x in st.mean[t]),
+                       tuple(at(st.cov[t][i, j]) for i in range(3)
+                             for j in range(i, 3)))
+        for t in (0, 1)), (st.lam, 1 - st.lam))
+    return _verified(params, inp.m)
 
 
 def _verified(params: MixtureParams, m: MomentVector) -> RecoveryResult:
@@ -392,8 +371,8 @@ def recover_general(inp: RecoveryInput) -> RecoveryResult:
     mean and every in-subset covariance.  Each other pair (sigma1_ij,
     sigma2_ij) solves the block of m_{e_i+e_j} and m_{e_1+e_i+e_j}, with
     constant matrix [[lam, 1-lam], [lam*mu11, (1-lam)*mu21]] of determinant
-    lam*(1-lam)*(mu21-mu11) != 0.  Only the final check of every moment
-    equation accepts the result."""
+    lam*(1-lam)*(mu21-mu11) != 0 (``_solve_covariances``).  Only the final
+    check of every moment equation accepts the result."""
     if inp.m.n < 4:
         raise RecoveryError("recover_general needs n >= 4; use recover_n3")
     return _explained(_recover_general, inp)
@@ -413,21 +392,10 @@ def _recover_general(inp: RecoveryInput) -> RecoveryResult:
                 for t in range(s, 3):
                     cov[c][local[s], local[t]] = comp.sigma(s, t)
 
-    # moments with every cross covariance still unknown set to 0: the defects
-    # of m_{e_i+e_j} and m_{e_1+e_i+e_j} are the right-hand sides of the block
     w = res.params.weights
-    known = [gaussian_moment_table(
-        mean[c], lambda i, j, c=c: cov[c].get((i, j), 0), 3, Fraction(1))
-        for c in (0, 1)]
-    e = lambda *coords: tuple(coords.count(x) for x in range(n))
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            if (i, j) in cov[0]:
-                continue
-            r1, r2 = (m[a] - w[0] * known[0][a] - w[1] * known[1][a]
-                      for a in (e(i, j), e(0, i, j)))
-            cov[0][i, j] = (b1 * r1 - r2) / (w[0] * (b1 - a1))
-            cov[1][i, j] = (r2 - a1 * r1) / (w[1] * (b1 - a1))
+    _solve_covariances(m, w, mean, cov,
+                       [(i, j) for i in range(1, n) for j in range(i + 1, n)
+                        if (i, j) not in cov[0]])
 
     params = MixtureParams(tuple(
         GaussianParams(tuple(mean[c]), tuple(cov[c][i, j] for i in range(n)

@@ -33,11 +33,11 @@ of every k <= K as a column prefix.  The component values of a trial come
 from one stream, derive_seed(seed, n, d, trial), drawn one component after
 another, so they do not depend on k, and one elimination's column rank
 profile gives the rank for every k <= K: :func:`census` does one
-elimination per (n, trial).  For d >= 2 that elimination starts below the
-first component's order-<=2 block, which is invertible in closed form: only
-the Schur complement of that block is eliminated (:func:`_layout_profile`
-says why the profile is preserved), and :func:`secant_dimension` does the
-same.
+elimination per (n, trial).  That elimination starts below the first
+component's block of moments of order <= 2, which is invertible in closed
+form: only the Schur complement of that block is eliminated
+(:func:`_layout_profile` says why the profile is preserved), and
+:func:`secant_dimension` does the same.
 
 A reported dimension is a certified lower bound for the generic rank; by
 Schwartz-Zippel it equals the generic rank with probability at least
@@ -62,6 +62,7 @@ from .linalg import (PRIME_LIMIT, _fold, _sub_matmul, rank_mod_p,  # noqa: F401
                      rank_profile_mod_p)
 from .moments import (Index, MixtureParams, gaussian_moment_table,
                       lower_index, multi_indices, sigma_var_index)
+from .polyring import is_prime
 from .rng import PRNG_NAME, SplitMix64, derive_seed
 
 # Fixed 62-bit default prime (2^62 - 57).  Every nonzero coefficient of a
@@ -247,11 +248,12 @@ def _terracini_mod_p(n: int, d: int, comp_vals, p: int):
     return blocks.reshape(len(blocks), -1)[:, 1:]
 
 
-def _unit_columns(n: int) -> list[int]:
-    """For each moment of order 1 and 2, in graded-lex order, the coordinate
-    in which its partial is 1: mu_i for x_i, and sigma_ij for x_i x_j."""
+def _unit_columns(n: int, d: int) -> list[int]:
+    """For each moment of order 1..min(d, 2), in graded-lex order, the
+    coordinate in which its partial is 1: mu_i for x_i, and sigma_ij for
+    x_i x_j."""
     cols = []
-    for a in multi_indices(n, 2, min_order=1):
+    for a in multi_indices(n, min(d, 2), min_order=1):
         pos = [i for i in range(n) for _ in range(a[i])]
         cols.append(pos[0] if len(pos) == 1 else sigma_var_index(n, *pos))
     return cols
@@ -262,8 +264,8 @@ def _layout_profile(layout, n: int, d: int, p: int) -> list[int]:
     eliminating only the Schur complement of its first m x m block; the
     layout is overwritten.
 
-    For d >= 2 the first m = n(n+3)/2 rows, the moments of order 1 and 2,
-    meet the first m columns, component 1's partials, in
+    The first m rows, the moments of order 1..min(d, 2), meet the first m
+    columns, component 1's partials in mu and (for d >= 2) sigma, in
     T = [[P1, 0], [X, P2]]: the row of x_i has a 1 in column mu_i, that of
     x_i x_j a 1 in column sigma_ij (:func:`_unit_columns`), and X holds the
     order-2 rows' mean partials mu_j and 2 mu_i.  So T is invertible at
@@ -280,13 +282,12 @@ def _layout_profile(layout, n: int, d: int, p: int) -> list[int]:
     B' = [B1; B2 - X P1^T B1].  B2 is overwritten by B2 - X P1^T B1, and D
     by S = D - (C P^T) B'.  X P1^T and C P^T are the columns of X and C in
     the order of the rows' unit entries, taken from the index maps and not
-    from matrix values, so each update is one _sub_matmul.  At d = 1 there
-    are no order-2 rows, and the whole layout is eliminated.
+    from matrix values, so each update is one _sub_matmul.  At d = 1, T is
+    the identity on the mu columns, X, B2 and S have no rows, and the
+    profile is 0..n-1.
     """
-    if d < 2:
-        return rank_profile_mod_p(layout, p)
-    m = n * (n + 3) // 2
-    cols = _unit_columns(n)
+    cols = _unit_columns(n, d)
+    m = len(cols)
     b = layout[:m, m:]
     _sub_matmul(b[n:], layout[n:m, cols[:n]], b[:n], p)
     _sub_matmul(layout[m:, m:], layout[m:, cols], b, p)
@@ -294,11 +295,30 @@ def _layout_profile(layout, n: int, d: int, p: int) -> list[int]:
                              rank_profile_mod_p(layout[m:, m:], p)]
 
 
+def _shown(value) -> str:
+    """str(value) for a message, cut to its first 20 characters and its
+    length when it is longer than 40, so that an error stays one short
+    line."""
+    text = str(value)
+    if len(text) <= 40:
+        return text
+    return f"{text[:20]}... ({len(text)} characters)"
+
+
 def _check_prime(d: int, prime: int) -> None:
+    """The modulus must be a prime below 2^62, the rank kernel's range, and
+    above d!, so that no coefficient of a moment polynomial or of its
+    partials vanishes mod p (each divides d!).  The messages name the
+    values as the command-line options do, which report them unchanged."""
     if prime >= PRIME_LIMIT:
-        raise ValueError(f"prime {prime} too large: must be below 2^62")
+        raise ValueError(f"--prime {_shown(prime)} must be below 2^62")
+    if not is_prime(prime):
+        raise ValueError(f"--prime {prime} is not prime")
+    if d > 20:  # 21! > 2^62 > prime, and d! is not formed
+        raise ValueError(f"--prime {prime} must exceed d!, which is above "
+                         f"2^62 for --d {_shown(d)}")
     if prime <= factorial(d):
-        raise ValueError(f"prime {prime} too small: must exceed {d}!")
+        raise ValueError(f"--prime {prime} must exceed d! = {factorial(d)}")
 
 
 def _params_to_modular(point: MixtureParams, p: int):

@@ -346,9 +346,13 @@ class TestCensusAndDim:
         assert err == f"usage error: {name} must be an integer, not 'abc'\n"
 
     def test_usage_error_exit_code(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["census", "--d", "3"])  # missing --n/--k
-        assert exc.value.code == 2
+        assert run(capsys, "census", "--d", "3") == (  # missing --n/--k
+            2, "", "usage error: the following arguments are required: "
+            "--n, --k\n")
+
+    def test_non_integer_option_value(self, capsys):
+        assert run(capsys, "dim", "--n", "x", "--d", "3", "--k", "1") == (
+            2, "", "usage error: argument --n: invalid int value: 'x'\n")
 
 
 GOLDEN_TABLE1 = """\
@@ -512,6 +516,52 @@ GOLDEN_RECOVER_N5 = """\
 """
 
 
+# recover stdout for rand_mixture(SplitMix64(11), 3, 2, distinct_first=True)
+GOLDEN_RECOVER_N3 = """\
+{
+  "params": {
+    "n": 3,
+    "k": 2,
+    "components": [
+      {
+        "weight": "1/4",
+        "mean": [
+          "2",
+          "-3",
+          "5/3"
+        ],
+        "cov": [
+          "1/3",
+          "1/3",
+          "-2",
+          "0",
+          "3",
+          "5"
+        ]
+      },
+      {
+        "weight": "3/4",
+        "mean": [
+          "-5/3",
+          "3/2",
+          "-1"
+        ],
+        "cov": [
+          "1",
+          "1",
+          "2/3",
+          "4/3",
+          "0",
+          "5/4"
+        ]
+      }
+    ]
+  },
+  "residual": "0"
+}
+"""
+
+
 class TestRecoverCli:
     def test_round_trip(self, capsys, tmp_path):
         rng = SplitMix64(9)
@@ -555,6 +605,23 @@ class TestRecoverCli:
         path = write_moments(tmp_path, M.mixture_moments(p, 3))
         assert run(capsys, "recover", "--moments", path, "--mu11", "4",
                    "--mu21", "0") == (0, GOLDEN_RECOVER_N5, "")
+
+    def test_golden_n3(self, capsys, tmp_path):
+        p = rand_mixture(SplitMix64(11), 3, 2, distinct_first=True)
+        path = write_moments(tmp_path, M.mixture_moments(p, 3))
+        assert run(capsys, "recover", "--moments", path, "--mu11", "2",
+                   "--mu21=-5/3") == (0, GOLDEN_RECOVER_N3, "")
+
+    def test_off_variety_message_n3(self, capsys, tmp_path):
+        # x2^2 x3 raised: the final system in (mu22, mu23) has no root
+        p = rand_mixture(SplitMix64(11), 3, 2, distinct_first=True)
+        vals = dict(M.mixture_moments(p, 3).values)
+        vals[(0, 2, 1)] += 1
+        path = write_moments(tmp_path, M.MomentVector(3, 3, vals))
+        assert run(capsys, "recover", "--moments", path, "--mu11", "2",
+                   "--mu21=-5/3") == (
+            1, "", "error: final system for mu22 has no common solution; "
+            "the moment vector is not on the secant variety\n")
 
     def test_negative_fraction_values(self, capsys, tmp_path):
         half = Fraction(1, 2)
@@ -747,6 +814,12 @@ class TestLongNumbers:
                    "--prime", str(P31)) == (
             2, "", f"usage error: --prime {P31} must exceed d!, which is "
             f"above 2^62 for --d {shown}\n")
+
+    def test_long_non_integer_option_value(self, capsys):
+        assert run(capsys, "dim", "--n", "1", "--d", "3", "--k", "1",
+                   "--seed", "1" * 5000 + "x") == (
+            2, "", "usage error: argument --seed: invalid int value: "
+            "'11111111111111111111... (5001 characters)'\n")
 
     def test_long_prime_is_one_short_line(self, capsys):
         assert run(capsys, "dim", "--n", "1", "--d", "3", "--k", "1",

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from gaussmoments import moments as M
 from gaussmoments import recovery as R
-from gaussmoments.polyring import PolyRing
+from gaussmoments.polyring import Polynomial, PolyRing
 from gaussmoments.rng import SplitMix64
 from util import (rand_fraction, rand_gaussian, rand_mixture, rand_poly,
-                  recover_all_subsets, to_sympy)
+                  recover_all_subsets, substitute_reference, to_sympy)
 
 
 def make_instance(rng, n):
@@ -194,6 +194,53 @@ class TestSubsetPlan:
         assert len(err.value.equation) == 6
 
 
+class TestSolveCovariances:
+    """_solve_covariances returns the generating covariances, with Fractions
+    and over Q[b2, b3]."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_cross_pairs_with_fractions(self, n):
+        rng = SplitMix64(740 + n)
+        for _ in range(3):
+            p, mv = make_instance(rng, n)
+            cross = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
+            cov = tuple({(i, j): comp.sigma(i, j) for i in range(n)
+                         for j in range(i, n) if (i, j) not in cross}
+                        for comp in p.components)
+            R._solve_covariances(mv, p.weights,
+                                 tuple(list(c.mean) for c in p.components),
+                                 cov, cross)
+            for c, comp in zip(cov, p.components):
+                assert c == {(i, j): comp.sigma(i, j) for i in range(n)
+                             for j in range(i, n)}
+
+    def test_n3_over_b2_b3(self):
+        # the first component's means from the mean equations, as in
+        # _eliminate; evaluated at the true (mu22, mu23), every covariance
+        # is the generating one
+        ring = PolyRing(("b2", "b3"))
+        b = [ring.var("b2"), ring.var("b3")]
+        rng = SplitMix64(750)
+        for _ in range(3):
+            p, mv = make_instance(rng, 3)
+            lam = p.weights[0]
+            e = [(0, 1, 0), (0, 0, 1)]
+            mean = ([p.components[0].mean[0]]
+                    + [(mv[e[t]] - b[t].scale(1 - lam)).scale(1 / lam)
+                       for t in range(2)],
+                    [p.components[1].mean[0]] + b)
+            cov = ({}, {})
+            pairs = [(i, j) for i in range(3) for j in range(i, 3)]
+            R._solve_covariances(mv, p.weights, mean, cov, pairs)
+            point = dict(zip(ring.vars, p.components[1].mean[1:]))
+            for c, comp in zip(cov, p.components):
+                for i, j in pairs:
+                    got = c[i, j]
+                    if isinstance(got, Polynomial):
+                        got = got.evaluate(point)
+                    assert got == comp.sigma(i, j)
+
+
 class TestRejections:
     def test_degenerate_mean_rejected(self):
         rng = SplitMix64(500)
@@ -292,7 +339,8 @@ class TestFinalSystemOracle:
             assert len(g) == 2  # degree 1: unique candidate for mu22
             b2_star = -g[0] / g[1]
             assert b2_star == p.components[1].mean[1]
-            h = [R._univariate(q.substitute({"b2": b2_star}), "b3")
+            h = [R._univariate(substitute_reference(q, {"b2": b2_star}),
+                               "b3")
                  for q in (st.e_b3, st.e_mix1, st.e_mix2)]
             g2 = h[0]
             for c in h[1:]:
@@ -316,29 +364,6 @@ class TestFinalSystemOracle:
         assert max(degrees) == 3
 
 
-class TestHotPathCounts:
-    def test_substitutions_per_n3_recovery(self, monkeypatch):
-        # 12 scalar substitutions for the covariance blocks, 14 + 12 + ...
-        # + 4 into the equations not yet used, and 3 at b2 = mu22;
-        # substituting into all 16 equations after each pair makes 111
-        calls = []
-        sub = R.Polynomial.substitute
-
-        def counting(self, mapping):
-            calls.append(mapping)
-            return sub(self, mapping)
-
-        monkeypatch.setattr(R.Polynomial, "substitute", counting)
-        rng = SplitMix64(730)
-        for _ in range(4):
-            calls.clear()
-            p, mv = make_instance(rng, 3)
-            res = R.recover(mv, p.components[0].mean[0],
-                            p.components[1].mean[0])
-            assert res.params == p
-            assert len(calls) <= 69
-
-
 def eliminant_ratio(g, h):
     """sympy's resultant of g and h in x over R._eliminant(g, h, "x"), a
     rational constant, or None if both are zero."""
@@ -358,7 +383,8 @@ def eliminant_ratio(g, h):
 
 def lc_powers(g, h):
     """+- lc(g)^deg h: the ratio of the resultant to the eliminant."""
-    lc = g[-1] ** max(h.degree_in("x"), 0)
+    lc = g[-1] ** max((e[h.ring.var_index("x")] for e in h.terms),
+                      default=0)
     return {lc, -lc}
 
 
@@ -377,7 +403,7 @@ class TestEliminant:
         rng = SplitMix64(seed)
         h = rand_poly(ring, rng, max_terms=4)
         if kind == "none":
-            h = h.substitute({"x": rand_fraction(rng)})
+            h = substitute_reference(h, {"x": rand_fraction(rng)})
         elif kind == "0":
             h = ring.zero()
         ratio = eliminant_ratio(g, h)
@@ -408,7 +434,7 @@ class TestEliminant:
         h = x * x * y - x + ring.const(Fraction(1, 2))
         want = ring.one()
         for root in (1, 2, -3):
-            want = want * h.substitute({"x": root})
+            want = want * substitute_reference(h, {"x": root})
         assert R._eliminant(g, h, "x") == want
 
 
@@ -419,8 +445,8 @@ class TestSympyOracle:
         ring = PolyRing(["x", "y"])
         rng = SplitMix64(800)
         for _ in range(30):
-            g = R._univariate(rand_poly(ring, rng).substitute(
-                {"y": rand_fraction(rng)}), "x")
+            g = R._univariate(substitute_reference(
+                rand_poly(ring, rng), {"y": rand_fraction(rng)}), "x")
             h = rand_poly(ring, rng)
             ratio = eliminant_ratio(g, h)
             assert ratio is None or ratio in lc_powers(g, h)

@@ -65,6 +65,18 @@ class TestJacobian:
             with pytest.raises(ValueError, match="below 2\\^62"):
                 S.secant_dimension(S.SecantProblem(2, 3, 1), prime=prime)
 
+    def test_composite_modulus(self):
+        rng = SplitMix64(2)
+        p = rand_mixture(rng, 2, 2)
+        for prime in (10007 * 10009, 91, 1, 0, -7):
+            with pytest.raises(ValueError, match="is not prime"):
+                S.secant_jacobian(S.SecantProblem(2, 3, 2), p, prime=prime)
+            with pytest.raises(ValueError, match="is not prime"):
+                S.secant_dimension(S.SecantProblem(2, 3, 2), trials=1,
+                                   prime=prime)
+            with pytest.raises(ValueError, match="is not prime"):
+                S.census(3, [2], [2], trials=1, prime=prime)
+
     def test_denominator_divisible_by_the_prime(self):
         point = M.MixtureParams(
             (M.GaussianParams((Fraction(3, 2 * P31),), (Fraction(1),)),),
@@ -346,11 +358,13 @@ class TestCensus:
             return kernel(rows, p)
         monkeypatch.setattr(S, "_terracini_mod_p", built)
         monkeypatch.setattr(S, "rank_profile_mod_p", counted)
-        # (d = 2 leaves no rows below the block: an empty view shares none)
         for d in (1, 3, 4):
             S.census(d, [3], range(1, 4), trials=2, seed=3, prime=P31)
         assert len(calls) == len(layouts) == 6
-        for rows, layout in zip(calls, layouts):
+        # d = 1 (like d = 2) leaves no rows below the block, and an empty
+        # view shares no memory
+        assert [len(rows) for rows in calls[:2]] == [0, 0]
+        for rows, layout in zip(calls[2:], layouts[2:]):
             assert np.shares_memory(rows, layout)
 
     def test_partials_index_built_once_per_n_and_d(self):

@@ -97,8 +97,8 @@ def mul_reference(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def substitute_reference(p: Polynomial, mapping) -> Polynomial:
     """Substitution term by term, one monomial and one power product per
-    term, summed as polynomials: the reference that Polynomial.substitute
-    is checked against."""
+    term, summed as polynomials: the oracle that the recovery tests check
+    the library's evaluations and coefficient reads against."""
     ring = p.ring
     subs: dict[int, Polynomial] = {}
     for name, val in mapping.items():
