@@ -5,9 +5,8 @@ from .moments import (CumulantVector, GaussianParams, MixtureParams,
                       mixture_moments, moment_polynomials,
                       moments_to_cumulants, multi_indices, univariate_moments)
 from .polyring import Polynomial, PolyRing
-from .recovery import (RecoveryError, RecoveryInput, RecoveryResult,
-                       degenerate_mean_test, recover, recover_general,
-                       recover_n3)
+from .recovery import (RecoveryError, RecoveryInput, degenerate_mean_test,
+                       recover, recover_general, recover_n3)
 from .secant import (DEFAULT_PRIME, DefectRow, RankCertificate, SecantProblem,
                      census, conjecture_eleven_defect, defect_identity_d3,
                      degree_formula_sec2_g1, degree_formula_sec2_x,
@@ -18,7 +17,7 @@ __all__ = [
     "CumulantVector", "GaussianParams", "MixtureParams", "MomentVector",
     "Polynomial", "PolyRing",
     "DefectRow", "RankCertificate", "SecantProblem", "DEFAULT_PRIME",
-    "RecoveryError", "RecoveryInput", "RecoveryResult",
+    "RecoveryError", "RecoveryInput",
     "census", "conjecture_eleven_defect", "cumulants_to_moments",
     "defect_identity_d3", "degenerate_mean_test", "degree_formula_sec2_g1",
     "degree_formula_sec2_x", "degree_formula_sec3_x", "dim_formula_d3",

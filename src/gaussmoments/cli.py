@@ -54,13 +54,18 @@ def _parse_range(text: str) -> list[int]:
     lo = _parse_int(lo, "range bound")
     hi = _parse_int(hi, "range bound") if sep else lo
     if hi < lo:
-        raise SystemExit2(f"empty range {text!r}")
+        raise SystemExit2(f"empty range {_shown(text)!r}")
     return list(range(lo, hi + 1))
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        if exc.filename is not None:  # the message echoes it
+            exc.filename = _shown(exc.filename)
+        raise
 
 
 def _print_json(obj) -> None:
@@ -123,10 +128,32 @@ class SystemExit2(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose own errors are one-line usage errors."""
+    """An argument parser whose own errors are one-line usage errors, with
+    every long value they echo cut short as :func:`_shown` does."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._args = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(self._args, namespace)
+
+    def _check_value(self, action, value):
+        # argparse lists the choices after the value; a long value is cut
+        # and the list left out, so that the line stays short
+        if (action.choices is not None and value not in action.choices
+                and _shown(value) != value):
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {_shown(value)!r}")
+        super()._check_value(action, value)
 
     def error(self, message):
-        raise SystemExit2(message)
+        # argparse echoes an argument whole, or its part after an option:
+        # '--opt=value', or '-hhvalue' (-h is the only one-letter option),
+        # in repr or as it is
+        for arg in self._args:
+            for text in (arg, arg.partition("=")[2], arg.lstrip("-h")):
+                shown = _shown(text)
+                message = message.replace(repr(text), repr(shown)).replace(
+                    text, shown)
+        raise SystemExit2(" ".join(message.splitlines()))
 
 
 def _integer(text: str) -> int:
@@ -199,12 +226,10 @@ def _cmd_check(args) -> int:
         out = determinantal.willink_membership(mv.n, mv.d, mv)
         result["member"] = out.is_member
         result["witness"] = {"rank": out.rank, "bound": mv.n + 1}
-    elif method == "cumulant":
+    else:  # cumulant; argparse's choices admit no other method
         witness = _first_nonzero_cumulant(mv)
         result["member"] = witness is None
         result["witness"] = list(witness) if witness else None
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit2(f"unknown method {method}")
     _print_json(result)
     return 0
 
@@ -277,14 +302,11 @@ def _cmd_formulas(args) -> int:
             rows.append({"n": args.n, "k": k,
                          "value": secant.defect_identity_d3(args.n, k)})
         columns = ("n", "k", "value")
-    elif args.conj_eleven:
+    else:  # --conj-eleven; argparse requires one flag of the group
         for r in _parse_range(args.r):
             rows.append({"n": args.n, "r": r, "k": args.n + r,
                          "value": secant.conjecture_eleven_defect(args.n, r)})
         columns = ("n", "r", "k", "value")
-    else:
-        raise SystemExit2("formulas needs one of --deg-sec2-g1, --deg-sec2-x, "
-                          "--deg-sec3-x, --dim-d3, --defect-d3, --conj-eleven")
     _emit_rows(rows, columns, args.format, None)
     return 0
 
@@ -293,11 +315,10 @@ def _cmd_recover(args) -> int:
     mu11 = _parse_fraction(args.mu11, "--mu11")
     mu21 = _parse_fraction(args.mu21, "--mu21")
     mv = moments.moment_vector_from_json(_load_json(args.moments))
-    result = recovery.recover(mv, mu11, mu21)
-    _print_json({
-        "params": moments.mixture_params_to_json(result.params),
-        "residual": str(result.residual),
-    })
+    params = recovery.recover(mv, mu11, mu21)
+    # recover returns only parameters that reproduce every moment exactly
+    _print_json({"params": moments.mixture_params_to_json(params),
+                 "residual": "0"})
     return 0
 
 

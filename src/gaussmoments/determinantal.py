@@ -54,12 +54,6 @@ class LinearMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def evaluate(self, point: dict) -> list[list[Fraction]]:
-        return [[e.evaluate(point) for e in row] for row in self.entries]
-
-    def csv_text(self) -> str:
-        return csv_text(self.entries)
-
 
 def csv_text(rows) -> str:
     """One line per row, each entry's text in double quotes."""

@@ -99,10 +99,7 @@ class GaussianParams:
 
     def sigma(self, i: int, j: int) -> Fraction:
         """Covariance entry, 0-based indices in any order."""
-        if i > j:
-            i, j = j, i
-        n = self.n
-        return self.cov_upper[i * n - i * (i - 1) // 2 + (j - i)]
+        return self.cov_upper[sigma_var_index(self.n, i, j) - self.n]
 
 
 @dataclass(frozen=True)

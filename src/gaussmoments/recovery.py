@@ -83,12 +83,6 @@ class RecoveryInput:
             raise RecoveryError("the fixed first coordinates must be distinct")
 
 
-@dataclass(frozen=True)
-class RecoveryResult:
-    params: MixtureParams
-    residual: Fraction  # always 0: _verified raises on any defect
-
-
 def degenerate_mean_test(m: MomentVector) -> bool:
     """True iff m300 = 3*m100*m200 - 2*m100^3 holds exactly (the collapsed
     first-mean-coordinate identity)."""
@@ -99,7 +93,7 @@ def degenerate_mean_test(m: MomentVector) -> bool:
     return m3 == 3 * m1 * m2 - 2 * m1 ** 3
 
 
-def _explained(recovery, inp: RecoveryInput, *args) -> RecoveryResult:
+def _explained(recovery, inp: RecoveryInput, *args) -> MixtureParams:
     """recovery(inp, *args), except that a failure on moments that satisfy
     the collapsed-mean identity is reported as that: the identity, not the
     step that failed, explains it."""
@@ -179,16 +173,9 @@ def _trimmed(coeffs: list[Fraction]) -> list[Fraction]:
 
 
 def _univariate(p: Polynomial, var: str) -> list[Fraction]:
-    """Fraction coefficient list (ascending) of a polynomial that may only
-    involve ``var``."""
-    out = []
-    for c in _coeffs_in(p, var):
-        if c.total_degree() > 0:
-            raise RecoveryError("coefficient in the final system is not "
-                                "constant; the moment vector is not in the "
-                                "generic regime")
-        out.append(c.constant_term())
-    return _trimmed(out)
+    """Fraction coefficient list (ascending) of a polynomial in ``var``
+    alone."""
+    return _trimmed([c.constant_term() for c in _coeffs_in(p, var)])
 
 
 def _eliminant(g: list[Fraction], h: Polynomial, var: str) -> Polynomial:
@@ -321,14 +308,14 @@ def _eliminate(inp: RecoveryInput) -> _Eliminated:
 
 
 def recover_n3(inp: RecoveryInput,
-               coords: tuple[int, int, int] = (0, 1, 2)) -> RecoveryResult:
+               coords: tuple[int, int, int] = (0, 1, 2)) -> MixtureParams:
     """Exact recovery for n = 3 from the 19 moment equations.  ``coords``
     are the 0-based coordinates of a larger mixture that the three stand
     for; error messages name the unknowns by them."""
     return _explained(_recover_n3, inp, coords)
 
 
-def _recover_n3(inp: RecoveryInput, coords) -> RecoveryResult:
+def _recover_n3(inp: RecoveryInput, coords) -> MixtureParams:
     st = _eliminate(inp)
 
     g = _univariate(st.e_b3, "b3")
@@ -354,18 +341,19 @@ def _recover_n3(inp: RecoveryInput, coords) -> RecoveryResult:
     return _verified(params, inp.m)
 
 
-def _verified(params: MixtureParams, m: MomentVector) -> RecoveryResult:
-    """Exact verification of every moment equation; zero residual or error."""
+def _verified(params: MixtureParams, m: MomentVector) -> MixtureParams:
+    """``params``, once every moment equation holds exactly; else an
+    error naming the first that fails."""
     regen = mixture_moments(params, m.d)
     for idx in multi_indices(m.n, m.d):
         if regen[idx] != m[idx]:
             raise RecoveryError(
                 "recovered parameters do not reproduce the moments; the "
                 "input is not on the secant variety", equation=idx)
-    return RecoveryResult(params, Fraction(0))
+    return params
 
 
-def recover_general(inp: RecoveryInput) -> RecoveryResult:
+def recover_general(inp: RecoveryInput) -> MixtureParams:
     """Recovery for n >= 4 from the subsets {1, i, i+1}, i = 2, 4, ... (the
     last one is {1, n-1, n} when n - 1 is odd), which give the weight, every
     mean and every in-subset covariance.  Each other pair (sigma1_ij,
@@ -378,21 +366,21 @@ def recover_general(inp: RecoveryInput) -> RecoveryResult:
     return _explained(_recover_general, inp)
 
 
-def _recover_general(inp: RecoveryInput) -> RecoveryResult:
+def _recover_general(inp: RecoveryInput) -> MixtureParams:
     m, n = inp.m, inp.m.n
     a1, b1 = inp.mu11, inp.mu21
     mean = ([a1] * n, [b1] * n)
     cov: tuple[dict, dict] = ({}, {})
     for i in sorted({*range(1, n - 1, 2), n - 2}):
         local = (0, i, i + 1)
-        res = recover_n3(RecoveryInput(m.restrict(local), a1, b1), local)
-        for c, comp in enumerate(res.params.components):
+        sub = recover_n3(RecoveryInput(m.restrict(local), a1, b1), local)
+        for c, comp in enumerate(sub.components):
             for s in range(3):
                 mean[c][local[s]] = comp.mean[s]
                 for t in range(s, 3):
                     cov[c][local[s], local[t]] = comp.sigma(s, t)
 
-    w = res.params.weights
+    w = sub.weights
     _solve_covariances(m, w, mean, cov,
                        [(i, j) for i in range(1, n) for j in range(i + 1, n)
                         if (i, j) not in cov[0]])
@@ -404,7 +392,7 @@ def _recover_general(inp: RecoveryInput) -> RecoveryResult:
     return _verified(params, m)
 
 
-def recover(m: MomentVector, mu11, mu21) -> RecoveryResult:
+def recover(m: MomentVector, mu11, mu21) -> MixtureParams:
     """Recover the two-component mixture behind a third-order moment vector,
     given the two (distinct) first mean coordinates."""
     inp = RecoveryInput(m, mu11, mu21)

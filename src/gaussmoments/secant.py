@@ -32,12 +32,12 @@ its first k*(m+1) - 1 columns, so the layout of K components holds the one
 of every k <= K as a column prefix.  The component values of a trial come
 from one stream, derive_seed(seed, n, d, trial), drawn one component after
 another, so they do not depend on k, and one elimination's column rank
-profile gives the rank for every k <= K: :func:`census` does one
-elimination per (n, trial).  That elimination starts below the first
-component's block of moments of order <= 2, which is invertible in closed
-form: only the Schur complement of that block is eliminated
-(:func:`_layout_profile` says why the profile is preserved), and
-:func:`secant_dimension` does the same.
+profile gives the rank for every k <= K: :func:`census`,
+:func:`defect_row` and :func:`secant_dimension` all do one elimination per
+(n, trial).  That elimination starts below the first component's block of
+moments of order <= 2, which is invertible in closed form: only the Schur
+complement of that block is eliminated (:func:`_layout_profile` says why
+the profile is preserved).
 
 A reported dimension is a certified lower bound for the generic rank; by
 Schwartz-Zippel it equals the generic rank with probability at least
@@ -372,7 +372,7 @@ def _layouts(n: int, d: int, top: int, trials: int, seed: int, prime: int):
 
 
 def _certified(problem: SecantProblem, ranks: tuple[int, ...], seed: int,
-               prime: int) -> tuple[int, RankCertificate]:
+               prime: int) -> tuple[DefectRow, RankCertificate]:
     dim = max(ranks)
     if dim > problem.expected:
         raise AssertionError(
@@ -388,15 +388,28 @@ def _certified(problem: SecantProblem, ranks: tuple[int, ...], seed: int,
     cert = RankCertificate(prime=prime, seed=seed, trials=len(ranks),
                            prng=PRNG_NAME, ranks=ranks, reported=dim,
                            degree_bound=dim * problem.d)
-    return dim, cert
-
-
-def _defect_row(problem: SecantProblem, dim: int) -> DefectRow:
-    return DefectRow(
+    row = DefectRow(
         n=problem.n, k=problem.k, d=problem.d,
         par=problem.parameters, N=problem.ambient, exp=problem.expected,
         dim=dim, delta=problem.expected - dim,
         par_minus_dim=problem.parameters - dim)
+    return row, cert
+
+
+def _rows(n: int, d: int, ks, trials: int, seed: int, prime: int):
+    """(DefectRow, RankCertificate) for each k in ``ks``, ascending and
+    distinct, from one elimination per trial at the largest k: the rank of
+    a k's layout is that of its column prefix, the number of profile
+    entries below its column count par."""
+    problems = [SecantProblem(n, d, k) for k in ks]
+    if not problems:
+        return
+    profiles = [_layout_profile(layout, n, d, prime) for layout in
+                _layouts(n, d, problems[-1].k, trials, seed, prime)]
+    for problem in problems:
+        ranks = tuple(bisect_left(profile, problem.parameters)
+                      for profile in profiles)
+        yield _certified(problem, ranks, seed, prime)
 
 
 def secant_dimension(problem: SecantProblem, trials: int = DEFAULT_TRIALS,
@@ -404,17 +417,14 @@ def secant_dimension(problem: SecantProblem, trials: int = DEFAULT_TRIALS,
                      prime: int = DEFAULT_PRIME) -> tuple[int, RankCertificate]:
     """Dimension of the k-th secant variety as the max Jacobian rank over
     seeded random prime-field points, with a reproducible certificate."""
-    n, d = problem.n, problem.d
-    ranks = tuple(len(_layout_profile(layout, n, d, prime)) for layout in
-                  _layouts(n, d, problem.k, trials, seed, prime))
-    return _certified(problem, ranks, seed, prime)
+    row, cert = defect_row(problem, trials=trials, seed=seed, prime=prime)
+    return row.dim, cert
 
 
 def defect_row(problem: SecantProblem, trials: int = DEFAULT_TRIALS,
                seed: int = DEFAULT_SEED,
                prime: int = DEFAULT_PRIME) -> tuple[DefectRow, RankCertificate]:
-    dim, cert = secant_dimension(problem, trials=trials, seed=seed, prime=prime)
-    return _defect_row(problem, dim), cert
+    return next(_rows(problem.n, problem.d, [problem.k], trials, seed, prime))
 
 
 def census(d: int, n_values, k_values, defective_only: bool = True,
@@ -422,30 +432,15 @@ def census(d: int, n_values, k_values, defective_only: bool = True,
            prime: int = DEFAULT_PRIME) -> list[DefectRow]:
     """One DefectRow per (n, k) in the given ranges, merged in (n, k) order.
 
-    ``k_values`` is either an iterable of k, or a mapping n -> iterable of k.
     With ``defective_only`` rows with zero defect (in particular all rows
     that fill the ambient space) are dropped, matching the published tables.
     Each n costs one elimination per trial, at the largest k; every row
     equals what :func:`defect_row` gives at the same seed, prime and trials.
     """
-    rows = []
-    for n in sorted(set(n_values)):
-        ks = k_values[n] if isinstance(k_values, dict) else k_values
-        problems = [SecantProblem(n, d, k) for k in sorted(set(ks))]
-        if not problems:
-            continue
-        # the rank of a problem's layout is that of its column prefix
-        profiles = [_layout_profile(layout, n, d, prime) for layout in
-                    _layouts(n, d, problems[-1].k, trials, seed, prime)]
-        for problem in problems:
-            ranks = tuple(bisect_left(profile, problem.parameters)
-                          for profile in profiles)
-            dim, _ = _certified(problem, ranks, seed, prime)
-            row = _defect_row(problem, dim)
-            if defective_only and not row.is_defective():
-                continue
-            rows.append(row)
-    return rows
+    ks = sorted(set(k_values))
+    return [row for n in sorted(set(n_values))
+            for row, _ in _rows(n, d, ks, trials, seed, prime)
+            if row.is_defective() or not defective_only]
 
 
 # -- closed-form formulas --------------------------------------------------------

@@ -703,18 +703,19 @@ def is_rational(text: str) -> bool:
 
 
 @st.composite
-def moment_files(draw):
-    """A moment-vector JSON file's text: the moments of a random mixture
-    with n = 3 or 4, perhaps with one entry raised, one key replaced or one
-    entry dropped; arbitrary small JSON; or text that is not JSON."""
+def moment_files(draw, ns=(3, 4), ds=(3,)):
+    """A moment-vector JSON file's text: the moments of order d in ``ds`` of
+    a random mixture with n in ``ns``, perhaps with one entry raised, one
+    key replaced or one entry dropped; arbitrary small JSON; or text that is
+    not JSON."""
     kind = draw(st.sampled_from(["moments"] * 4 + ["json", "text"]))
     if kind == "json":
         return json.dumps(draw(JSON_VALUES))
     if kind == "text":
         return draw(st.text(max_size=12))
-    n = draw(st.sampled_from([3, 4]))
+    n, d = draw(st.sampled_from(ns)), draw(st.sampled_from(ds))
     p = rand_mixture(SplitMix64(draw(st.integers(0, 2 ** 32))), n, 2)
-    data = M.moment_vector_to_json(M.mixture_moments(p, 3))
+    data = M.moment_vector_to_json(M.mixture_moments(p, d))
     values = data["values"]
     spot = draw(st.integers(0, len(values) - 1))
     edit = draw(st.sampled_from(["none", "none", "none", "raise", "drop",
@@ -753,6 +754,72 @@ class TestRecoverFuzz:
             assert out == "" and err.endswith("\n")
         else:
             assert err == "" and json.loads(out)["residual"] == "0"
+
+
+@st.composite
+def params_files(draw, n):
+    """A mixture-parameters JSON file's text: a random mixture in dimension
+    n with k <= 2, perhaps with one component dropped, or one of its keys or
+    a top-level key replaced."""
+    k = draw(st.integers(1, 2))
+    p = rand_mixture(SplitMix64(draw(st.integers(0, 2 ** 32))), n, k)
+    data = M.mixture_params_to_json(p)
+    comps = data["components"]
+    spot = draw(st.integers(0, k - 1))
+    edit = draw(st.sampled_from(["none", "none", "none", "drop", "key",
+                                 "top"]))
+    if edit == "drop":
+        del comps[spot]
+    elif edit == "key":
+        comps[spot][draw(st.sampled_from(["weight", "mean", "cov"]))] = draw(
+            JSON_VALUES)
+    elif edit == "top":
+        data[draw(st.sampled_from(["n", "k", "components"]))] = draw(
+            JSON_VALUES)
+    return json.dumps(data)
+
+
+@st.composite
+def json_runs(draw):
+    """Each command that reads a JSON file, with well-formed options, and
+    the text of that file (F in the argv): random JSON or text, or built
+    for the command's n and d and perhaps mutated."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    moment_text = moment_files(ns=(n,), ds=(d,))
+    return draw(st.sampled_from([
+        (["moments", "--params", "F", "--d", str(d)], params_files(n)),
+        (["cumulants", "--params", "F", "--d", str(d)], params_files(n)),
+        (["cumulants", "--moments", "F"], moment_text),
+        (["check", "--method", "gd", "--moments", "F"], moment_text),
+        (["check", "--method", "willink", "--moments", "F"], moment_text),
+        (["check", "--method", "cumulant", "--moments", "F"], moment_text),
+        (["matrix", "--which", "willink", "--n", str(n), "--d", str(d),
+          "--moments", "F"], moment_text),
+        (["recover", "--mu11=0", "--mu21=1", "--moments", "F"],
+         moment_files())]).flatmap(
+        lambda run: st.tuples(st.just(run[0]), run[1])))
+
+
+class TestJsonFuzz:
+    """Random and mutated moment and parameter files through every command
+    that reads one: exit 0 or 1, at most one stderr line, no output on
+    error, and no traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(json_runs())
+    def test_exit_codes_and_streams(self, tmp_path_factory, run):
+        command, text = run
+        path = tmp_path_factory.mktemp("fuzz") / "data.json"
+        path.write_text(text)
+        code, out, err = run_captured(
+            [str(path) if a == "F" else a for a in command])
+        assert code in (0, 1)
+        assert "Traceback" not in err and err.count("\n") <= 1
+        if code:
+            assert out == "" and err.startswith("error: ")
+            assert err.endswith("\n")
+        else:
+            assert err == "" and out
 
 
 def run_captured(argv):
@@ -820,6 +887,42 @@ class TestLongNumbers:
                    "--seed", "1" * 5000 + "x") == (
             2, "", "usage error: argument --seed: invalid int value: "
             "'11111111111111111111... (5001 characters)'\n")
+
+    @pytest.mark.parametrize("argv,line", [
+        (("dim", "--n", "1", "--d", "3", "--k", "1", "--format", "x" * 5000),
+         "argument --format: invalid choice: "
+         "'xxxxxxxxxxxxxxxxxxxx... (5000 characters)'"),
+        (("y" * 6000,), "argument command: invalid choice: "
+         "'yyyyyyyyyyyyyyyyyyyy... (6000 characters)'"),
+        (("structural", "--d", "3", "--bogus", "x" * 5000),
+         "unrecognized arguments: --bogus "
+         "xxxxxxxxxxxxxxxxxxxx... (5000 characters)"),
+        (("structural", "--d", "3", "--bogus", "a b " * 1250),
+         "unrecognized arguments: --bogus "
+         "a b a b a b a b a b ... (5000 characters)"),
+        (("formulas", "--de=" + "x" * 5000), "ambiguous option: "
+         "--de=xxxxxxxxxxxxxxx... (5005 characters) could match "
+         "--deg-sec2-g1, --deg-sec2-x, --deg-sec3-x, --defect-d3"),
+        (("formulas", "--dim-d3=" + "x" * 5000), "argument --dim-d3: "
+         "ignored explicit argument 'xxxxxxxxxxxxxxxxxxxx... "
+         "(5000 characters)'"),
+        (("structural", "--d", "3", "-hh" + "x" * 5000), "argument "
+         "-h/--help: ignored explicit argument 'xxxxxxxxxxxxxxxxxxxx... "
+         "(5000 characters)'"),
+        (("structural", "--d", "3..0" + "0" * 5000 + "1"),
+         "empty range '3..00000000000000000... (5005 characters)'")],
+        ids=["choice", "command", "unrecognized", "spaces", "ambiguous",
+             "explicit", "short-flags", "range"])
+    def test_long_usage_value_is_one_short_line(self, capsys, argv, line):
+        # argparse's own messages cut a long value as the CLI's do; a cut
+        # choice value is not followed by the list of choices
+        assert run(capsys, *argv) == (2, "", f"usage error: {line}\n")
+
+    def test_long_file_name_is_one_short_line(self, capsys):
+        code, out, err = run(capsys, "check", "--method", "cumulant",
+                             "--moments", "x" * 5000)
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.endswith(": 'xxxxxxxxxxxxxxxxxxxx... (5000 characters)'\n")
 
     def test_long_prime_is_one_short_line(self, capsys):
         assert run(capsys, "dim", "--n", "1", "--d", "3", "--k", "1",
@@ -954,3 +1057,77 @@ class TestStructuralAndMatrix:
     def test_matrix_willink_needs_n(self, capsys):
         code, _, err = run(capsys, "matrix", "--which", "willink", "--d", "4")
         assert code == 2
+
+
+# argv for formulas, structural and matrix: for formulas mostly one of its
+# flags, sometimes none or two; the required options and some others, each
+# with a value of its kind four times in five and junk else; and up to two
+# chunks of junk.  Numbers and ranges are short (a long range is a long
+# valid run, not an error); junk is text, long text with and without
+# spaces, and a few tokens that argparse treats specially.
+USAGE_FLAGS = ["--deg-sec2-g1", "--deg-sec2-x", "--deg-sec3-x", "--dim-d3",
+               "--defect-d3", "--conj-eleven"]
+USAGE_NUMBERS = st.one_of(
+    st.integers(-2, 5).map(str),
+    st.tuples(st.integers(-2, 5), st.integers(-1, 3)).map(
+        lambda b: f"{b[0]}..{b[0] + b[1]}"))
+USAGE_FORMATS = st.sampled_from(["csv", "json", "markdown"])
+# per command: how many of its first options are required, and each
+# option's values
+USAGE_OPTIONS = {
+    "formulas": (0, {"--d": USAGE_NUMBERS, "--n": USAGE_NUMBERS,
+                     "--k": USAGE_NUMBERS, "--r": USAGE_NUMBERS,
+                     "--format": USAGE_FORMATS}),
+    "structural": (1, {"--d": USAGE_NUMBERS, "--format": USAGE_FORMATS}),
+    "matrix": (2, {"--which": st.sampled_from(["gd", "hb", "willink"]),
+                   "--d": USAGE_NUMBERS, "--n": USAGE_NUMBERS,
+                   "--moments": st.just("no-such-file.json")})}
+USAGE_JUNK = st.one_of(
+    st.sampled_from(["", "..", "--", "-1", "--bogus", "x", "json", "gd"]),
+    st.text(max_size=8),
+    st.sampled_from(["x", "a b ", "7 "]).map(lambda c: c * 1500))
+
+
+@st.composite
+def usage_argv(draw):
+    command = draw(st.sampled_from(sorted(USAGE_OPTIONS)))
+    required, options = USAGE_OPTIONS[command]
+    chunks = []
+    if command == "formulas":
+        chunks += [[flag] for flag in draw(st.permutations(USAGE_FLAGS))[
+            :draw(st.sampled_from([0, 1, 1, 1, 2]))]]
+    for i, (option, values) in enumerate(options.items()):
+        if i < required or draw(st.booleans()):
+            junk = draw(st.integers(0, 4)) == 0
+            chunks.append([option, draw(USAGE_JUNK if junk else values)])
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        option, value = draw(st.sampled_from(sorted(options))), draw(
+            USAGE_JUNK)
+        chunks.append(draw(st.sampled_from(
+            [[option], [f"{option}={value}"], [value]])))
+    return [command] + [a for chunk in draw(st.permutations(chunks))
+                        for a in chunk]
+
+
+class TestUsageFuzz:
+    """Random argv for formulas, structural and matrix: exit 0, 1 or 2, and
+    on error no output and one stderr line of at most 300 characters (each
+    long value it echoes is cut), never a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(usage_argv())
+    def test_exit_codes_and_one_short_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # only --help leaves main this way
+                assert exc.code == 0 and out.getvalue().startswith("usage:")
+                return
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        if code:
+            assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+            assert len(err) <= 300 and "Traceback" not in err
+        else:
+            assert err == ""

@@ -313,5 +313,5 @@ class TestLinearMatrix:
 
     def test_csv_dump(self):
         g = D.build_gd(3)
-        text = g.csv_text()
+        text = D.csv_text(g.entries)
         assert text.splitlines()[0] == '"0","m0","2*m1"'

@@ -287,11 +287,6 @@ class TestCensus:
         assert row.par_minus_dim == row.par - row.dim
         assert row.delta == row.exp - row.dim
 
-    def test_per_n_k_ranges(self):
-        rows = S.census(3, [5, 6], {5: [3], 6: [3, 4]}, defective_only=True,
-                        trials=1, seed=11, prime=P31)
-        assert [(r.n, r.k) for r in rows] == [(5, 3), (6, 3), (6, 4)]
-
     @pytest.mark.parametrize("d,ns,ks,trials,prime", [
         (3, range(2, 8), range(1, 7), 2, P31),
         (4, [5, 6], range(3, 8), 3, 2097169),

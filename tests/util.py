@@ -224,8 +224,8 @@ def recover_all_subsets(m, mu11, mu21) -> MixtureParams:
         for j in range(i + 1, n):
             inp = recovery.RecoveryInput(m.restrict((0, i, j)), mu11, mu21)
             res = recovery.recover_n3(inp)
-            c1, c2 = res.params.components
-            w = res.params.weights[0]
+            c1, c2 = res.components
+            w = res.weights[0]
             assert lam is None or lam == w, "subsets disagree on the weight"
             lam = w
             for pos, t in ((i, 1), (j, 2)):
