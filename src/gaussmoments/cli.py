@@ -127,6 +127,10 @@ class SystemExit2(Exception):
     """Usage error (exit code 2)."""
 
 
+class _HelpShown(Exception):
+    """argparse has printed the help, and main returns 0."""
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose own errors are one-line usage errors, with
     every long value they echo cut short as :func:`_shown` does."""
@@ -143,6 +147,11 @@ class _Parser(argparse.ArgumentParser):
             raise argparse.ArgumentError(
                 action, f"invalid choice: {_shown(value)!r}")
         super()._check_value(action, value)
+
+    def exit(self, status=0, message=None):
+        # argparse's errors go to error(), so it exits here only from the
+        # help action, after printing the help
+        raise _HelpShown
 
     def error(self, message):
         # argparse echoes an argument whole, or its part after an option:
@@ -499,6 +508,8 @@ def _main(argv) -> int:
                 raise SystemExit2(f"--{name.replace('_', '-')} needs a value, "
                                   "not '--'")
         return args.func(args)
+    except _HelpShown:
+        return 0
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

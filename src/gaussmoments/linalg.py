@@ -18,7 +18,7 @@ One elimination strategy per coefficient domain:
   exactly whatever the order of summation.  The limb products are
   recombined in int64; the one float64 quotient estimate there is within 1
   of the true quotient (proved in ``_sub_matmul`` and ``_fold``) and is
-  corrected with exact wrapping int64 arithmetic.
+  corrected with exact wrapping integer arithmetic.
 
 No result depends on floating-point rounding.
 """
@@ -107,14 +107,24 @@ def _fold(v, f, p: int):
 
     floor(f) is then within 1 of floor(V/p), so V - floor(f)*p lies in
     [-p, 2p).  That range is inside int64 because p < 2^62, so the wrapping
-    int64 difference is exact, and two conditional corrections by p bring it
-    into [0, p).
+    int64 difference is exact, and two corrections by p bring it into
+    [0, p): one by :func:`_add_p_if_negative`, then the unsigned minimum
+    of v and v - p, where v - p wraps above v for v < p.
     """
     v -= f.astype(np.int64) * p
-    v += (v >> 63) & p
-    v -= p
-    v += (v >> 63) & p
+    _add_p_if_negative(v, p)
+    u = v.view(np.uint64)
+    np.minimum(u, u - p, out=u)
     return v
+
+
+def _add_p_if_negative(v, p: int) -> None:
+    """v <- v + p in place where v < 0, for an int64 array v >= -p and
+    p < 2^62.  As uint64 a negative v is at least 2^63 and v + p wraps
+    below it, while v >= 0 gives v + p < 2^63 above it: so the unsigned
+    minimum of the two, two passes over v, is the corrected value."""
+    u = v.view(np.uint64)
+    np.minimum(u, u + p, out=u)
 
 
 def _shift(y, bits: int, p: int):
@@ -166,7 +176,7 @@ def _sub_matmul(c, x, y, p: int) -> None:
                     f += q
             ct = c[:, t:t + _TILE]
             ct -= _fold(v, f, p)
-            ct += (ct >> 63) & p
+            _add_p_if_negative(ct, p)
 
 
 def _eliminate(a, c0: int, c1: int, p: int, need_g: bool) -> list[int]:

@@ -22,7 +22,7 @@ last weight eliminated (lambda_k = 1 - sum), is
 k*n*(n+3)/2 + k - 1.
 
 Ranks are computed from the layout
-[A_1 | A_2, M_2 - M_1 | ... | A_k, M_k - M_1] instead, which has no
+[A_1 | M_2 - M_1, A_2 | ... | M_k - M_1, A_k] instead, which has no
 weights.  Where every weight is nonzero it has the same column space as the
 mixture Jacobian: weights only scale the A-blocks, and
 M_l - M_k = (M_l - M_1) - (M_k - M_1).  So the two have the same rank
@@ -34,10 +34,21 @@ from one stream, derive_seed(seed, n, d, trial), drawn one component after
 another, so they do not depend on k, and one elimination's column rank
 profile gives the rank for every k <= K: :func:`census`,
 :func:`defect_row` and :func:`secant_dimension` all do one elimination per
-(n, trial).  That elimination starts below the first component's block of
-moments of order <= 2, which is invertible in closed form: only the Schur
-complement of that block is eliminated (:func:`_layout_profile` says why
-the profile is preserved).
+(n, trial).  That elimination starts below the first component's block T
+of moments of order <= 2, which is invertible in closed form: only the
+Schur complement of that block is eliminated (:func:`_layout_profile` says
+why the profile is preserved).  No layout is formed.  Subtracting component
+1's partials from each later component's leaves Delta, whose entries are
+c * (m_b(l) - m_b(1)), the partials of the moment differences, and with C
+component 1's partials in the rows R of order >= 3 the Schur complement is
+
+    S = Delta[R] - C T^-1 Delta_top.
+
+Delta_top, Delta's rows of order <= 2, vanishes outside the mean and
+moment columns: the covariance partials of those moments are the same for
+every component.  So the products run on (K-1)(n+1) of the (K-1)(m+1)
+later columns, 154 instead of 924 at n = 10, K = 15
+(:func:`_schur_complement`).
 
 A reported dimension is a certified lower bound for the generic rank; by
 Schwartz-Zippel it equals the generic rank with probability at least
@@ -60,8 +71,8 @@ import numpy as np
 # rank_mod_p stays importable here: bench/spans.py wraps secant.rank_mod_p
 from .linalg import (PRIME_LIMIT, _fold, _sub_matmul, rank_mod_p,  # noqa: F401
                      rank_profile_mod_p)
-from .moments import (Index, MixtureParams, gaussian_moment_table,
-                      lower_index, multi_indices, sigma_var_index)
+from .moments import (MixtureParams, gaussian_moment_table, multi_indices,
+                      sigma_var_index)
 from .polyring import is_prime
 from .rng import PRNG_NAME, SplitMix64, derive_seed
 
@@ -164,19 +175,56 @@ class DefectRow:
 # -- Jacobian machinery --------------------------------------------------------
 
 
-def _partials(a: Index):
-    """Each nonzero partial of m_a as (parameter position, c, b), meaning
-    dm_a/dparameter = c * m_b: the closed forms in the module docstring."""
-    n = len(a)
-    for i in range(n):
-        if a[i]:
-            b = lower_index(a, i)
-            yield i, a[i], b
-            for j in range(i, n):
-                if b[j]:
-                    yield (sigma_var_index(n, i, j),
-                           a[i] * b[j] // (2 if i == j else 1),
-                           lower_index(b, j))
+def _grlex_positions(exps, d: int):
+    """The position in the graded-lex order of :func:`multi_indices` of
+    each multi-index of order <= d, a row of the int array ``exps``.
+
+    Before a = (a_1..a_n) come all multi-indices of order below |a|, and
+    those of order |a| that are lex smaller.  Those after it are lex larger:
+    they agree with a before some coordinate i > 1 and are larger there, so
+    their tail from i on has order below s_i = a_i + ... + a_n.  There are
+    C(s + v - 1, v) tails in v = n - i + 1 variables of order below s.  So
+    the position is C(|a| + n, n) - 1, the count of order <= |a| less one,
+    less the sum of those counts over i.
+    """
+    n = exps.shape[1]
+    # fewer[s, v]: the multi-indices in v variables of order below s
+    fewer = np.array([[comb(s + v - 1, v) if s else 0 for v in range(n + 1)]
+                      for s in range(d + 2)], dtype=np.intp)
+    tails = np.cumsum(exps[:, ::-1], axis=1)[:, ::-1]
+    return (fewer[tails[:, 0] + 1, n] - 1
+            - fewer[tails[:, 1:], np.arange(n - 1, 0, -1)].sum(axis=1))
+
+
+@lru_cache(maxsize=32)
+def _partials_index(n: int, d: int):
+    """Where :func:`_moment_blocks` puts each nonzero partial c * m_b, as
+    read-only intp arrays: its row (the moment differentiated, less 1), its
+    column in a component's block (1 + parameter position), the graded-lex
+    position of b, and which of the distinct coefficients ``scales`` c is.
+    They do not depend on the point, so they are built once per (n, d).
+
+    The closed forms of the module docstring are, for each parameter, a
+    coefficient c(a) and a lowering e of the multi-index, b = a - e: a_i
+    and e_i for mu_i, a_i a_j and e_i + e_j for sigma_ij with i < j, and
+    a_i (a_i - 1)/2 and 2 e_i for sigma_ii.  The partial is nonzero where
+    c(a) is, so they are read off the table of exponents of the moments
+    of order 1..d, one column of coefficients per parameter.
+    """
+    exps = np.array(multi_indices(n, d, min_order=1), dtype=np.intp)
+    i, j = np.triu_indices(n)
+    diagonal = (i == j).astype(np.intp)
+    coefs = np.hstack([exps, exps[:, i] * (exps[:, j] - diagonal)
+                       // (1 + diagonal)])
+    unit = np.eye(n, dtype=np.intp)
+    lowering = np.vstack([unit, unit[i] + unit[j]])
+    rows, params = np.nonzero(coefs)
+    srcs = _grlex_positions(exps[rows] - lowering[params], d)
+    scales, which = np.unique(coefs[rows, params], return_inverse=True)
+    out = rows, params + 1, srcs, scales, which
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def _moment_residues(n: int, d: int, comp_vals, p: int):
@@ -193,59 +241,29 @@ def _moment_residues(n: int, d: int, comp_vals, p: int):
     return (moments % p).astype(np.int64)
 
 
-@lru_cache(maxsize=32)
-def _partials_index(n: int, d: int):
-    """Where :func:`_moment_blocks` puts each nonzero partial c * m_b, as
-    read-only intp arrays: its row (the moment differentiated, less 1), its
-    column in a component's block (1 + parameter position), the graded-lex
-    position of b, and which of the distinct coefficients ``scales`` c is.
-    They do not depend on the point, so they are built once per (n, d)."""
-    # a moment's position in the graded-lex table; order 0 is position 0,
-    # so the moments of order 1..d (the rows) sit at positions 1..N
-    index = {a: i for i, a in enumerate(multi_indices(n, d))}
-    rows, cols, coefs, srcs = np.array(
-        [(index[a] - 1, j + 1, c, index[b]) for a in list(index)[1:]
-         for j, c, b in _partials(a)], dtype=np.intp).T
-    scales, which = np.unique(coefs, return_inverse=True)
-    out = rows, cols, srcs, scales, which
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+def _moment_blocks(n: int, d: int, moments, p: int):
+    """The N x K x (m+1) int64 array B of residues mod p built from a
+    table of moments of :func:`_moment_residues`, or of differences of
+    such moments, with K columns: B[:, l, 0] is the l-th column's entries
+    of order 1..d, and B[:, l, 1:] their partials in the m = n(n+3)/2
+    (mu, sigma) coordinates.  The partials are linear in the moments
+    (c * m_b, :func:`_partials_index`), so those of a difference of
+    moments are the differences of their partials.
 
-
-def _moment_blocks(n: int, d: int, comp_vals, p: int):
-    """All K components at once, as an N x K x (m+1) int64 array B of
-    residues mod p: B[:, l, 0] is M_l, the moments of order 1..d of
-    component l, and B[:, l, 1:] is A_l, their partials in its
-    m = n(n+3)/2 (mu, sigma) coordinates.
-
-    Each nonzero partial is c * m_b for a small int c (:func:`_partials`),
-    so the partials are gathered, in one index assignment, from the
-    moments of :func:`_moment_residues` times each distinct c.
+    The partials are gathered, in one index assignment, from the table
+    times each distinct c.
     """
     m = n * (n + 3) // 2
-    moments = _moment_residues(n, d, comp_vals, p)
     rows, cols, srcs, scales, which = _partials_index(n, d)
     # c * x mod p for x < p: the int64 product wraps, and its quotient
     # estimate x * (c/p) < c is off by far less than the 1 _fold allows
     scaled = np.stack([_fold(c * moments, moments * (c / p), p)
                        for c in scales])
-    blocks = np.zeros((len(moments) - 1, len(comp_vals), m + 1),
+    blocks = np.zeros((len(moments) - 1, moments.shape[1], m + 1),
                       dtype=np.int64)
     blocks[:, :, 0] = moments[1:]
     blocks[rows, :, cols] = scaled[which, srcs]
     return blocks
-
-
-def _terracini_mod_p(n: int, d: int, comp_vals, p: int):
-    """The layout [A_1 | A_2, M_2 - M_1 | ... | A_K, M_K - M_1] mod p of the
-    module docstring, an int64 array: its first k components fill the first
-    k*(m+1) - 1 columns.  It is a view of :func:`_moment_blocks` with M_1
-    subtracted, less its first column (M_1 - M_1 = 0)."""
-    blocks = _moment_blocks(n, d, comp_vals, p)
-    moments = blocks[:, :, 0]
-    moments[:] = (moments - moments[:, :1]) % p
-    return blocks.reshape(len(blocks), -1)[:, 1:]
 
 
 def _unit_columns(n: int, d: int) -> list[int]:
@@ -259,40 +277,77 @@ def _unit_columns(n: int, d: int) -> list[int]:
     return cols
 
 
-def _layout_profile(layout, n: int, d: int, p: int) -> list[int]:
-    """Column rank profile mod p of a layout from :func:`_terracini_mod_p`,
-    eliminating only the Schur complement of its first m x m block; the
-    layout is overwritten.
+def _schur_complement(n: int, d: int, comp_vals, p: int):
+    """S, the Schur complement of component 1's block T in the layout of
+    the components ``comp_vals`` (:func:`_layout_profile`), as an int64
+    view of a fresh array: one row per moment of order 3..d, and the
+    m + 1 columns [M_l - M_1, A_l] of each later component l.
 
-    The first m rows, the moments of order 1..min(d, 2), meet the first m
-    columns, component 1's partials in mu and (for d >= 2) sigma, in
+    Subtracting component 1's columns from every later component's changes
+    no column rank profile, and turns the layout into [A_1 | Delta], with
+    Delta's block of component l [M_l - M_1, A_l - A_1].  Its entries are
+    c * (m_b(l) - m_b(1)), gathered from the moment differences by
+    :func:`_moment_blocks`.  With A_1 = [T; C] and Delta = [Delta_top;
+    Delta_R] split at the moments of order <= 2,
+
+        S = Delta_R - C T^-1 Delta_top,
+
+    the Schur complement of the layout's own later columns too.  On those
+    moments, x_i and x_i x_j, the partials in sigma are the same for every
+    component (0 or 1), and those in mu_i are 1 or mu_j, 2 mu_i.  So
+    Delta_top is zero outside the n mean columns and the moment column of
+    each later block, and so is T^-1 Delta_top; elsewhere S is Delta_R.
+    The two products below thus run on (K-1)(n+1) columns, not (K-1)(m+1):
+    154 instead of 924 at n = 10, K = 15.
+
     T = [[P1, 0], [X, P2]]: the row of x_i has a 1 in column mu_i, that of
     x_i x_j a 1 in column sigma_ij (:func:`_unit_columns`), and X holds the
-    order-2 rows' mean partials mu_j and 2 mu_i.  So T is invertible at
-    every point and every prime.  With L = [[T, B], [C, D]], subtracting
-    C T^-1 times the first m rows from the others changes no dependency
-    among the columns, and then subtracting the first m columns times
-    T^-1 B from the later ones adds to each column a combination of
-    earlier ones.  Neither step changes the column rank profile, and they
-    leave [[T, 0], [0, S]] with S = D - C T^-1 B.  So the profile is
-    0..m-1 followed by m + the profile of S.
-
-    S is formed in place on the layout.  With P = diag(P1, P2),
-    T^-1 B = [P1^T B1; P2^T (B2 - X P1^T B1)] = P^T B' for
-    B' = [B1; B2 - X P1^T B1].  B2 is overwritten by B2 - X P1^T B1, and D
-    by S = D - (C P^T) B'.  X P1^T and C P^T are the columns of X and C in
+    order-2 rows' mean partials mu_j and 2 mu_i.  With P = diag(P1, P2)
+    and Delta_top = [B1; B2] split at the order-2 rows, T^-1 Delta_top =
+    P^T B' for B' = [B1; B2 - X P1^T B1], so C T^-1 Delta_top = (C P^T) B'.
+    X P1^T and C P^T are the columns of X and C in
     the order of the rows' unit entries, taken from the index maps and not
-    from matrix values, so each update is one _sub_matmul.  At d = 1, T is
-    the identity on the mu columns, X, B2 and S have no rows, and the
-    profile is 0..n-1.
+    from matrix values, so each product is one _sub_matmul.  At d = 1
+    there are no order-2 rows and S has no rows.
     """
+    m, k = n * (n + 3) // 2, len(comp_vals)
+    moments = _moment_residues(n, d, comp_vals, p)
+    moments[:, 1:] = (moments[:, 1:] - moments[:, :1]) % p
+    blocks = _moment_blocks(n, d, moments, p)
     cols = _unit_columns(n, d)
-    m = len(cols)
-    b = layout[:m, m:]
-    _sub_matmul(b[n:], layout[n:m, cols[:n]], b[:n], p)
-    _sub_matmul(layout[m:, m:], layout[m:, cols], b, p)
-    return list(range(m)) + [m + j for j in
-                             rank_profile_mod_p(layout[m:, m:], p)]
+    top, low = len(cols), len(blocks) - len(cols)
+    first = blocks[:, 0, 1:]
+    # Delta on the moment and mean columns, as 2-D arrays written back
+    # after the products
+    b = blocks[:top, 1:, :n + 1].reshape(top, (k - 1) * (n + 1))
+    s = blocks[top:, 1:, :n + 1].reshape(low, (k - 1) * (n + 1))
+    _sub_matmul(b[n:], first[n:top, cols[:n]], b[:n], p)
+    _sub_matmul(s, first[top:, cols], b, p)
+    blocks[top:, 1:, :n + 1] = s.reshape(low, k - 1, n + 1)
+    return blocks.reshape(len(blocks), k * (m + 1))[top:, m + 1:]
+
+
+def _layout_profile(n: int, d: int, comp_vals, p: int) -> list[int]:
+    """Column rank profile mod p of the layout
+    [A_1 | M_2 - M_1, A_2 | ... | M_K - M_1, A_K] of the components
+    ``comp_vals`` (the module docstring), eliminating only the Schur
+    complement of its first block.
+
+    The first rows, the moments of order 1..min(d, 2), meet the first
+    columns, component 1's partials in mu and (for d >= 2) sigma, in an
+    invertible block T (:func:`_schur_complement`).  With L = [[T, B],
+    [C, D]], subtracting C T^-1 times the first rows from the others
+    changes no dependency among the columns, and then subtracting the
+    first columns times T^-1 B from the later ones adds to each column a
+    combination of earlier ones.  Neither step changes the column rank
+    profile, and they leave [[T, 0], [0, S]] with S = D - C T^-1 B.  So
+    the profile is that of T's columns followed by m + the profile of S.
+    At d = 1, T is the identity on the mu columns and S has no rows.
+    """
+    s = _schur_complement(n, d, comp_vals, p)
+    top = comb(n + d, d) - 1 - len(s)
+    return list(range(top)) + [n * (n + 3) // 2 + j
+                               for j in rank_profile_mod_p(s, p)]
 
 
 def _shown(value) -> str:
@@ -346,8 +401,9 @@ def secant_jacobian(problem: SecantProblem, point: MixtureParams,
     if point.n != problem.n or point.k != problem.k:
         raise ValueError("parameter point does not match the problem")
     comp_vals, weights = _params_to_modular(point, prime)
+    moments = _moment_residues(problem.n, problem.d, comp_vals, prime)
     # object arrays: a weight times a residue overflows int64
-    blocks = _moment_blocks(problem.n, problem.d, comp_vals,
+    blocks = _moment_blocks(problem.n, problem.d, moments,
                             prime).astype(object)
     moments = blocks[:, :, 0]
     partials = blocks[:, :, 1:] * np.array(weights, dtype=object)[:, None]
@@ -355,9 +411,9 @@ def secant_jacobian(problem: SecantProblem, point: MixtureParams,
                       (moments[:, :-1] - moments[:, -1:]) % prime]).tolist()
 
 
-def _layouts(n: int, d: int, top: int, trials: int, seed: int, prime: int):
-    """Per trial, the layout of ``top`` components at a random point: their
-    values come from the stream derive_seed(seed, n, d, trial), drawn one
+def _points(n: int, d: int, top: int, trials: int, seed: int, prime: int):
+    """Per trial, the values of ``top`` components at a random point: they
+    come from the stream derive_seed(seed, n, d, trial), drawn one
     component after another, so the first k components do not depend on
     ``top``."""
     if trials < 1:
@@ -366,9 +422,7 @@ def _layouts(n: int, d: int, top: int, trials: int, seed: int, prime: int):
     m = n * (n + 3) // 2
     for t in range(trials):
         rng = SplitMix64(derive_seed(seed, n, d, t))
-        comp_vals = [[rng.below(prime) for _ in range(m)]
-                     for _ in range(top)]
-        yield _terracini_mod_p(n, d, comp_vals, prime)
+        yield [[rng.below(prime) for _ in range(m)] for _ in range(top)]
 
 
 def _certified(problem: SecantProblem, ranks: tuple[int, ...], seed: int,
@@ -404,8 +458,8 @@ def _rows(n: int, d: int, ks, trials: int, seed: int, prime: int):
     problems = [SecantProblem(n, d, k) for k in ks]
     if not problems:
         return
-    profiles = [_layout_profile(layout, n, d, prime) for layout in
-                _layouts(n, d, problems[-1].k, trials, seed, prime)]
+    profiles = [_layout_profile(n, d, comp_vals, prime) for comp_vals in
+                _points(n, d, problems[-1].k, trials, seed, prime)]
     for problem in problems:
         ranks = tuple(bisect_left(profile, problem.parameters)
                       for profile in profiles)

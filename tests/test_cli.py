@@ -16,7 +16,7 @@ from gaussmoments import secant as S
 from gaussmoments.cli import main
 from gaussmoments.linalg import rank_mod_p
 from gaussmoments.rng import SplitMix64
-from util import rand_mixture
+from util import layouts, rand_mixture
 
 P31 = 2 ** 31 - 1
 
@@ -966,7 +966,7 @@ def full_layout_rank(n, d, k, trials, seed, prime):
     """The max over trials of the rank of the whole layout of k components,
     with no Schur step."""
     return max(rank_mod_p(layout, prime)
-               for layout in S._layouts(n, d, k, trials, seed, prime))
+               for layout in layouts(n, d, k, trials, seed, prime))
 
 
 class TestRankFuzz:
@@ -1117,17 +1117,18 @@ class TestUsageFuzz:
     @settings(max_examples=300, deadline=None)
     @given(usage_argv())
     def test_exit_codes_and_one_short_line(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # only --help leaves main this way
-                assert exc.code == 0 and out.getvalue().startswith("usage:")
-                return
-        out, err = out.getvalue(), err.getvalue()
+        code, out, err = run_captured(argv)
         assert code in (0, 1, 2)
         if code:
             assert out == "" and err.count("\n") == 1 and err.endswith("\n")
             assert len(err) <= 300 and "Traceback" not in err
         else:
             assert err == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["census", "-h"],
+                                      ["dim", "--d", "3", "--help"],
+                                      ["formulas", "--help", "--bogus"]])
+    def test_help_returns_zero(self, argv):
+        # main prints the help and returns, as on every other path
+        code, out, err = run_captured(argv)
+        assert (code, err) == (0, "") and out.startswith("usage: gaussmoments")

@@ -327,6 +327,23 @@ class TestLimbMatmul:
             assert _fold(v.copy(), low, p).tolist() == want
             assert _fold(v.copy(), high, p).tolist() == want
 
+    def test_fold_at_the_edges_of_its_range(self):
+        # with f = 0 the difference V - floor(f)*p is v itself, which _fold
+        # takes anywhere in [-p, 2p)
+        for p in PRIMES:
+            v = np.array([-p, -1, 0, p - 1, p, 2 * p - 1], dtype=np.int64)
+            assert _fold(v, np.zeros(len(v)), p).tolist() == \
+                [0, p - 1, 0, p - 1, 0, p - 1], p
+
+    def test_subtraction_at_the_edges(self):
+        # c - x @ y for c and x @ y mod p each 0 or p - 1: the difference
+        # before the last correction lies in (-p, p)
+        for p in PRIMES:
+            c = np.array([[0, 0, p - 1, p - 1]], dtype=np.int64)
+            y = np.array([[0, p - 1, 0, p - 1]], dtype=np.int64)
+            _sub_matmul(c, np.ones((1, 1), dtype=np.int64), y, p)
+            assert c.tolist() == [[0, 1, p - 1, 0]], p
+
     def test_against_python_ints(self):
         rng = SplitMix64(11)
         for p in PRIMES:

@@ -10,8 +10,9 @@ from gaussmoments import moments as M
 from gaussmoments import secant as S
 from gaussmoments.linalg import rank_mod_p, rank_profile_mod_p
 from gaussmoments.rng import SplitMix64
-from util import (fills_ambient, jacobian_reference, rand_mixture,
-                  rank_mod_p_oracle, terracini_reference)
+from util import (fills_ambient, jacobian_reference, layouts,
+                  partials_reference, rand_mixture, rank_mod_p_oracle,
+                  schur_reference, terracini_reference)
 
 P31 = 2 ** 31 - 1
 
@@ -148,7 +149,7 @@ class TestJacobianOracle:
 
 
 class TestTerraciniLayout:
-    """The weight-free layout [A_1 | A_2, M_2 - M_1 | ...] that ranks are
+    """The weight-free layout [A_1 | M_2 - M_1, A_2 | ...] that ranks are
     computed from."""
 
     @pytest.mark.parametrize("n,d,k", [(1, 6, 3), (2, 4, 3), (3, 3, 2),
@@ -165,10 +166,12 @@ class TestTerraciniLayout:
             if not all(weights):
                 continue
             checked += 1
-            layout = S._terracini_mod_p(n, d, comp_vals, prime)
+            layout = terracini_reference(n, d, comp_vals, prime)
             assert layout.shape == (problem.ambient, problem.parameters)
-            assert rank_mod_p(layout, prime) == rank_mod_p(
+            rank = rank_mod_p(layout, prime)
+            assert rank == rank_mod_p(
                 S.secant_jacobian(problem, point, prime=prime), prime)
+            assert rank == len(S._layout_profile(n, d, comp_vals, prime))
 
 
 # every (n, d) with n = 1..4 and d = 1..6, for K = 1 and 3
@@ -190,11 +193,16 @@ class TestAllComponentBuild:
 
     @pytest.mark.parametrize("prime", [7919, P31, S.DEFAULT_PRIME])
     def test_layout_equals_reference(self, prime):
+        # the layout is the blocks with M_1 subtracted, less their first
+        # column (M_1 - M_1 = 0)
         rng = SplitMix64(prime % 10007)
         for n, d, k in BUILD_SHAPES + [(10, 4, 15)]:
             comp_vals = _residues(rng, n, k, prime)
-            layout = S._terracini_mod_p(n, d, comp_vals, prime)
-            assert layout.dtype == np.int64
+            blocks = S._moment_blocks(
+                n, d, S._moment_residues(n, d, comp_vals, prime), prime)
+            assert blocks.dtype == np.int64
+            blocks[:, :, 0] = (blocks[:, :, 0] - blocks[:, :1, 0]) % prime
+            layout = blocks.reshape(len(blocks), -1)[:, 1:]
             assert np.array_equal(
                 layout, terracini_reference(n, d, comp_vals, prime)), \
                 (n, d, k)
@@ -339,28 +347,30 @@ class TestCensus:
                           5 * (n * (n + 3) // 2 + 1))
                          for n in range(5, 11)]
 
-    def test_kernel_works_on_a_view_of_the_layout(self, monkeypatch):
-        # the Schur complement is formed in place: no copy of the layout
-        layouts, calls = [], []
-        build, kernel = S._terracini_mod_p, S.rank_profile_mod_p
+    def test_kernel_works_on_a_view_of_the_blocks(self, monkeypatch):
+        # the Schur complement is formed in place on the moment blocks of
+        # the moment differences: no copy of its (K-1)(m+1) columns
+        built, calls = [], []
+        build, kernel = S._moment_blocks, S.rank_profile_mod_p
 
-        def built(*args):
-            layouts.append(build(*args))
-            return layouts[-1]
+        def kept(*args):
+            built.append(build(*args))
+            return built[-1]
 
         def counted(rows, p):
             calls.append(rows)
             return kernel(rows, p)
-        monkeypatch.setattr(S, "_terracini_mod_p", built)
+        monkeypatch.setattr(S, "_moment_blocks", kept)
         monkeypatch.setattr(S, "rank_profile_mod_p", counted)
         for d in (1, 3, 4):
             S.census(d, [3], range(1, 4), trials=2, seed=3, prime=P31)
-        assert len(calls) == len(layouts) == 6
+        assert len(calls) == len(built) == 6
         # d = 1 (like d = 2) leaves no rows below the block, and an empty
         # view shares no memory
-        assert [len(rows) for rows in calls[:2]] == [0, 0]
-        for rows, layout in zip(calls[2:], layouts[2:]):
-            assert np.shares_memory(rows, layout)
+        assert [rows.shape for rows in calls[:2]] == [(0, 20), (0, 20)]
+        for rows, blocks in zip(calls[2:], built[2:]):
+            assert rows.shape[1] == 20
+            assert np.shares_memory(rows, blocks)
 
     def test_partials_index_built_once_per_n_and_d(self):
         S._partials_index.cache_clear()
@@ -368,6 +378,19 @@ class TestCensus:
         info = S._partials_index.cache_info()
         assert (info.misses, info.hits) == (2, 4)
         assert not any(a.flags.writeable for a in S._partials_index(3, 4))
+
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 7)
+                                     for d in range(1, 7)] + [(10, 4)])
+    def test_partials_index_equals_enumeration(self, n, d):
+        # as a set of (row, column, source, coefficient), against the
+        # closed forms enumerated one moment at a time
+        rows, cols, srcs, scales, which = S._partials_index(n, d)
+        got = set(zip(rows.tolist(), cols.tolist(), srcs.tolist(),
+                      scales[which].tolist()))
+        index = {a: i for i, a in enumerate(M.multi_indices(n, d))}
+        want = {(index[a] - 1, j + 1, index[b], c) for a in list(index)[1:]
+                for j, c, b in partials_reference(a)}
+        assert len(got) == len(rows) and got == want
 
     def test_one_moment_table_per_n_and_trial(self, monkeypatch):
         # every component of a layout comes from one moment table
@@ -388,6 +411,18 @@ class TestCensus:
         assert rows == []
 
 
+def _edge_points(rng, n, k, p):
+    """k components of _residues, and the same with component 2 equal to
+    component 1 (Delta = 0) and with the means of components 2.. equal to
+    component 1's (Delta mu = 0)."""
+    comp_vals = _residues(rng, n, k, p)
+    yield comp_vals
+    if k > 1:
+        yield [comp_vals[0], list(comp_vals[0])] + comp_vals[2:]
+        yield [comp_vals[0]] + [comp_vals[0][:n] + vals[n:]
+                                for vals in comp_vals[1:]]
+
+
 class TestSchurStep:
     """Eliminating only the Schur complement of the first component's
     order-<=2 block gives the profile of the whole layout."""
@@ -400,23 +435,45 @@ class TestSchurStep:
                 if prime <= factorial(d):
                     continue
                 for k in (1, 2, 4):
-                    layout = S._terracini_mod_p(
-                        n, d, _residues(rng, n, k, prime), prime)
-                    want = rank_profile_mod_p(layout.copy(), prime)
-                    assert S._layout_profile(layout, n, d, prime) == want, \
-                        (n, d, k)
+                    comp_vals = _residues(rng, n, k, prime)
+                    want = rank_profile_mod_p(
+                        terracini_reference(n, d, comp_vals, prime), prime)
+                    assert S._layout_profile(n, d, comp_vals, prime) == \
+                        want, (n, d, k)
+
+    @pytest.mark.parametrize("prime", [29, 7919, P31, S.DEFAULT_PRIME])
+    def test_schur_complement_equals_reference(self, prime):
+        # entry for entry, against the general step formed in place on the
+        # whole layout
+        rng = SplitMix64(prime % 10037)
+        for n in range(1, 5):
+            m = n * (n + 3) // 2
+            for d in range(1, 7):
+                if prime <= factorial(d):
+                    continue
+                rows = comb(n + d, d) - 1 - (n if d == 1 else m)
+                for k in (1, 2, 4):
+                    for comp_vals in _edge_points(rng, n, k, prime):
+                        got = S._schur_complement(n, d, comp_vals, prime)
+                        want = schur_reference(terracini_reference(
+                            n, d, comp_vals, prime), n, d, prime)
+                        assert got.shape == want.shape == \
+                            (rows, (k - 1) * (m + 1)), (n, d, k)
+                        assert np.array_equal(got, want), (n, d, k)
 
     @pytest.mark.parametrize("prime", [29, 7919, P31, S.DEFAULT_PRIME])
     def test_profile_for_any_later_columns(self, prime):
-        # only the form of the first m x m block matters: here the later
-        # columns are random, and every third one a combination of the
-        # columns before it, so the profile has gaps to get right
+        # the reference step needs only the form of the first m x m block:
+        # here the later columns are random, and every third one a
+        # combination of the columns before it, so the profile has gaps to
+        # get right
         rng = SplitMix64(prime % 10009)
         for n in range(1, 5):
+            m = n * (n + 3) // 2
             for d in range(2, 5):
                 if prime <= factorial(d):
                     continue
-                first = S._terracini_mod_p(
+                first = terracini_reference(
                     n, d, _residues(rng, n, 1, prime), prime)
                 cols = first.T.tolist()
                 for j in range(len(first) + 3):
@@ -429,8 +486,9 @@ class TestSchurStep:
                 layout = np.array(cols, dtype=np.int64).T.copy()
                 want = rank_profile_mod_p(layout.copy(), prime)
                 assert len(want) < len(cols) - 2
-                assert S._layout_profile(layout, n, d, prime) == want, \
-                    (n, d)
+                schur = schur_reference(layout, n, d, prime)
+                assert list(range(m)) + [m + j for j in rank_profile_mod_p(
+                    schur, prime)] == want, (n, d)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("prime", [7919, P31, S.DEFAULT_PRIME])
@@ -438,8 +496,8 @@ class TestSchurStep:
         # K = 1 too; d = 1 has no order-2 rows, d = 2 no rows below them
         for n in (1, 2, 3):
             for top in (1, 3):
-                layouts = [layout.tolist() for layout in
-                           S._layouts(n, d, top, 2, 31, prime)]
+                full = [layout.tolist() for layout in
+                        layouts(n, d, top, 2, 31, prime)]
                 rows = S.census(d, [n], range(1, top + 1),
                                 defective_only=False, trials=2, seed=31,
                                 prime=prime)
@@ -447,7 +505,7 @@ class TestSchurStep:
                 for row in rows:
                     want = max(rank_mod_p_oracle(
                         [r[:row.par] for r in layout], prime)
-                        for layout in layouts)
+                        for layout in full)
                     dim, _ = S.secant_dimension(
                         S.SecantProblem(n, d, row.k), trials=2, seed=31,
                         prime=prime)

@@ -8,12 +8,13 @@ from math import comb, factorial
 import numpy as np
 
 from gaussmoments import recovery
+from gaussmoments.linalg import _sub_matmul
 from gaussmoments.moments import (GaussianParams, MixtureParams,
-                                  gaussian_moment_table, multi_indices,
-                                  sigma_var_index)
+                                  gaussian_moment_table, lower_index,
+                                  multi_indices, sigma_var_index)
 from gaussmoments.polyring import Polynomial, grlex_key
 from gaussmoments.rng import SplitMix64
-from gaussmoments.secant import _partials
+from gaussmoments.secant import _points, _unit_columns
 
 
 def rand_fraction(rng: SplitMix64, span: int = 5, max_den: int = 4) -> Fraction:
@@ -246,6 +247,23 @@ def recover_all_subsets(m, mu11, mu21) -> MixtureParams:
         (lam, 1 - lam))
 
 
+def partials_reference(a):
+    """Each nonzero partial of m_a as (parameter position, c, b), meaning
+    dm_a/dparameter = c * m_b, enumerated one moment at a time from the
+    closed forms in secant's module docstring: the reference that
+    secant._partials_index is checked against."""
+    n = len(a)
+    for i in range(n):
+        if a[i]:
+            b = lower_index(a, i)
+            yield i, a[i], b
+            for j in range(i, n):
+                if b[j]:
+                    yield (sigma_var_index(n, i, j),
+                           a[i] * b[j] // (2 if i == j else 1),
+                           lower_index(b, j))
+
+
 def component_blocks_reference(n: int, d: int, comp_vals, p: int):
     """For each component in turn, (A, M) mod p as int64 arrays: A is the
     N x m matrix of the partials of its moments of order 1..d in its
@@ -255,7 +273,7 @@ def component_blocks_reference(n: int, d: int, comp_vals, p: int):
     index = {a: i for i, a in enumerate(multi_indices(n, d))}
     rows, cols, coefs, srcs = np.array(
         [(index[a] - 1, j, c, index[b]) for a in list(index)[1:]
-         for j, c, b in _partials(a)], dtype=np.intp).T
+         for j, c, b in partials_reference(a)], dtype=np.intp).T
     coefs, srcs = coefs.tolist(), srcs.tolist()
     for vals in comp_vals:
         table = [v % p for v in gaussian_moment_table(
@@ -269,7 +287,7 @@ def component_blocks_reference(n: int, d: int, comp_vals, p: int):
 
 
 def terracini_reference(n: int, d: int, comp_vals, p: int):
-    """The layout [A_1 | A_2, M_2 - M_1 | ... | A_K, M_K - M_1] mod p,
+    """The layout [A_1 | M_2 - M_1, A_2 | ... | M_K - M_1, A_K] mod p,
     assembled component by component from component_blocks_reference."""
     m = n * (n + 3) // 2
     blocks = list(component_blocks_reference(n, d, comp_vals, p))
@@ -279,6 +297,30 @@ def terracini_reference(n: int, d: int, comp_vals, p: int):
     out = np.hstack(layout)
     assert out.shape[1] == len(comp_vals) * (m + 1) - 1
     return out
+
+
+def layouts(n: int, d: int, top: int, trials: int, seed: int, prime: int):
+    """Per trial, the layout (terracini_reference) of ``top`` components at
+    the random point that secant's census and dim draw for it."""
+    for comp_vals in _points(n, d, top, trials, seed, prime):
+        yield terracini_reference(n, d, comp_vals, prime)
+
+
+def schur_reference(layout, n: int, d: int, p: int):
+    """The Schur complement S = D - C T^-1 B of the layout [[T, B], [C, D]],
+    T its first block of moments of order <= 2, formed in place on a
+    layout with any later columns: the oracle for secant._schur_complement.
+    Returns the view of the later columns' rows of order >= 3.
+
+    T^-1 B = P^T [B1; B2 - X P1^T B1] with P the permutation of the rows'
+    unit entries (secant._unit_columns), so B2 is overwritten by
+    B2 - X P1^T B1, and D by S = D - (C P^T) B'."""
+    cols = _unit_columns(n, d)
+    top = len(cols)
+    b = layout[:top, top:]
+    _sub_matmul(b[n:], layout[n:top, cols[:n]], b[:n], p)
+    _sub_matmul(layout[top:, top:], layout[top:, cols], b, p)
+    return layout[top:, n * (n + 3) // 2:]
 
 
 def jacobian_reference(n: int, d: int, comp_vals, weights, p: int):
