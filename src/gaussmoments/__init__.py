@@ -6,7 +6,7 @@ from .moments import (CumulantVector, GaussianParams, MixtureParams,
                       moments_to_cumulants, multi_indices, univariate_moments)
 from .polyring import Polynomial, PolyRing
 from .recovery import (RecoveryError, RecoveryInput, degenerate_mean_test,
-                       recover, recover_general, recover_n3)
+                       recover, recover_n3)
 from .secant import (DEFAULT_PRIME, DefectRow, RankCertificate, SecantProblem,
                      census, conjecture_eleven_defect, defect_identity_d3,
                      degree_formula_sec2_g1, degree_formula_sec2_x,
@@ -23,7 +23,7 @@ __all__ = [
     "degree_formula_sec2_x", "degree_formula_sec3_x", "dim_formula_d3",
     "gaussian_moments", "mixture_moments",
     "moment_polynomials", "moments_to_cumulants", "multi_indices",
-    "recover", "recover_general", "recover_n3", "secant_dimension",
+    "recover", "recover_n3", "secant_dimension",
     "secant_jacobian", "univariate_moments",
 ]
 

@@ -21,6 +21,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import determinantal, moments, recovery, secant
@@ -243,20 +244,16 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _row_dict(row: secant.DefectRow) -> dict:
-    return dict(zip(secant.DefectRow.COLUMNS, row.astuple()))
-
-
 def _cmd_dim(args) -> int:
     cfg = _rank_config(args, args.d)
     problem = secant.SecantProblem(args.n, args.d, args.k)
     row, cert = secant.defect_row(problem, trials=cfg["trials"],
                                   seed=cfg["seed"], prime=cfg["prime"])
     if args.format == "json":
-        _print_json({"config": cfg, "row": _row_dict(row),
+        _print_json({"config": cfg, "row": asdict(row),
                      "certificate": cert.to_json()})
     else:
-        _emit_rows([_row_dict(row)], secant.DefectRow.COLUMNS, args.format, cfg)
+        _emit_rows([asdict(row)], secant.DefectRow.COLUMNS, args.format, cfg)
         cert_line = json.dumps(cert.to_json())
         prefix = "# " if args.format == "csv" else ""
         print(f"{prefix}certificate: {cert_line}")
@@ -273,7 +270,7 @@ def _cmd_census(args) -> int:
                          defective_only=args.defective_only,
                          trials=cfg["trials"], seed=cfg["seed"],
                          prime=cfg["prime"])
-    _emit_rows([_row_dict(r) for r in rows], secant.DefectRow.COLUMNS,
+    _emit_rows([asdict(r) for r in rows], secant.DefectRow.COLUMNS,
                args.format, cfg)
     return 0
 
@@ -332,13 +329,8 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_structural(args) -> int:
-    rows = []
-    for d in _parse_range(args.d):
-        rep = determinantal.hb_structural_checks(d)
-        rows.append({"d": d,
-                     "monomials_disjoint": rep.monomials_disjoint,
-                     "no_y2_factor": rep.no_y2_factor,
-                     "lowest_terms_ok": rep.lowest_terms_ok})
+    rows = [asdict(determinantal.hb_structural_checks(d))
+            for d in _parse_range(args.d)]
     _emit_rows(rows, ("d", "monomials_disjoint", "no_y2_factor",
                       "lowest_terms_ok"), args.format, None)
     return 0

@@ -30,7 +30,7 @@ from math import comb
 
 from .linalg import rank_rational
 from .moments import GaussianParams, MomentVector, multi_indices
-from .polyring import Polynomial, PolyRing
+from .polyring import Polynomial, PolyRing, det
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,6 @@ def build_gd(d: int) -> LinearMatrix:
     return LinearMatrix(ring, (tuple(top), tuple(mid), tuple(bot)))
 
 
-def _det3(a) -> Polynomial:
-    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
-
-
 def gd_minor_columns(d: int) -> list[tuple[int, int, int]]:
     """Column triples (1-based) in lexicographic order."""
     return [tuple(c + 1 for c in t) for t in combinations(range(d), 3)]
@@ -99,7 +93,7 @@ def gd_minors(d: int) -> tuple[Polynomial, ...]:
     out = []
     for cols in combinations(range(d), 3):
         sub = [[g.entries[r][c] for c in cols] for r in range(3)]
-        out.append(_det3(sub))
+        out.append(det(sub, g.ring))
     return tuple(out)
 
 

@@ -17,39 +17,12 @@ instances can be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, permutations
 from operator import add
 from typing import Iterable, Mapping, Union
 
 Exponent = tuple[int, ...]
 ScalarLike = Union[int, Fraction]
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3 * 10**24."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
 
 _ZERO = Fraction(0)
 
@@ -294,3 +267,16 @@ class Polynomial:
     def __repr__(self):  # pragma: no cover
         return f"<Polynomial {self}>"
 
+
+def det(rows, ring: PolyRing) -> Polynomial:
+    """Determinant of a square matrix of polynomials in ``ring``: the
+    Leibniz sum of k! signed products, with no division (1 for the 0 x 0
+    matrix).  The matrices here are at most 3 x 3."""
+    out = ring.zero()
+    for perm in permutations(range(len(rows))):
+        term = ring.one()
+        for r, i in enumerate(perm):
+            term = term * rows[r][i]
+        odd = sum(a > b for a, b in combinations(perm, 2)) % 2
+        out = out - term if odd else out + term
+    return out

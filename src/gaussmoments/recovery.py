@@ -33,20 +33,20 @@ identity; so does any mixture whose first coordinate has third cumulant 0,
 and such a mixture may still be recovered.  The identity is therefore
 tested only after a recovery has failed, to explain the failure.
 
-For n >= 4, the n = 3 recovery runs on ceil((n-1)/2) coordinate subsets
-that cover every coordinate, and the covariances across subsets come from
-the same solver as step 3, with Fractions (see ``recover_general``).
+For every n >= 3, the n = 3 recovery runs on ceil((n-1)/2) coordinate
+subsets that cover every coordinate (at n = 3, the one subset {1, 2, 3}),
+and the covariances across subsets come from the same solver as step 3,
+with Fractions (see ``recover``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
 
 from .moments import (GaussianParams, MixtureParams, MomentVector,
                       mixture_moments, multi_indices)
-from .polyring import Polynomial, PolyRing
+from .polyring import Polynomial, PolyRing, det
 
 Index = tuple[int, ...]
 
@@ -91,22 +91,6 @@ def degenerate_mean_test(m: MomentVector) -> bool:
     e1 = lambda v: tuple([v] + [0] * (m.n - 1))
     m1, m2, m3 = m[e1(1)], m[e1(2)], m[e1(3)]
     return m3 == 3 * m1 * m2 - 2 * m1 ** 3
-
-
-def _explained(recovery, inp: RecoveryInput, *args) -> MixtureParams:
-    """recovery(inp, *args), except that a failure on moments that satisfy
-    the collapsed-mean identity is reported as that: the identity, not the
-    step that failed, explains it."""
-    try:
-        return recovery(inp, *args)
-    except RecoveryError as err:
-        if degenerate_mean_test(inp.m):
-            raise RecoveryError(
-                "moments satisfy the collapsed-mean identity m300 = "
-                "3*m100*m200 - 2*m100^3, as when the first mean coordinates "
-                "coincide, and no mixture with the fixed first coordinates "
-                "was recovered") from err
-        raise
 
 
 # -- the covariance blocks -----------------------------------------------------
@@ -209,14 +193,7 @@ def _eliminant(g: list[Fraction], h: Polynomial, var: str) -> Polynomial:
                     for j, c in enumerate(hc) if reduced[i + j][r]),
                    ring.zero())
                for i in range(k)] for r in range(k)]
-    det = ring.zero()
-    for perm in permutations(range(k)):
-        term = ring.one()
-        for r, i in enumerate(perm):
-            term = term * matrix[r][i]
-        odd = sum(a > b for a, b in combinations(perm, 2)) % 2
-        det = det - term if odd else det + term
-    return det
+    return det(matrix, ring)
 
 
 def _gcd_lists(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -309,13 +286,10 @@ def _eliminate(inp: RecoveryInput) -> _Eliminated:
 
 def recover_n3(inp: RecoveryInput,
                coords: tuple[int, int, int] = (0, 1, 2)) -> MixtureParams:
-    """Exact recovery for n = 3 from the 19 moment equations.  ``coords``
-    are the 0-based coordinates of a larger mixture that the three stand
-    for; error messages name the unknowns by them."""
-    return _explained(_recover_n3, inp, coords)
-
-
-def _recover_n3(inp: RecoveryInput, coords) -> MixtureParams:
+    """Exact recovery for n = 3 from the 19 moment equations, the step that
+    :func:`recover` runs on each coordinate subset.  ``coords`` are the
+    0-based coordinates of a larger mixture that the three stand for; error
+    messages name the unknowns by them."""
     st = _eliminate(inp)
 
     g = _univariate(st.e_b3, "b3")
@@ -353,20 +327,7 @@ def _verified(params: MixtureParams, m: MomentVector) -> MixtureParams:
     return params
 
 
-def recover_general(inp: RecoveryInput) -> MixtureParams:
-    """Recovery for n >= 4 from the subsets {1, i, i+1}, i = 2, 4, ... (the
-    last one is {1, n-1, n} when n - 1 is odd), which give the weight, every
-    mean and every in-subset covariance.  Each other pair (sigma1_ij,
-    sigma2_ij) solves the block of m_{e_i+e_j} and m_{e_1+e_i+e_j}, with
-    constant matrix [[lam, 1-lam], [lam*mu11, (1-lam)*mu21]] of determinant
-    lam*(1-lam)*(mu21-mu11) != 0 (``_solve_covariances``).  Only the final
-    check of every moment equation accepts the result."""
-    if inp.m.n < 4:
-        raise RecoveryError("recover_general needs n >= 4; use recover_n3")
-    return _explained(_recover_general, inp)
-
-
-def _recover_general(inp: RecoveryInput) -> MixtureParams:
+def _recover(inp: RecoveryInput) -> MixtureParams:
     m, n = inp.m, inp.m.n
     a1, b1 = inp.mu11, inp.mu21
     mean = ([a1] * n, [b1] * n)
@@ -393,9 +354,27 @@ def _recover_general(inp: RecoveryInput) -> MixtureParams:
 
 
 def recover(m: MomentVector, mu11, mu21) -> MixtureParams:
-    """Recover the two-component mixture behind a third-order moment vector,
-    given the two (distinct) first mean coordinates."""
+    """Recover the two-component mixture behind a third-order moment vector
+    of dimension n >= 3, given the two (distinct) first mean coordinates.
+
+    The n = 3 recovery runs on the subsets {1, i, i+1}, i = 2, 4, ... (the
+    last one is {1, n-1, n} when n - 1 is odd; at n = 3 the one subset is
+    {1, 2, 3}), which give the weight, every mean and every in-subset
+    covariance.  Each other pair (sigma1_ij, sigma2_ij) solves the block of
+    m_{e_i+e_j} and m_{e_1+e_i+e_j}, with constant matrix
+    [[lam, 1-lam], [lam*mu11, (1-lam)*mu21]] of determinant
+    lam*(1-lam)*(mu21-mu11) != 0 (``_solve_covariances``).  Only the final
+    check of every moment equation accepts the result.  A failure on
+    moments that satisfy the collapsed-mean identity is reported as that:
+    the identity, not the step that failed, explains it."""
     inp = RecoveryInput(m, mu11, mu21)
-    if m.n == 3:
-        return recover_n3(inp)
-    return recover_general(inp)
+    try:
+        return _recover(inp)
+    except RecoveryError as err:
+        if degenerate_mean_test(m):
+            raise RecoveryError(
+                "moments satisfy the collapsed-mean identity m300 = "
+                "3*m100*m200 - 2*m100^3, as when the first mean coordinates "
+                "coincide, and no mixture with the fixed first coordinates "
+                "was recovered") from err
+        raise

@@ -73,7 +73,6 @@ from .linalg import (PRIME_LIMIT, _fold, _sub_matmul, rank_mod_p,  # noqa: F401
                      rank_profile_mod_p)
 from .moments import (MixtureParams, gaussian_moment_table, multi_indices,
                       sigma_var_index)
-from .polyring import is_prime
 from .rng import PRNG_NAME, SplitMix64, derive_seed
 
 # Fixed 62-bit default prime (2^62 - 57).  Every nonzero coefficient of a
@@ -358,6 +357,34 @@ def _shown(value) -> str:
     if len(text) <= 40:
         return text
     return f"{text[:20]}... ({len(text)} characters)"
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, valid for all n < 3.3 * 10**24."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _check_prime(d: int, prime: int) -> None:

@@ -95,6 +95,15 @@ class TestCumulants:
         assert code == 0
         assert json.loads(out)["d"] == 3
 
+    def test_neither_moments_nor_params_with_order(self, capsys, tmp_path):
+        p = M.MixtureParams(
+            (M.GaussianParams((Fraction(2),), (Fraction(3),)),),
+            (Fraction(1),))
+        for args in ((), ("--d", "3"), ("--params", write_params(tmp_path, p))):
+            assert run(capsys, "cumulants", *args) == (
+                2, "", "usage error: cumulants needs --moments, or --params "
+                "with --d\n")
+
 
 class TestCheck:
     def test_member_by_all_methods(self, capsys, tmp_path):
@@ -447,6 +456,50 @@ class TestFormulas:
         code, _, err = run(capsys, "formulas", "--dim-d3")
         assert code == 2
 
+    @staticmethod
+    def rendered(fmt, columns, rows):
+        """The stdout of a formulas table of ``rows`` in format ``fmt``."""
+        if fmt == "json":
+            return json.dumps({"rows": [dict(zip(columns, r)) for r in rows]},
+                              indent=2) + "\n"
+        if fmt == "markdown":
+            lines = ["| " + " | ".join(columns) + " |",
+                     "|" + "|".join("---" for _ in columns) + "|"]
+            lines += ["| " + " | ".join(map(str, r)) + " |" for r in rows]
+        else:
+            lines = [",".join(columns)] + [",".join(map(str, r)) for r in rows]
+        return "".join(line + "\n" for line in lines)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+    def test_deg_sec2_x(self, capsys, fmt):
+        # (d-4)(d-3)(d^2+5d-2)/8
+        rows = [(d, (d - 4) * (d - 3) * (d * d + 5 * d - 2) // 8)
+                for d in range(4, 9)]
+        assert [v for _, v in rows] == [0, 12, 48, 123, 255]
+        assert run(capsys, "formulas", "--deg-sec2-x", "--d", "4..8",
+                   "--format", fmt) == (
+            0, self.rendered(fmt, ("d", "value"), rows), "")
+
+    def test_deg_sec2_x_csv_golden(self, capsys):
+        assert run(capsys, "formulas", "--deg-sec2-x", "--d", "4..8") == (
+            0, "d,value\n4,0\n5,12\n6,48\n7,123\n8,255\n", "")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+    def test_defect_d3(self, capsys, fmt):
+        # the defect identity is par - dim_formula_d3
+        for n in range(2, 15):
+            rows = [(n, k, S.SecantProblem(n, 3, k).parameters
+                     - S.dim_formula_d3(n, k)) for k in range(1, 12)]
+            assert run(capsys, "formulas", "--defect-d3", "--n", str(n),
+                       "--k", "1..11", "--format", fmt) == (
+                0, self.rendered(fmt, ("n", "k", "value"), rows), "")
+
+    def test_defect_d3_markdown_golden(self, capsys):
+        assert run(capsys, "formulas", "--defect-d3", "--n", "5", "--k",
+                   "1..4", "--format", "markdown") == (
+            0, "| n | k | value |\n|---|---|---|\n| 5 | 1 | 0 |\n"
+            "| 5 | 2 | 2 |\n| 5 | 3 | 11 |\n| 5 | 4 | 26 |\n", "")
+
 
 # recover stdout for rand_mixture(SplitMix64(11), 5, 2, distinct_first=True)
 GOLDEN_RECOVER_N5 = """\
@@ -562,6 +615,62 @@ GOLDEN_RECOVER_N3 = """\
 """
 
 
+# recover stdout for rand_mixture(SplitMix64(11), 4, 2, distinct_first=True)
+GOLDEN_RECOVER_N4 = """\
+{
+  "params": {
+    "n": 4,
+    "k": 2,
+    "components": [
+      {
+        "weight": "1/12",
+        "mean": [
+          "2",
+          "-3",
+          "5/3",
+          "1/3"
+        ],
+        "cov": [
+          "1/3",
+          "-2",
+          "0",
+          "3",
+          "5",
+          "-5/3",
+          "3/2",
+          "-1",
+          "1",
+          "1"
+        ]
+      },
+      {
+        "weight": "11/12",
+        "mean": [
+          "2/3",
+          "4/3",
+          "0",
+          "5/4"
+        ],
+        "cov": [
+          "0",
+          "-1",
+          "2",
+          "-3",
+          "3/2",
+          "-5",
+          "-1/3",
+          "-5/2",
+          "3",
+          "0"
+        ]
+      }
+    ]
+  },
+  "residual": "0"
+}
+"""
+
+
 class TestRecoverCli:
     def test_round_trip(self, capsys, tmp_path):
         rng = SplitMix64(9)
@@ -611,6 +720,13 @@ class TestRecoverCli:
         path = write_moments(tmp_path, M.mixture_moments(p, 3))
         assert run(capsys, "recover", "--moments", path, "--mu11", "2",
                    "--mu21=-5/3") == (0, GOLDEN_RECOVER_N3, "")
+
+    def test_golden_n4(self, capsys, tmp_path):
+        # n - 1 odd: the subsets {1, 2, 3} and {1, 3, 4} overlap
+        p = rand_mixture(SplitMix64(11), 4, 2, distinct_first=True)
+        path = write_moments(tmp_path, M.mixture_moments(p, 3))
+        assert run(capsys, "recover", "--moments", path, "--mu11", "2",
+                   "--mu21", "2/3") == (0, GOLDEN_RECOVER_N4, "")
 
     def test_off_variety_message_n3(self, capsys, tmp_path):
         # x2^2 x3 raised: the final system in (mu22, mu23) has no root

@@ -242,6 +242,18 @@ class TestWillinkMembership:
                 assert res.is_member
                 assert res.kernel_ok
 
+    def test_kernel_rejects_other_parameters(self):
+        # the moments of g are in the variety, but the kernel vectors of
+        # another Gaussian do not annihilate their Willink matrix
+        rng = SplitMix64(19)
+        for n, d in ((1, 4), (2, 3), (3, 4)):
+            g, other = rand_gaussian(rng, n), rand_gaussian(rng, n)
+            assert other != g
+            res = D.willink_membership(n, d, M.gaussian_moments(g, d),
+                                       params=other)
+            assert res.rank == n + 1 and res.is_member
+            assert res.kernel_ok is False
+
     def test_random_vector_is_not_member(self):
         rng = SplitMix64(16)
         for n, d in ((1, 6), (2, 4), (3, 3)):

@@ -5,14 +5,16 @@ division that the Bareiss determinant oracle rests on."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gaussmoments import moments as M
-from gaussmoments.polyring import PolyRing, is_prime
+from gaussmoments.polyring import PolyRing, det
 from gaussmoments.rng import SplitMix64
+from gaussmoments.secant import is_prime
 from util import (exact_div_reference, index_factorial, mul_reference,
-                  rand_fraction, rand_poly, substitute_reference, to_sympy)
+                  poly_det_reference, rand_fraction, rand_poly,
+                  substitute_reference, to_sympy)
 
 XYZ = PolyRing(["x", "y", "z"])
 
@@ -301,11 +303,13 @@ class TestExactDivOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(SEEDS)
+    @example(23_532_373_568_691_272)  # draws d = 0
     def test_inexact_raises(self, seed):
         # r != 0 has lower total degree than d, so d does not divide q*d + r
         rng = SplitMix64(seed)
         q = rand_poly(XYZ, rng, max_terms=4)
         d = rand_poly(XYZ, rng, max_terms=3) + XYZ.var("x")
+        assume(not d.is_zero())  # rand_poly may draw -x
         r = rand_poly(XYZ, rng, max_terms=3)
         r = XYZ.from_terms({e: c for e, c in r.terms.items()
                             if sum(e) < d.total_degree()})
@@ -318,6 +322,21 @@ class TestExactDivOracle:
     def test_division_by_zero(self, div):
         with pytest.raises(ZeroDivisionError):
             div(XYZ.var("x"), XYZ.zero())
+
+
+class TestDet:
+    """polyring.det, the Leibniz sum, against the Bareiss oracle."""
+
+    def test_empty_matrix(self):
+        assert det([], XYZ) == XYZ.one()
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_against_bareiss(self, size):
+        rng = SplitMix64(900 + size)
+        for _ in range(5):
+            rows = [[rand_poly(XYZ, rng, max_terms=3, max_exp=2)
+                     for _ in range(size)] for _ in range(size)]
+            assert det(rows, XYZ) == poly_det_reference(rows)
 
 
 class TestSeriesSympyOracle:

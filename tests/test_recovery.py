@@ -166,7 +166,7 @@ class TestSubsetPlan:
 
         monkeypatch.setattr(R, "recover_n3", counting)
         rng = SplitMix64(710)
-        for n in (4, 5, 6, 7, 8):
+        for n in (3, 4, 5, 6, 7, 8):
             calls.clear()
             p, mv = make_instance(rng, n)
             res = R.recover(mv, p.components[0].mean[0],
@@ -277,6 +277,18 @@ class TestRejections:
         with pytest.raises(R.RecoveryError, match="order exactly 3"):
             R.RecoveryInput(mv, p.components[0].mean[0],
                             p.components[1].mean[0])
+
+    def test_final_system_identically_zero(self):
+        with pytest.raises(R.RecoveryError,
+                           match=r"final system for mu22 is identically zero"):
+            R._unique_root([[], []], "mu22")
+
+    def test_final_system_with_a_nonzero_constant(self):
+        with pytest.raises(R.RecoveryError,
+                           match=r"final system for mu23 has no solution; "
+                           "the moment vector is not on the secant"):
+            R._unique_root([[Fraction(1), Fraction(2)], [],
+                            [Fraction(-3)]], "mu23")
 
     def test_off_variety_rejected_with_structured_error(self):
         rng = SplitMix64(505)

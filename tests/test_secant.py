@@ -597,7 +597,7 @@ class TestDegreeFormulas:
 
 class TestDefaultPrime:
     def test_is_a_62_bit_prime_exceeding_20_factorial(self):
-        from gaussmoments.polyring import is_prime
+        from gaussmoments.secant import is_prime
         assert is_prime(S.DEFAULT_PRIME)
         assert 2 ** 61 < S.DEFAULT_PRIME < 2 ** 62
         assert S.DEFAULT_PRIME > factorial(20)

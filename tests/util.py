@@ -211,7 +211,7 @@ def rank_mod_p_oracle(rows, p: int) -> int:
 def recover_all_subsets(m, mu11, mu21) -> MixtureParams:
     """Recovery for n >= 4 by running the n = 3 recovery on every subset
     {1, i, j} and requiring exact agreement on every shared parameter: the
-    reference that recovery.recover_general is checked against."""
+    reference that recovery.recover is checked against."""
     n = m.n
     lam = None
     mean1 = {0: Fraction(mu11)}
