@@ -356,97 +356,95 @@ def _cmd_matrix(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
-def _add_rank_options(sp) -> None:
-    sp.add_argument("--seed", type=_integer, default=None,
-                    help="PRNG seed (default: env GAUSSMOMENTS_SEED or "
-                         f"{secant.DEFAULT_SEED})")
-    sp.add_argument("--prime", type=_integer, default=None,
-                    help="prime modulus for rank computations (default: env "
-                         f"GAUSSMOMENTS_PRIME or {secant.DEFAULT_PRIME})")
-    sp.add_argument("--trials", type=_integer, default=secant.DEFAULT_TRIALS,
-                    help="independent random points per rank")
+def _arg(*flags, **kwargs):
+    """An argument of a subcommand, added when its parser is built."""
+    return lambda parser: parser.add_argument(*flags, **kwargs)
 
 
-def _add_format(sp, default="csv") -> None:
-    sp.add_argument("--format", choices=("csv", "json", "markdown"),
-                    default=default)
+def _one_of(*flags):
+    """Flags of which a subcommand needs exactly one."""
+    def add(parser):
+        group = parser.add_mutually_exclusive_group(required=True)
+        for flag in flags:
+            group.add_argument(flag, action="store_true")
+    return add
 
 
-def build_parser() -> argparse.ArgumentParser:
+_RANK_OPTIONS = (
+    _arg("--seed", type=_integer, default=None,
+         help="PRNG seed (default: env GAUSSMOMENTS_SEED or "
+              f"{secant.DEFAULT_SEED})"),
+    _arg("--prime", type=_integer, default=None,
+         help="prime modulus for rank computations (default: env "
+              f"GAUSSMOMENTS_PRIME or {secant.DEFAULT_PRIME})"),
+    _arg("--trials", type=_integer, default=secant.DEFAULT_TRIALS,
+         help="independent random points per rank"),
+)
+_FORMAT = _arg("--format", choices=("csv", "json", "markdown"), default="csv")
+
+# the subcommands in help order: name, help, handler, arguments
+_COMMANDS = (
+    ("moments", "moment vector of a mixture", _cmd_moments, (
+        _arg("--params", required=True, help="MixtureParams JSON file"),
+        _arg("--d", type=_integer, required=True),
+        _arg("--n", type=_integer, default=None))),
+    ("cumulants", "cumulant vector", _cmd_cumulants, (
+        _arg("--params", default=None),
+        _arg("--moments", default=None),
+        _arg("--d", type=_integer, default=None))),
+    ("check", "moment-variety membership", _cmd_check, (
+        _arg("--moments", required=True),
+        _arg("--method", choices=("gd", "willink", "cumulant"),
+             required=True))),
+    ("dim", "secant dimension with certificate", _cmd_dim, (
+        _arg("--n", type=_integer, required=True),
+        _arg("--d", type=_integer, required=True),
+        _arg("--k", type=_integer, required=True),
+        *_RANK_OPTIONS, _FORMAT)),
+    ("census", "defect census over (n, k) ranges", _cmd_census, (
+        _arg("--d", type=_integer, required=True),
+        _arg("--n", required=True, help="range, e.g. 5..10"),
+        _arg("--k", required=True, help="range, e.g. 3..6"),
+        _arg("--defective-only", action="store_true"),
+        *_RANK_OPTIONS, _FORMAT)),
+    ("formulas", "closed-form dimension/degree values", _cmd_formulas, (
+        _one_of("--deg-sec2-g1", "--deg-sec2-x", "--deg-sec3-x", "--dim-d3",
+                "--defect-d3", "--conj-eleven"),
+        _arg("--d", default=None),
+        _arg("--n", type=_integer, default=None),
+        _arg("--k", default=None),
+        _arg("--r", default=None),
+        _FORMAT)),
+    ("recover", "two-component parameter recovery", _cmd_recover, (
+        _arg("--moments", required=True),
+        _arg("--mu11", required=True),
+        _arg("--mu21", required=True),
+        _arg("--format", choices=("json",), default="json"))),
+    ("structural", "structural checks on the minors", _cmd_structural, (
+        _arg("--d", required=True, help="single value or range"),
+        _FORMAT)),
+    ("matrix", "dump a determinantal matrix as CSV", _cmd_matrix, (
+        _arg("--which", choices=("gd", "hb", "willink"), required=True),
+        _arg("--d", type=_integer, required=True),
+        _arg("--n", type=_integer, default=None),
+        _arg("--moments", default=None))),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone when it
+    names one.  That subcommand's help and errors read the same from
+    either parser."""
     p = _Parser(
         prog="gaussmoments",
         description="Exact computations with Gaussian mixture moment varieties")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("moments", help="moment vector of a mixture")
-    sp.add_argument("--params", required=True, help="MixtureParams JSON file")
-    sp.add_argument("--d", type=_integer, required=True)
-    sp.add_argument("--n", type=_integer, default=None)
-    sp.set_defaults(func=_cmd_moments)
-
-    sp = sub.add_parser("cumulants", help="cumulant vector")
-    sp.add_argument("--params", default=None)
-    sp.add_argument("--moments", default=None)
-    sp.add_argument("--d", type=_integer, default=None)
-    sp.set_defaults(func=_cmd_cumulants)
-
-    sp = sub.add_parser("check", help="moment-variety membership")
-    sp.add_argument("--moments", required=True)
-    sp.add_argument("--method", choices=("gd", "willink", "cumulant"),
-                    required=True)
-    sp.set_defaults(func=_cmd_check)
-
-    sp = sub.add_parser("dim", help="secant dimension with certificate")
-    sp.add_argument("--n", type=_integer, required=True)
-    sp.add_argument("--d", type=_integer, required=True)
-    sp.add_argument("--k", type=_integer, required=True)
-    _add_rank_options(sp)
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_dim)
-
-    sp = sub.add_parser("census", help="defect census over (n, k) ranges")
-    sp.add_argument("--d", type=_integer, required=True)
-    sp.add_argument("--n", required=True, help="range, e.g. 5..10")
-    sp.add_argument("--k", required=True, help="range, e.g. 3..6")
-    sp.add_argument("--defective-only", action="store_true")
-    _add_rank_options(sp)
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_census)
-
-    sp = sub.add_parser("formulas", help="closed-form dimension/degree values")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--deg-sec2-g1", action="store_true")
-    group.add_argument("--deg-sec2-x", action="store_true")
-    group.add_argument("--deg-sec3-x", action="store_true")
-    group.add_argument("--dim-d3", action="store_true")
-    group.add_argument("--defect-d3", action="store_true")
-    group.add_argument("--conj-eleven", action="store_true")
-    sp.add_argument("--d", default=None)
-    sp.add_argument("--n", type=_integer, default=None)
-    sp.add_argument("--k", default=None)
-    sp.add_argument("--r", default=None)
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_formulas)
-
-    sp = sub.add_parser("recover", help="two-component parameter recovery")
-    sp.add_argument("--moments", required=True)
-    sp.add_argument("--mu11", required=True)
-    sp.add_argument("--mu21", required=True)
-    sp.add_argument("--format", choices=("json",), default="json")
-    sp.set_defaults(func=_cmd_recover)
-
-    sp = sub.add_parser("structural", help="structural checks on the minors")
-    sp.add_argument("--d", required=True, help="single value or range")
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_structural)
-
-    sp = sub.add_parser("matrix", help="dump a determinantal matrix as CSV")
-    sp.add_argument("--which", choices=("gd", "hb", "willink"), required=True)
-    sp.add_argument("--d", type=_integer, required=True)
-    sp.add_argument("--n", type=_integer, default=None)
-    sp.add_argument("--moments", default=None)
-    sp.set_defaults(func=_cmd_matrix)
-
+    chosen = [c for c in _COMMANDS if c[0] == command] or _COMMANDS
+    for name, help_text, func, arguments in chosen:
+        sp = sub.add_parser(name, help=help_text)
+        for add in arguments:
+            add(sp)
+        sp.set_defaults(func=func)
     return p
 
 
@@ -490,8 +488,10 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # a call pays for the one subcommand it runs; argv that names none gets
+    # the full parser's help, or its error for a missing or unknown one
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(_attach_signed_values(argv))
         # argparse reads --opt=-- as the empty list; no option takes a list

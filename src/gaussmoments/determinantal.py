@@ -167,16 +167,29 @@ def hb_minors(d: int) -> tuple[Polynomial, ...]:
     Deleting column i leaves a block lower-triangular matrix: the leading
     i x i tridiagonal block, whose determinant is the continuant
     h_0 = 1, h_1 = y, h_i = y h_{i-1} - (i-1) x z h_{i-2}, and a triangular
-    block with diagonal z.  So b_i = z^(d-i) h_i.
+    block with diagonal z.  So b_i = z^(d-i) h_i, written term by term from
+    the closed form of the continuant, the homogenized Hermite polynomial
+
+        h_i = sum_k (-1)^k i! / (k! (i-2k)! 2^k) (xz)^k y^(i-2k).
+
+    Its coefficients are integers: i! / (k! (i-2k)! 2^k) counts the ways
+    to pick k disjoint pairs from i positions.  At (x, y, z) = (-var, mu, 1)
+    the sign (-1)^k cancels and b_i is sum_k (count) var^k mu^(i-2k), the
+    i-th moment of N(mu, var) (``hb_substituted_moments``).
     """
     if d < 2:
         raise ValueError("the parametrization matrix needs d >= 2")
     ring = PolyRing(["x", "y", "z"])
-    x, y, z = ring.var("x"), ring.var("y"), ring.var("z")
-    h = [ring.one(), y]
-    for i in range(2, d + 1):
-        h.append(y * h[i - 1] - (x * z).scale(i - 1) * h[i - 2])
-    return tuple(z ** (d - i) * h[i] for i in range(d + 1))
+    minors = []
+    for i in range(d + 1):
+        terms = {}
+        c = 1
+        for k in range(i // 2 + 1):
+            terms[k, i - 2 * k, d - i + k] = c
+            # the ratio of consecutive coefficients; the quotient is exact
+            c = -c * (i - 2 * k) * (i - 2 * k - 1) // (2 * (k + 1))
+        minors.append(ring.from_terms(terms))
+    return tuple(minors)
 
 
 @dataclass(frozen=True)

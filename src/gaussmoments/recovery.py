@@ -340,6 +340,8 @@ def _recover(inp: RecoveryInput) -> MixtureParams:
                 mean[c][local[s]] = comp.mean[s]
                 for t in range(s, 3):
                     cov[c][local[s], local[t]] = comp.sigma(s, t)
+    if n == 3:  # the one subset is the whole mixture, verified already
+        return sub
 
     w = sub.weights
     _solve_covariances(m, w, mean, cov,
@@ -364,9 +366,10 @@ def recover(m: MomentVector, mu11, mu21) -> MixtureParams:
     m_{e_i+e_j} and m_{e_1+e_i+e_j}, with constant matrix
     [[lam, 1-lam], [lam*mu11, (1-lam)*mu21]] of determinant
     lam*(1-lam)*(mu21-mu11) != 0 (``_solve_covariances``).  Only the final
-    check of every moment equation accepts the result.  A failure on
-    moments that satisfy the collapsed-mean identity is reported as that:
-    the identity, not the step that failed, explains it."""
+    check of every moment equation accepts the result; at n = 3 that is
+    the check of the one subset.  A failure on moments that satisfy the
+    collapsed-mean identity is reported as that: the identity, not the
+    step that failed, explains it."""
     inp = RecoveryInput(m, mu11, mu21)
     try:
         return _recover(inp)

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, reproducibility, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussmoments import cli
 from gaussmoments import moments as M
 from gaussmoments import secant as S
 from gaussmoments.cli import main
@@ -946,6 +948,20 @@ def run_captured(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_full_parser(argv):
+    """run_captured(argv), with main given the parser of every subcommand."""
+    one = cli.build_parser
+    cli.build_parser = lambda command=None: one()
+    try:
+        return run_captured(argv)
+    finally:
+        cli.build_parser = one
+
+
+COMMANDS = ("moments", "cumulants", "check", "dim", "census", "formulas",
+            "recover", "structural", "matrix")
+
+
 class TestLongNumbers:
     """Python refuses int <-> str conversions above 4300 digits by default.
     The CLI reads and prints exact numbers of any length, restores the
@@ -1240,11 +1256,39 @@ class TestUsageFuzz:
             assert len(err) <= 300 and "Traceback" not in err
         else:
             assert err == ""
+        # main builds only the subparser it runs, to the same bytes
+        assert run_full_parser(argv) == (code, out, err)
 
     @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["census", "-h"],
                                       ["dim", "--d", "3", "--help"],
-                                      ["formulas", "--help", "--bogus"]])
+                                      ["formulas", "--help", "--bogus"]]
+                             + [[cmd, "--help"] for cmd in COMMANDS])
     def test_help_returns_zero(self, argv):
         # main prints the help and returns, as on every other path
         code, out, err = run_captured(argv)
         assert (code, err) == (0, "") and out.startswith("usage: gaussmoments")
+        assert run_full_parser(argv) == (code, out, err)
+
+    @pytest.mark.parametrize("argv", [[], ["no-such-command"]]
+                             + [[cmd] for cmd in COMMANDS])
+    def test_usage_errors_match_the_full_parser(self, argv):
+        code, out, err = run_captured(argv)
+        assert (code, out) == (2, "") and err.startswith("usage error: ")
+        assert run_full_parser(argv) == (code, out, err)
+
+    def test_a_call_builds_one_subparser(self, monkeypatch):
+        added = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            added.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        code, out, _ = run_captured(["structural", "--d", "3"])
+        assert (code, out) == (0, "d,monomials_disjoint,no_y2_factor,"
+                                  "lowest_terms_ok\n3,True,True,True\n")
+        assert added == ["structural"]
+        added.clear()
+        cli.build_parser()
+        assert added == list(COMMANDS)

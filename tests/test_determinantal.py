@@ -9,7 +9,8 @@ from gaussmoments import determinantal as D
 from gaussmoments import moments as M
 from gaussmoments.linalg import rank_rational
 from gaussmoments.rng import SplitMix64
-from util import poly_det_reference, rand_fraction, rand_gaussian
+from util import (hb_minors_reference, poly_det_reference, rand_fraction,
+                  rand_gaussian)
 
 
 class TestMomentMatrix:
@@ -144,6 +145,17 @@ class TestBandedMinors:
                                     for row in rows])
                 for i in range(d + 1))
             assert D.hb_minors(d) == minors
+
+    def test_closed_form_equals_the_continuant(self):
+        # term for term, Fraction coefficients included
+        for d in range(2, 41):
+            minors = D.hb_minors(d)
+            reference = hb_minors_reference(d)
+            assert len(minors) == d + 1
+            for got, want in zip(minors, reference):
+                assert got.ring == want.ring
+                assert got.terms == want.terms
+                assert all(type(c) is Fraction for c in got.terms.values())
 
     def test_substitution_gives_univariate_moments(self):
         rng = SplitMix64(14)

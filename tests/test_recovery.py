@@ -174,6 +174,22 @@ class TestSubsetPlan:
             assert res == p
             assert len(calls) == n // 2  # ceil((n - 1) / 2)
 
+    def test_n3_verifies_once(self, monkeypatch):
+        # the one subset {1, 2, 3} is the whole mixture: its own check of
+        # the 20 moment equations is the final one
+        calls = []
+        inner = R.mixture_moments
+
+        def counting(params, d):
+            calls.append(params)
+            return inner(params, d)
+
+        monkeypatch.setattr(R, "mixture_moments", counting)
+        p, mv = make_instance(SplitMix64(711), 3)
+        assert R.recover(mv, p.components[0].mean[0],
+                         p.components[1].mean[0]) == p
+        assert len(calls) == 1
+
     def test_cross_moment_read_only_by_the_closed_form(self):
         # m_{e2+e5} at n = 6: coordinates 2 and 5 share no subset of
         # {1,2,3}, {1,4,5}, {1,5,6}; the final check names a global equation

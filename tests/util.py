@@ -12,7 +12,7 @@ from gaussmoments.linalg import _sub_matmul
 from gaussmoments.moments import (GaussianParams, MixtureParams,
                                   gaussian_moment_table, lower_index,
                                   multi_indices, sigma_var_index)
-from gaussmoments.polyring import Polynomial, grlex_key
+from gaussmoments.polyring import Polynomial, PolyRing, grlex_key
 from gaussmoments.rng import SplitMix64
 from gaussmoments.secant import _points, _unit_columns
 
@@ -177,6 +177,19 @@ def poly_det_reference(rows) -> Polynomial:
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return -det if sign < 0 else det
+
+
+def hb_minors_reference(d: int) -> tuple[Polynomial, ...]:
+    """The maximal minors of the banded parametrization matrix from their
+    continuant recurrence h_i = y h_{i-1} - (i-1) x z h_{i-2}, b_i =
+    z^(d-i) h_i, by polynomial products: the oracle of the closed form in
+    determinantal.hb_minors."""
+    ring = PolyRing(["x", "y", "z"])
+    x, y, z = ring.var("x"), ring.var("y"), ring.var("z")
+    h = [ring.one(), y]
+    for i in range(2, d + 1):
+        h.append(y * h[i - 1] - (x * z).scale(i - 1) * h[i - 2])
+    return tuple(z ** (d - i) * h[i] for i in range(d + 1))
 
 
 def to_sympy(p):
