@@ -6,9 +6,10 @@ recursion m_i = mu*m_{i-1} + (i-1)*var*m_{i-2}:
 
     m_{a+e_i} = mu_i m_a + sum_j a_j sigma_ij m_{a-e_j}.
 
-It runs on Fractions for exact moments, on Polynomials for the symbolic
-moment polynomials and the recovery equations, and on ints for the secant
-Jacobian.  Mixture moments are the weighted sum of component moments.
+It runs on Fractions for exact moments and on Polynomials for the symbolic
+moment polynomials and the recovery equations; the secant Jacobian runs it
+in residues mod p.  Mixture moments are the weighted sum of component
+moments.
 
 All values are rationals in the affine chart where the order-zero moment is 1.
 Cumulants are the coefficients of the log of the moment generating function,
@@ -202,10 +203,10 @@ def gaussian_moment_table(mean, sigma, d: int, one) -> dict:
 
     ``mean`` is a sequence, ``sigma`` a callable on 0-based index pairs and
     ``one`` the order-zero moment.  Only ``+``, ``*`` and small-int scalars
-    are used, so entries may be Fractions, ints or Polynomials, or numpy
-    object arrays of ints that hold one Gaussian per element (the tables of
-    many Gaussians at once, as the secant Jacobian builds them).  The
-    result maps each multi-index to its moment in graded-lex order.
+    are used, so entries may be Fractions, ints or Polynomials.  The result
+    maps each multi-index to its moment in graded-lex order.  (The secant
+    Jacobian runs the same recursion in residues mod p, on all components
+    at once: ``secant._moment_residues``.)
     """
     n = len(mean)
     table = {}

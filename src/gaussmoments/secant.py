@@ -5,9 +5,9 @@ Jacobian of the mixture parametrization, computed here exactly over a prime
 field at seeded random points.  Each entry is a Gaussian moment or one of
 its partials.  The moments come from the recursion
 m_{a+e_i} = mu_i m_a + sum_j a_j sigma_ij m_{a-e_j} (see
-:func:`moments.gaussian_moment_table`), run once for all components, on
-object arrays that hold one exact int per component, and reduced mod p;
-the partials then have closed forms:
+:func:`moments.gaussian_moment_table`), run in int64 residues mod p, one
+order at a time for all moments of that order and all components at once
+(:func:`_moment_residues`); the partials then have closed forms:
 
 * dm_a/dmu_i = a_i m_{a-e_i};
 * dm_a/dsigma_ij = a_i a_j m_{a-e_i-e_j} for i < j;
@@ -69,10 +69,9 @@ from math import comb, factorial
 import numpy as np
 
 # rank_mod_p stays importable here: bench/spans.py wraps secant.rank_mod_p
-from .linalg import (PRIME_LIMIT, _fold, _sub_matmul, rank_mod_p,  # noqa: F401
-                     rank_profile_mod_p)
-from .moments import (MixtureParams, gaussian_moment_table, multi_indices,
-                      sigma_var_index)
+from .linalg import (PRIME_LIMIT, _fold, _limbs, _shift,  # noqa: F401
+                     _sub_matmul, rank_mod_p, rank_profile_mod_p)
+from .moments import MixtureParams, multi_indices, sigma_var_index
 from .rng import PRNG_NAME, SplitMix64, derive_seed
 
 # Fixed 62-bit default prime (2^62 - 57).  Every nonzero coefficient of a
@@ -226,18 +225,110 @@ def _partials_index(n: int, d: int):
     return out
 
 
+@lru_cache(maxsize=32)
+def _recursion_index(n: int, d: int):
+    """The terms of the moment recursion, per order t = 1..d, as tuples
+    (lo, hi, params, srcs, coefs, starts) of two ints and read-only intp
+    arrays: the moments of order t are rows lo..hi-1 of the graded-lex
+    table, and its terms, moment by moment, are coefs * (parameter
+    ``params``) * (moment at row ``srcs``), with coefs a column and the
+    terms of row lo + r starting at ``starts[r]``.  They do not depend on
+    the point, so they are built once per (n, d).
+
+    With i the first nonzero coordinate of b and a = b - e_i, the
+    recursion m_b = mu_i m_a + sum_j a_j sigma_ij m_{a-e_j} has the term
+    of mu_i and one term for each j with a_j > 0, all j >= i: at most
+    n + 1 terms, from moments of orders t - 1 and t - 2.
+    """
+    exps = np.array(multi_indices(n, d, min_order=1), dtype=np.intp)
+    first = (exps > 0).argmax(axis=1)
+    a = exps.copy()
+    a[np.arange(len(a)), first] -= 1
+    # column 0 of a moment's terms is that of mu_i, column 1 + j that of
+    # sigma_ij; np.nonzero lists them row by row
+    rows, cols = np.nonzero(np.hstack([np.ones((len(a), 1), np.intp), a]))
+    i, j = first[rows], cols - 1
+    sigma = cols > 0
+    params = np.where(sigma, n + i * n - i * (i - 1) // 2 + j - i, i)
+    coefs = np.where(sigma, a[rows, j], 1)
+    srcs = a[rows]
+    srcs[np.flatnonzero(sigma), j[sigma]] -= 1
+    srcs = _grlex_positions(srcs, d)
+    # where each moment's terms start, and the end of the last
+    firsts = np.searchsorted(rows, np.arange(len(exps) + 1))
+    out = []
+    for t in range(1, d + 1):
+        lo, hi = comb(n + t - 1, n), comb(n + t, n)
+        t0, t1 = firsts[lo - 1], firsts[hi - 1]
+        arrays = (params[t0:t1], srcs[t0:t1], coefs[t0:t1, None],
+                  firsts[lo - 1:hi - 1] - t0)
+        for arr in arrays:
+            arr.flags.writeable = False
+        out.append((lo, hi, *arrays))
+    return tuple(out)
+
+
+def _shifted(y, p: int):
+    """For int64 residues y, the operands of :func:`_limb_product`: per
+    limb i of the other factor, y^(i) = 2^(width*i) y mod p and its
+    quotient estimate fl(y^(i) / p)."""
+    count, width = _limbs(p)
+    shifts = [y] + [_shift(y, width * i, p) for i in range(1, count)]
+    return [(s, s / p) for s in shifts]
+
+
+def _limb_product(x, shifted, p: int):
+    """(v, f) for the elementwise product of int64 residues x and y mod p,
+    by the limbs of the rank kernel: with x_i the limbs of x and
+    ``shifted`` = :func:`_shifted` y, V = sum_i x_i y^(i) is congruent to
+    x y mod p, v is V wrapped to int64 and f = sum_i x_i fl(y^(i) / p)
+    estimates V/p, for :func:`_fold`.
+
+    Here V/p < count * 2^21 <= 3 * 2^21 (x_i < 2^21, y^(i) < p), and f
+    has at most four roundings of relative error 2^-53 (the quotient, the
+    product, two sums), all on non-negative values, so
+    |f - V/p| < 4 * 2^-53 * 3 * 2^21 < 2^-28."""
+    count, width = _limbs(p)
+    mask = (1 << width) - 1
+    v = f = 0
+    for i, (y, q) in enumerate(shifted):
+        limb = x >> (width * i) & mask
+        v = v + limb * y
+        f = f + limb * q
+    return v, f
+
+
 def _moment_residues(n: int, d: int, comp_vals, p: int):
     """Every moment of order 0..d of each component mod p, as an int64
     array: one row per moment, in graded-lex order, and one column per
-    component.  One moment table serves all K components: its entries are
-    object arrays of K exact ints."""
-    vals = np.array(comp_vals, dtype=object).T
-    table = gaussian_moment_table(
-        vals[:n], lambda i, j: vals[sigma_var_index(n, i, j)], d, 1)
-    moments = np.empty((len(table), len(comp_vals)), dtype=object)
-    for i, v in enumerate(table.values()):
-        moments[i] = v
-    return (moments % p).astype(np.int64)
+    component.  ``comp_vals`` holds each component's residues (mu, sigma).
+
+    The table is built one order at a time, each order in one step over
+    all its moments and components: the terms of the recursion
+    (:func:`_recursion_index`) are gathered, multiplied by
+    :func:`_limb_product`, scaled by their coefficients, summed per moment
+    and folded mod p once.  For a moment, V = sum of c * sum_i x_i y^(i)
+    over its at most n + 1 terms, with c <= d, so V/p < 3 (n + 1) d 2^21
+    (:func:`_limb_product`).  f has at most n + 5 roundings of relative
+    error 2^-53 (those of the limb product, the coefficient, and n sums
+    over the terms), all on non-negative values, so
+    |f - V/p| < (n + 5) 2^-53 V/p < 3 d (n + 1) (n + 5) 2^-32.  That is
+    below 2^-6 for every d <= 20 and n <= 1000, and below 1, as
+    :func:`_fold` needs, up to n = 8000, where a table of order d >= 2
+    already has over 3 * 10^7 rows.
+    """
+    y = np.array(comp_vals, dtype=np.int64).T
+    shifted = _shifted(y, p)
+    table = np.empty((comb(n + d, d), y.shape[1]), dtype=np.int64)
+    table[0] = 1
+    for lo, hi, params, srcs, coefs, starts in _recursion_index(n, d):
+        v, f = _limb_product(table[srcs],
+                             [(s[params], q[params]) for s, q in shifted], p)
+        v *= coefs
+        f *= coefs
+        table[lo:hi] = _fold(np.add.reduceat(v, starts),
+                             np.add.reduceat(f, starts), p)
+    return table
 
 
 def _moment_blocks(n: int, d: int, moments, p: int):
@@ -429,12 +520,11 @@ def secant_jacobian(problem: SecantProblem, point: MixtureParams,
         raise ValueError("parameter point does not match the problem")
     comp_vals, weights = _params_to_modular(point, prime)
     moments = _moment_residues(problem.n, problem.d, comp_vals, prime)
-    # object arrays: a weight times a residue overflows int64
-    blocks = _moment_blocks(problem.n, problem.d, moments,
-                            prime).astype(object)
+    blocks = _moment_blocks(problem.n, problem.d, moments, prime)
+    weights = _shifted(np.array(weights, dtype=np.int64)[:, None], prime)
+    partials = _fold(*_limb_product(blocks[:, :, 1:], weights, prime), prime)
     moments = blocks[:, :, 0]
-    partials = blocks[:, :, 1:] * np.array(weights, dtype=object)[:, None]
-    return np.hstack([partials.reshape(len(blocks), -1) % prime,
+    return np.hstack([partials.reshape(len(blocks), -1),
                       (moments[:, :-1] - moments[:, -1:]) % prime]).tolist()
 
 

@@ -13,7 +13,7 @@ from gaussmoments.linalg import (_BASE_WIDTH, _fold, _sub_matmul, rank_mod_p,
                                  rank_profile_mod_p, rank_rational)
 from gaussmoments.polyring import PolyRing
 from gaussmoments.rng import SplitMix64
-from util import (poly_det_reference, rand_fraction, rand_poly,
+from util import (PRIMES, poly_det_reference, rand_fraction, rand_poly,
                   rank_mod_p_oracle, to_sympy)
 
 P31 = 2 ** 31 - 1
@@ -54,11 +54,6 @@ class TestRankRational:
     def test_empty_and_zero(self):
         assert rank_rational([]) == 0
         assert rank_rational([[0, 0], [0, 0]]) == 0
-
-
-# primes at the limb boundaries of the modular kernel: for 1, 2 and 3 limbs
-# the largest prime (full 21-bit limbs) and the smallest above the boundary
-PRIMES = (2, 7, 2097143, 2097169, P31, 4398046511093, 4398046511119, P62)
 
 
 def residue_matrix_with_rank(rng, rows, cols, rank, p, density=1.0):

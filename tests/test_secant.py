@@ -10,9 +10,9 @@ from gaussmoments import moments as M
 from gaussmoments import secant as S
 from gaussmoments.linalg import rank_mod_p, rank_profile_mod_p
 from gaussmoments.rng import SplitMix64
-from util import (fills_ambient, jacobian_reference, layouts,
-                  partials_reference, rand_mixture, rank_mod_p_oracle,
-                  schur_reference, terracini_reference)
+from util import (PRIMES, fills_ambient, jacobian_reference, layouts,
+                  moment_residues_reference, partials_reference, rand_mixture,
+                  rank_mod_p_oracle, schur_reference, terracini_reference)
 
 P31 = 2 ** 31 - 1
 
@@ -191,7 +191,7 @@ class TestAllComponentBuild:
     """The one-pass build of every component against the per-component
     reference in ``tests/util.py``."""
 
-    @pytest.mark.parametrize("prime", [7919, P31, S.DEFAULT_PRIME])
+    @pytest.mark.parametrize("prime", (7919,) + PRIMES)
     def test_layout_equals_reference(self, prime):
         # the layout is the blocks with M_1 subtracted, less their first
         # column (M_1 - M_1 = 0)
@@ -216,6 +216,72 @@ class TestAllComponentBuild:
             assert S.secant_jacobian(S.SecantProblem(n, d, k), point,
                                      prime=prime) == \
                 jacobian_reference(n, d, comp_vals, weights, prime), (n, d, k)
+
+
+class TestMomentResidues:
+    """The int64 moment table, one order at a time, against the recursion
+    on Python ints one component at a time."""
+
+    @pytest.mark.parametrize("prime", PRIMES)
+    def test_equals_python_ints(self, prime):
+        rng = SplitMix64(prime % 10007)
+        # every residue of the n = 3 components 0, 1 or p - 1
+        edges = [[0] * 9, [1] * 9, [prime - 1] * 9]
+        for n, d, comp_vals in (
+                [(n, d, _residues(rng, n, 1, prime))
+                 for n, d in ((1, 1), (1, 7), (2, 5), (5, 3))]
+                + [(n, d, _residues(rng, n, k, prime))
+                   for n, d, k in ((10, 4, 15), (12, 4, 20))]
+                + [(3, 6, edges), (3, 6, edges[::-1])]):
+            got = S._moment_residues(n, d, comp_vals, prime)
+            assert got.dtype == np.int64
+            assert got.shape == (comb(n + d, d), len(comp_vals))
+            want = [moment_residues_reference(n, d, vals, prime)
+                    for vals in comp_vals]
+            assert got.T.tolist() == want, (n, d)
+
+    @pytest.mark.parametrize("prime", PRIMES)
+    def test_univariate_order_200(self, prime):
+        # far beyond the orders the prime check admits: the residues are
+        # exact whatever the order, with no int above 2^64 formed
+        rng = SplitMix64(prime % 10007)
+        comp_vals = _residues(rng, 1, 4, prime) + [[prime - 1, prime - 1]]
+        got = S._moment_residues(1, 200, comp_vals, prime)
+        assert got.T.tolist() == [moment_residues_reference(1, 200, vals,
+                                                            prime)
+                                  for vals in comp_vals]
+
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 7)
+                                     for d in range(1, 7)] + [(12, 4)])
+    def test_recursion_index_equals_enumeration(self, n, d):
+        # as a set of (moment, parameter, source, coefficient), against
+        # m_b = mu_i m_a + sum_j a_j sigma_ij m_{a-e_j}, a = b - e_i and i
+        # the first nonzero coordinate of b, one moment at a time
+        index = {a: r for r, a in enumerate(M.multi_indices(n, d))}
+        want = set()
+        for b, row in list(index.items())[1:]:
+            i = next(i for i, v in enumerate(b) if v)
+            a = M.lower_index(b, i)
+            want.add((row, i, index[a], 1))
+            want |= {(row, M.sigma_var_index(n, i, j),
+                      index[M.lower_index(a, j)], a[j])
+                     for j in range(n) if a[j]}
+        got, terms, lo = set(), 0, 1
+        for order, (start, end, params, srcs, coefs, starts) in enumerate(
+                S._recursion_index(n, d), 1):
+            assert (start, end) == (lo, comb(n + order, order))
+            lo = end
+            assert len(starts) == end - start and starts[0] == 0
+            assert np.all(np.diff(starts) > 0)
+            rows = start + np.searchsorted(starts, np.arange(len(params)),
+                                           side="right") - 1
+            got |= set(zip(rows.tolist(), params.tolist(), srcs.tolist(),
+                           coefs[:, 0].tolist()))
+            terms += len(params)
+            assert not any(arr.flags.writeable
+                           for arr in (params, srcs, coefs, starts))
+        assert lo == len(index)
+        assert terms == len(want) and got == want
 
 
 class TestDimensionProperties:
@@ -395,14 +461,14 @@ class TestCensus:
     def test_one_moment_table_per_n_and_trial(self, monkeypatch):
         # every component of a layout comes from one moment table
         shapes = []
-        table = S.gaussian_moment_table
+        table = S._moment_residues
 
-        def counted(mean, sigma, d, one):
-            shapes.append(mean.shape)
-            return table(mean, sigma, d, one)
-        monkeypatch.setattr(S, "gaussian_moment_table", counted)
+        def counted(n, d, comp_vals, p):
+            shapes.append(np.array(comp_vals, dtype=object).T[:n].shape)
+            return table(n, d, comp_vals, p)
+        monkeypatch.setattr(S, "_moment_residues", counted)
         S.census(3, range(5, 8), range(3, 7), trials=2, seed=11, prime=P31)
-        # mean holds the n mean coordinates of all K = 6 components
+        # the means of the parameters: n coordinates of all K = 6 components
         assert shapes == [(n, 6) for n in range(5, 8) for _ in range(2)]
 
     def test_univariate_rows_never_defective(self):

@@ -16,6 +16,11 @@ from gaussmoments.polyring import Polynomial, PolyRing, grlex_key
 from gaussmoments.rng import SplitMix64
 from gaussmoments.secant import _points, _unit_columns
 
+# primes at the limb boundaries of the modular kernel: for 1, 2 and 3 limbs
+# the largest prime (full 21-bit limbs) and the smallest above the boundary
+PRIMES = (2, 7, 2097143, 2097169, 2 ** 31 - 1, 4398046511093, 4398046511119,
+          2 ** 62 - 57)
+
 
 def rand_fraction(rng: SplitMix64, span: int = 5, max_den: int = 4) -> Fraction:
     num = rng.below(2 * span + 1) - span
@@ -277,6 +282,15 @@ def partials_reference(a):
                            lower_index(b, j))
 
 
+def moment_residues_reference(n: int, d: int, vals, p: int) -> list[int]:
+    """Every moment of order <= d of one component, its residues (mu,
+    sigma) ``vals``, from gaussian_moment_table on Python ints, reduced
+    mod p: the reference that secant._moment_residues is checked
+    against."""
+    return [v % p for v in gaussian_moment_table(
+        vals[:n], lambda i, j: vals[sigma_var_index(n, i, j)], d, 1).values()]
+
+
 def component_blocks_reference(n: int, d: int, comp_vals, p: int):
     """For each component in turn, (A, M) mod p as int64 arrays: A is the
     N x m matrix of the partials of its moments of order 1..d in its
@@ -289,9 +303,7 @@ def component_blocks_reference(n: int, d: int, comp_vals, p: int):
          for j, c, b in partials_reference(a)], dtype=np.intp).T
     coefs, srcs = coefs.tolist(), srcs.tolist()
     for vals in comp_vals:
-        table = [v % p for v in gaussian_moment_table(
-            vals[:n], lambda i, j: vals[sigma_var_index(n, i, j)], d,
-            1).values()]
+        table = moment_residues_reference(n, d, vals, p)
         partials = np.zeros((len(index) - 1, n * (n + 3) // 2),
                             dtype=np.int64)
         partials[rows, cols] = [c * table[s] % p
