@@ -1,13 +1,12 @@
 """tools/bench_pairs.py: the summary of same-session benchmark pairs."""
 
-import importlib.util
 import json
+import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-_spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+# the tools are scripts: they import each other from their own directory
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import bench_pairs  # noqa: E402
 
 BETTER = {"compute_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower"}
 
@@ -49,8 +48,3 @@ def test_higher_is_better_and_one_pair():
     assert out["parent_runs"]["failed"] == 1
     assert out["change_runs"]["correct"] is False
     assert set(out) == {"compute_s", "parent_runs", "change_runs"}
-
-
-def test_seed_range():
-    assert bench_pairs._seed_range("301..306") == list(range(301, 307))
-    assert bench_pairs._seed_range("7") == [7]

@@ -242,8 +242,8 @@ class TestMomentResidues:
 
     @pytest.mark.parametrize("prime", PRIMES)
     def test_univariate_order_200(self, prime):
-        # far beyond the orders the prime check admits: the residues are
-        # exact whatever the order, with no int above 2^64 formed
+        # far beyond the orders the prime check admits: the int64 table is
+        # exact at any order
         rng = SplitMix64(prime % 10007)
         comp_vals = _residues(rng, 1, 4, prime) + [[prime - 1, prime - 1]]
         got = S._moment_residues(1, 200, comp_vals, prime)

@@ -29,13 +29,10 @@ from pathlib import Path
 
 import numpy
 
+from compare_cli import _seed_range
+
 REPO = Path(__file__).resolve().parent.parent
 SECONDS = 42
-
-
-def _seed_range(text: str) -> list[int]:
-    lo, sep, hi = text.partition("..")
-    return list(range(int(lo), int(hi if sep else lo) + 1))
 
 
 def _rev(tree: Path) -> str:
