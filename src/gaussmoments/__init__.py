@@ -11,7 +11,7 @@ from .secant import (DEFAULT_PRIME, DefectRow, RankCertificate, SecantProblem,
                      census, conjecture_eleven_defect, defect_identity_d3,
                      degree_formula_sec2_g1, degree_formula_sec2_x,
                      degree_formula_sec3_x, dim_formula_d3,
-                     secant_dimension, secant_jacobian)
+                     secant_dimension)
 
 __all__ = [
     "CumulantVector", "GaussianParams", "MixtureParams", "MomentVector",
@@ -23,8 +23,7 @@ __all__ = [
     "degree_formula_sec2_x", "degree_formula_sec3_x", "dim_formula_d3",
     "gaussian_moments", "mixture_moments",
     "moment_polynomials", "moments_to_cumulants", "multi_indices",
-    "recover", "recover_n3", "secant_dimension",
-    "secant_jacobian", "univariate_moments",
+    "recover", "recover_n3", "secant_dimension", "univariate_moments",
 ]
 
 __version__ = "0.1.0"

@@ -7,17 +7,13 @@ the output header of every command that uses them, so runs are reproducible
 byte for byte.
 
 Exit codes: 0 on success, 1 on a domain error (bad moment vector, off-variety
-input, ...), 2 on a usage error.
-
-Defaults for --seed and --prime may come from the environment variables
-GAUSSMOMENTS_SEED and GAUSSMOMENTS_PRIME.
+input, ...) or when memory runs out, 2 on a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from contextlib import contextmanager
@@ -104,23 +100,13 @@ def _emit_rows(rows: list[dict], columns: tuple[str, ...], fmt: str,
 
 
 def _rank_config(args, d: int) -> dict:
-    seed = args.seed
-    prime = args.prime
-    if seed is None:
-        seed = _parse_int(os.environ.get("GAUSSMOMENTS_SEED",
-                                         str(secant.DEFAULT_SEED)),
-                          "GAUSSMOMENTS_SEED")
-    if prime is None:
-        prime = _parse_int(os.environ.get("GAUSSMOMENTS_PRIME",
-                                          str(secant.DEFAULT_PRIME)),
-                           "GAUSSMOMENTS_PRIME")
     try:
-        secant._check_prime(d, prime)
+        secant._check_prime(d, args.prime)
     except ValueError as exc:
         raise SystemExit2(str(exc)) from None
     if args.trials < 1:
         raise SystemExit2("--trials must be at least 1")
-    return {"seed": seed, "prime": prime, "trials": args.trials,
+    return {"seed": args.seed, "prime": args.prime, "trials": args.trials,
             "prng": PRNG_NAME}
 
 
@@ -371,12 +357,11 @@ def _one_of(*flags):
 
 
 _RANK_OPTIONS = (
-    _arg("--seed", type=_integer, default=None,
-         help="PRNG seed (default: env GAUSSMOMENTS_SEED or "
-              f"{secant.DEFAULT_SEED})"),
-    _arg("--prime", type=_integer, default=None,
-         help="prime modulus for rank computations (default: env "
-              f"GAUSSMOMENTS_PRIME or {secant.DEFAULT_PRIME})"),
+    _arg("--seed", type=_integer, default=secant.DEFAULT_SEED,
+         help=f"PRNG seed (default: {secant.DEFAULT_SEED})"),
+    _arg("--prime", type=_integer, default=secant.DEFAULT_PRIME,
+         help="prime modulus for rank computations (default: "
+              f"{secant.DEFAULT_PRIME})"),
     _arg("--trials", type=_integer, default=secant.DEFAULT_TRIALS,
          help="independent random points per rank"),
 )
@@ -508,6 +493,9 @@ def _main(argv) -> int:
     except (ValueError, ArithmeticError, OSError, KeyError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -14,10 +14,6 @@ Three matrix families, each with linear-form entries:
 * the Willink moment matrix for n-dimensional Gaussians, whose rank-(n+1)
   locus is the affine moment variety and whose explicit kernel vectors carry
   the mean and covariance.
-
-Also here: the diagonal intersection pairing on the divisor class group of
-the blown-up surface, basis (L, E_p, E_z, F_1..F_s), and the hyperplane class
-in that basis.
 """
 
 from __future__ import annotations
@@ -202,10 +198,6 @@ class StructuralReport:
     no_y2_factor: bool         # y^2 divides none of the minors
     lowest_terms_ok: bool      # lowest terms at (1:0:0) follow the z-pattern
 
-    def all_ok(self) -> bool:
-        return (self.monomials_disjoint and self.no_y2_factor
-                and self.lowest_terms_ok)
-
 
 def _lowest_part_at_base_point(p: Polynomial) -> dict:
     """Terms of lowest total (y,z)-degree after setting x = 1."""
@@ -351,43 +343,3 @@ def willink_membership(n: int, d: int, m: MomentVector,
             if not kernel_ok:
                 break
     return WillinkResult(rank, rank <= n + 1, kernel_ok)
-
-
-# -- divisor classes on the blown-up surface -----------------------------------
-
-
-@dataclass(frozen=True)
-class DivisorClass:
-    """Integer coefficients on the basis L, E_p, E_z, F_1, ..., F_s."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) < 3:
-            raise ValueError("basis must contain at least L, E_p, E_z")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-
-    @property
-    def s(self) -> int:
-        return len(self.coeffs) - 3
-
-
-def intersection_pairing(a: DivisorClass, b: DivisorClass) -> int:
-    """The diagonal form diag(1, -1, ..., -1) on the divisor basis."""
-    if len(a.coeffs) != len(b.coeffs):
-        raise ValueError("divisor classes over different bases")
-    return a.coeffs[0] * b.coeffs[0] - sum(
-        x * y for x, y in zip(a.coeffs[1:], b.coeffs[1:]))
-
-
-def hd_class(d: int, c: list[int]) -> DivisorClass:
-    """The hyperplane class: dL - ceil(d/2) E_p - floor(d/2) E_z - sum c_i F_i.
-
-    The c_i are inputs (positive integers); their exact values play no role
-    in the pairing arguments.
-    """
-    if d < 2:
-        raise ValueError("hyperplane class needs d >= 2")
-    if any(ci <= 0 for ci in c):
-        raise ValueError("exceptional multiplicities must be positive")
-    return DivisorClass((d, -((d + 1) // 2), -(d // 2), *(-ci for ci in c)))

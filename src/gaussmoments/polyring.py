@@ -188,18 +188,6 @@ class Polynomial:
             return Polynomial(self.ring, {})
         return Polynomial(self.ring, {e: v * c for e, v in self.terms.items()})
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             if self.ring._zero_exp in self.terms or not self.terms:

@@ -18,7 +18,8 @@ order 1..d in its m = n(n+3)/2 coordinates (mu, sigma), and M_l the vector
 of those moments.  The Jacobian of the mixture sum_l lambda_l M_l, with the
 last weight eliminated (lambda_k = 1 - sum), is
 [lambda_1 A_1 | ... | lambda_k A_k | M_1 - M_k | ... | M_{k-1} - M_k]
-(:func:`secant_jacobian`); its column count is exactly the parameter count
+(built by ``jacobian_reference`` in ``tests/util.py``, which the tests check
+the layout's rank against); its column count is exactly the parameter count
 k*n*(n+3)/2 + k - 1.
 
 Ranks are computed from the layout
@@ -71,7 +72,7 @@ import numpy as np
 # rank_mod_p stays importable here: bench/spans.py wraps secant.rank_mod_p
 from .linalg import (PRIME_LIMIT, _fold, _limbs, _shift,  # noqa: F401
                      _sub_matmul, rank_mod_p, rank_profile_mod_p)
-from .moments import MixtureParams, multi_indices, sigma_var_index
+from .moments import multi_indices, sigma_var_index
 from .rng import PRNG_NAME, SplitMix64, derive_seed
 
 # Fixed 62-bit default prime (2^62 - 57).  Every nonzero coefficient of a
@@ -492,40 +493,6 @@ def _check_prime(d: int, prime: int) -> None:
                          f"2^62 for --d {_shown(d)}")
     if prime <= factorial(d):
         raise ValueError(f"--prime {prime} must exceed d! = {factorial(d)}")
-
-
-def _params_to_modular(point: MixtureParams, p: int):
-    def red(x: Fraction) -> int:
-        den = x.denominator % p
-        if den == 0:
-            raise ZeroDivisionError("parameter denominator vanishes mod p")
-        return x.numerator % p * pow(den, p - 2, p) % p
-
-    comp_vals = [
-        [red(x) for x in comp.mean] + [red(x) for x in comp.cov_upper]
-        for comp in point.components
-    ]
-    weights = [red(w) for w in point.weights]
-    return comp_vals, weights
-
-
-def secant_jacobian(problem: SecantProblem, point: MixtureParams,
-                    prime: int = DEFAULT_PRIME) -> list[list[int]]:
-    """The N x par Jacobian of the mixture parametrization at the point,
-    over GF(prime): per component its weight times its partials, then for
-    each free weight the difference between its component's moments and the
-    last component's.  The prime must exceed d! and be below 2^62."""
-    _check_prime(problem.d, prime)
-    if point.n != problem.n or point.k != problem.k:
-        raise ValueError("parameter point does not match the problem")
-    comp_vals, weights = _params_to_modular(point, prime)
-    moments = _moment_residues(problem.n, problem.d, comp_vals, prime)
-    blocks = _moment_blocks(problem.n, problem.d, moments, prime)
-    weights = _shifted(np.array(weights, dtype=np.int64)[:, None], prime)
-    partials = _fold(*_limb_product(blocks[:, :, 1:], weights, prime), prime)
-    moments = blocks[:, :, 0]
-    return np.hstack([partials.reshape(len(blocks), -1),
-                      (moments[:, :-1] - moments[:, -1:]) % prime]).tolist()
 
 
 def _points(n: int, d: int, top: int, trials: int, seed: int, prime: int):

@@ -1,5 +1,7 @@
 """The package's public surface, and the README's library example."""
 
+import ast
+import importlib
 from pathlib import Path
 
 import gaussmoments
@@ -32,3 +34,94 @@ def test_readme_library_example_runs():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = text.split("## Library", 1)[1].split("```python\n", 1)[1]
     exec(example.split("```", 1)[0], {})
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# library code that only tests call, each with the reason it stays
+TEST_ONLY = {
+    "determinantal.singular_locus_rank":
+        "the acceptance criteria check the singular line with it",
+    "secant.DefectRow.astuple":
+        "the acceptance criteria compare census rows with the paper's tables",
+    "determinantal.gd_surface_degree":
+        "ROADMAP item 6 derives the degree it states",
+    "secant.dim_formula_d3_max_k":
+        "ROADMAP item 4's survey bounds the d = 3 formula with it",
+    "determinantal.hb_substituted_moments":
+        "the acceptance criteria check that the minors give the moments",
+    "polyring.Polynomial.coefficient":
+        "the one reader of a single coefficient of a polynomial",
+}
+
+
+def _refs(node) -> set[str]:
+    """The names a statement uses: its names and attributes, and the dotted
+    parts of its strings (the benchmark wraps functions by name)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.update(sub.value.split("."))
+    return out
+
+
+def _units(tree):
+    """(owners, names used) per top-level statement, and per statement of
+    a class body, whose owners are the class and that statement."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                yield {stmt, item}, _refs(item)
+            yield {stmt}, set().union(*map(_refs, stmt.bases
+                                            + stmt.decorator_list))
+        else:
+            yield {stmt}, _refs(stmt)
+
+
+def _definitions(module, tree):
+    """Each module-level def and class, and each public method that no base
+    class outside the package defines (the base calls an override)."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            bases = getattr(module, stmt.name).__mro__[1:]
+            for item in stmt.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")
+                        and not any(hasattr(b, item.name) for b in bases)):
+                    yield f"{stmt.name}.{item.name}", item
+
+
+def test_no_library_code_only_tests_call():
+    # every def, class and public method of the package is used by another
+    # definition of the package, the tools or the benchmark, or exported,
+    # or listed in TEST_ONLY with its reason; uses are matched by name
+    trees = {path: ast.parse(path.read_text())
+             for top in ("src", "tools", "bench")
+             for path in sorted((ROOT / top).rglob("*.py"))
+             if "tests" not in path.relative_to(ROOT).parts}
+    units = [unit for tree in trees.values() for unit in _units(tree)]
+    unused, listed = [], set()
+    for path, tree in trees.items():
+        if path.parent != ROOT / "src" / "gaussmoments":
+            continue
+        module = importlib.import_module(f"gaussmoments.{path.stem}")
+        for qualname, node in _definitions(module, tree):
+            name = qualname.rpartition(".")[2]
+            used = any(name in refs for owners, refs in units
+                       if node not in owners)
+            key = f"{path.stem}.{qualname}"
+            if used or qualname in gaussmoments.__all__:
+                continue
+            if key in TEST_ONLY:
+                listed.add(key)
+            else:
+                unused.append(key)
+    assert unused == []
+    # no entry outlives the code it names, or gains a caller
+    assert listed == set(TEST_ONLY)

@@ -11,8 +11,9 @@ from gaussmoments import secant as S
 from gaussmoments.linalg import rank_mod_p, rank_profile_mod_p
 from gaussmoments.rng import SplitMix64
 from util import (PRIMES, fills_ambient, jacobian_reference, layouts,
-                  moment_residues_reference, partials_reference, rand_mixture,
-                  rank_mod_p_oracle, schur_reference, terracini_reference)
+                  moment_residues_reference, params_to_modular,
+                  partials_reference, rand_mixture, rank_mod_p_oracle,
+                  schur_reference, terracini_reference)
 
 P31 = 2 ** 31 - 1
 
@@ -31,12 +32,6 @@ class TestExpectedDimension:
 
 
 class TestJacobian:
-    def test_column_count(self):
-        rng = SplitMix64(1)
-        p = rand_mixture(rng, 3, 2)
-        jac = S.secant_jacobian(S.SecantProblem(3, 3, 2), p, prime=P31)
-        assert len(jac) == 19 and len(jac[0]) == 19
-
     def test_rank_17_at_random_points(self):
         dim, cert = S.secant_dimension(S.SecantProblem(3, 3, 2), trials=3,
                                        seed=7, prime=P31)
@@ -50,82 +45,53 @@ class TestJacobian:
             assert dim == n * (n + 3) // 2
 
     def test_prime_too_small(self):
-        rng = SplitMix64(2)
-        p = rand_mixture(rng, 1, 2)
-        with pytest.raises(ValueError, match="must exceed"):
-            S.secant_jacobian(S.SecantProblem(1, 4, 2), p, prime=23)
         with pytest.raises(ValueError, match="must exceed"):
             S.secant_dimension(S.SecantProblem(1, 4, 2), prime=23)
 
     def test_prime_too_large(self):
-        rng = SplitMix64(2)
-        p = rand_mixture(rng, 2, 2)
         for prime in (2 ** 62, 2 ** 64 - 59):
-            with pytest.raises(ValueError, match="below 2\\^62"):
-                S.secant_jacobian(S.SecantProblem(2, 3, 2), p, prime=prime)
             with pytest.raises(ValueError, match="below 2\\^62"):
                 S.secant_dimension(S.SecantProblem(2, 3, 1), prime=prime)
 
     def test_composite_modulus(self):
-        rng = SplitMix64(2)
-        p = rand_mixture(rng, 2, 2)
         for prime in (10007 * 10009, 91, 1, 0, -7):
-            with pytest.raises(ValueError, match="is not prime"):
-                S.secant_jacobian(S.SecantProblem(2, 3, 2), p, prime=prime)
             with pytest.raises(ValueError, match="is not prime"):
                 S.secant_dimension(S.SecantProblem(2, 3, 2), trials=1,
                                    prime=prime)
             with pytest.raises(ValueError, match="is not prime"):
                 S.census(3, [2], [2], trials=1, prime=prime)
 
-    def test_denominator_divisible_by_the_prime(self):
-        point = M.MixtureParams(
-            (M.GaussianParams((Fraction(3, 2 * P31),), (Fraction(1),)),),
-            (Fraction(1),))
-        with pytest.raises(ZeroDivisionError, match="vanishes mod p"):
-            S.secant_jacobian(S.SecantProblem(1, 3, 1), point, prime=P31)
-
-    def test_point_problem_mismatch(self):
-        rng = SplitMix64(3)
-        p = rand_mixture(rng, 2, 2)
-        with pytest.raises(ValueError, match="does not match"):
-            S.secant_jacobian(S.SecantProblem(3, 3, 2), p, prime=P31)
-
 
 def _reduce(x: Fraction, p: int) -> int:
     return x.numerator * pow(x.denominator, -1, p) % p
 
 
-def _symbolic_jacobian(problem: S.SecantProblem, point: M.MixtureParams,
-                       p: int) -> list[list[int]]:
-    """The Jacobian from the symbolic partials of ``moment_polynomials``,
-    evaluated exactly at the point and reduced mod p: per component its
-    weight times every partial, then the free weight columns as differences
-    of component moments."""
-    polys = M.moment_polynomials(problem.n, problem.d)
-    names = M.parameter_ring(problem.n).vars
+def _symbolic_blocks(n: int, d: int, point: M.MixtureParams,
+                     p: int) -> list:
+    """For each moment of order 1..d and each component, the moment and
+    its partials in (mu, sigma) from the symbolic ``moment_polynomials``,
+    evaluated exactly at the point and reduced mod p: the layout of
+    ``secant._moment_blocks``."""
+    polys = M.moment_polynomials(n, d)
+    names = M.parameter_ring(n).vars
     values = [dict(zip(names, c.mean + c.cov_upper))
               for c in point.components]
-    rows = []
-    for idx in M.multi_indices(problem.n, problem.d, min_order=1):
-        poly = polys[idx]
-        row = [_reduce(lam * poly.differentiate(v).evaluate(vals), p)
-               for lam, vals in zip(point.weights, values) for v in names]
-        moms = [poly.evaluate(vals) for vals in values]
-        row += [_reduce(m - moms[-1], p) for m in moms[:-1]]
-        rows.append(row)
-    return rows
+    return [[[_reduce(q.evaluate(vals), p)
+              for q in [polys[idx]] + [polys[idx].differentiate(v)
+                                       for v in names]]
+             for vals in values]
+            for idx in M.multi_indices(n, d, min_order=1)]
 
 
 class TestJacobianOracle:
-    """``secant_jacobian`` against the symbolic partials of the moment
-    polynomials, and the coefficient divisibility behind ``_check_prime``."""
+    """The closed-form partials of ``secant._moment_blocks`` against the
+    symbolic partials of the moment polynomials, and the coefficient
+    divisibility behind ``_check_prime``."""
 
     @pytest.mark.parametrize("n,d,k", [(1, 6, 3), (2, 4, 2), (3, 3, 3),
                                        (4, 3, 2)])
     @pytest.mark.parametrize("prime", [7919, P31])
     def test_equals_symbolic_partials(self, n, d, k, prime):
-        problem = S.SecantProblem(n, d, k)
         rng = SplitMix64(100 * n + 10 * d + k)
         points = [rand_mixture(rng, n, k) for _ in range(2)]
         first = points[0].components[0]
@@ -134,8 +100,10 @@ class TestJacobianOracle:
         points.append(M.MixtureParams(
             (zero_mean,) + points[0].components[1:], points[0].weights))
         for point in points:
-            assert S.secant_jacobian(problem, point, prime=prime) == \
-                _symbolic_jacobian(problem, point, prime)
+            comp_vals, _ = params_to_modular(point, prime)
+            moments = S._moment_residues(n, d, comp_vals, prime)
+            assert S._moment_blocks(n, d, moments, prime).tolist() == \
+                _symbolic_blocks(n, d, point, prime)
 
     @pytest.mark.parametrize("n,d", [(1, 10), (2, 6), (3, 5), (4, 4)])
     def test_coefficients_divide_d_factorial(self, n, d):
@@ -162,16 +130,16 @@ class TestTerraciniLayout:
         checked = 0
         while checked < 2:
             point = rand_mixture(rng, n, k)
-            comp_vals, weights = S._params_to_modular(point, prime)
+            comp_vals, weights = params_to_modular(point, prime)
             if not all(weights):
                 continue
             checked += 1
             layout = terracini_reference(n, d, comp_vals, prime)
             assert layout.shape == (problem.ambient, problem.parameters)
-            rank = rank_mod_p(layout, prime)
+            rank = len(S._layout_profile(n, d, comp_vals, prime))
+            assert rank == rank_mod_p(layout, prime)
             assert rank == rank_mod_p(
-                S.secant_jacobian(problem, point, prime=prime), prime)
-            assert rank == len(S._layout_profile(n, d, comp_vals, prime))
+                jacobian_reference(n, d, comp_vals, weights, prime), prime)
 
 
 # every (n, d) with n = 1..4 and d = 1..6, for K = 1 and 3
@@ -206,16 +174,6 @@ class TestAllComponentBuild:
             assert np.array_equal(
                 layout, terracini_reference(n, d, comp_vals, prime)), \
                 (n, d, k)
-
-    @pytest.mark.parametrize("prime", [7919, P31, S.DEFAULT_PRIME])
-    def test_jacobian_equals_reference(self, prime):
-        rng = SplitMix64(prime % 10007)
-        for n, d, k in BUILD_SHAPES + [(10, 4, 3)]:
-            point = rand_mixture(rng, n, k)
-            comp_vals, weights = S._params_to_modular(point, prime)
-            assert S.secant_jacobian(S.SecantProblem(n, d, k), point,
-                                     prime=prime) == \
-                jacobian_reference(n, d, comp_vals, weights, prime), (n, d, k)
 
 
 class TestMomentResidues:

@@ -85,6 +85,14 @@ def fills_ambient(row) -> bool:
     return row.dim == row.N
 
 
+def power(p: Polynomial, k: int) -> Polynomial:
+    """p^k as k repeated products; Polynomial has no power operator."""
+    out = p.ring.one()
+    for _ in range(k):
+        out = out * p
+    return out
+
+
 def mul_reference(a: Polynomial, b: Polynomial) -> Polynomial:
     """Polynomial product with a zero test after every term product: the
     reference that Polynomial.__mul__ is checked against."""
@@ -122,7 +130,7 @@ def substitute_reference(p: Polynomial, mapping) -> Polynomial:
             k = e[i]
             if k:
                 rest[i] = 0
-                qk = q ** k
+                qk = power(q, k)
                 factor = qk if factor is None else factor * qk
         term = ring.monomial(tuple(rest), c)
         out = out + (term * factor if factor is not None else term)
@@ -194,7 +202,7 @@ def hb_minors_reference(d: int) -> tuple[Polynomial, ...]:
     h = [ring.one(), y]
     for i in range(2, d + 1):
         h.append(y * h[i - 1] - (x * z).scale(i - 1) * h[i - 2])
-    return tuple(z ** (d - i) * h[i] for i in range(d + 1))
+    return tuple(power(z, d - i) * h[i] for i in range(d + 1))
 
 
 def to_sympy(p):
@@ -346,6 +354,20 @@ def schur_reference(layout, n: int, d: int, p: int):
     _sub_matmul(b[n:], layout[n:top, cols[:n]], b[:n], p)
     _sub_matmul(layout[top:, top:], layout[top:, cols], b, p)
     return layout[top:, n * (n + 3) // 2:]
+
+
+def params_to_modular(point: MixtureParams, p: int):
+    """A rational mixture point mod p: each component's residues (mean,
+    then covariance upper triangle), and the weights' residues."""
+    def red(x: Fraction) -> int:
+        den = x.denominator % p
+        if den == 0:
+            raise ZeroDivisionError("parameter denominator vanishes mod p")
+        return x.numerator % p * pow(den, -1, p) % p
+
+    comp_vals = [[red(x) for x in comp.mean + comp.cov_upper]
+                 for comp in point.components]
+    return comp_vals, [red(w) for w in point.weights]
 
 
 def jacobian_reference(n: int, d: int, comp_vals, weights, p: int):

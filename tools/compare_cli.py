@@ -11,8 +11,9 @@ and compares the exit code, stdout and stderr of every call:
   each seed (its recover inputs are written to a temporary directory).
 
 Each tree runs the whole corpus in one fresh interpreter, without the
-GAUSSMOMENTS_* environment variables.  Every call that differs is printed in
-full; the exit code is 1 if any call differs, else 0.
+GAUSSMOMENTS_* environment variables, from which older trees read their
+seed and prime defaults.  Every call that differs is printed in full; the
+exit code is 1 if any call differs, else 0.
 """
 
 from __future__ import annotations
