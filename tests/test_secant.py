@@ -13,7 +13,7 @@ from gaussmoments.rng import SplitMix64
 from util import (PRIMES, fills_ambient, jacobian_reference, layouts,
                   moment_residues_reference, params_to_modular,
                   partials_reference, rand_mixture, rank_mod_p_oracle,
-                  schur_reference, terracini_reference)
+                  residue, schur_reference, terracini_reference)
 
 P31 = 2 ** 31 - 1
 
@@ -62,10 +62,6 @@ class TestJacobian:
                 S.census(3, [2], [2], trials=1, prime=prime)
 
 
-def _reduce(x: Fraction, p: int) -> int:
-    return x.numerator * pow(x.denominator, -1, p) % p
-
-
 def _symbolic_blocks(n: int, d: int, point: M.MixtureParams,
                      p: int) -> list:
     """For each moment of order 1..d and each component, the moment and
@@ -76,7 +72,7 @@ def _symbolic_blocks(n: int, d: int, point: M.MixtureParams,
     names = M.parameter_ring(n).vars
     values = [dict(zip(names, c.mean + c.cov_upper))
               for c in point.components]
-    return [[[_reduce(q.evaluate(vals), p)
+    return [[[residue(q.evaluate(vals), p)
               for q in [polys[idx]] + [polys[idx].differentiate(v)
                                        for v in names]]
              for vals in values]

@@ -356,18 +356,17 @@ def schur_reference(layout, n: int, d: int, p: int):
     return layout[top:, n * (n + 3) // 2:]
 
 
+def residue(x: Fraction, p: int) -> int:
+    """x mod p; the denominator must be prime to p."""
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
 def params_to_modular(point: MixtureParams, p: int):
     """A rational mixture point mod p: each component's residues (mean,
     then covariance upper triangle), and the weights' residues."""
-    def red(x: Fraction) -> int:
-        den = x.denominator % p
-        if den == 0:
-            raise ZeroDivisionError("parameter denominator vanishes mod p")
-        return x.numerator % p * pow(den, -1, p) % p
-
-    comp_vals = [[red(x) for x in comp.mean + comp.cov_upper]
+    comp_vals = [[residue(x, p) for x in comp.mean + comp.cov_upper]
                  for comp in point.components]
-    return comp_vals, [red(w) for w in point.weights]
+    return comp_vals, [residue(w, p) for w in point.weights]
 
 
 def jacobian_reference(n: int, d: int, comp_vals, weights, p: int):
