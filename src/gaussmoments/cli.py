@@ -106,6 +106,10 @@ def _rank_config(args, d: int) -> dict:
         raise SystemExit2(str(exc)) from None
     if args.trials < 1:
         raise SystemExit2("--trials must be at least 1")
+    # SplitMix64 keeps 64 bits of the seed, and the header echoes it whole
+    if not 0 <= args.seed < 1 << 64:
+        raise SystemExit2(f"--seed must be in 0..2^64-1, not "
+                          f"{_shown(args.seed)}")
     return {"seed": args.seed, "prime": args.prime, "trials": args.trials,
             "prng": PRNG_NAME}
 

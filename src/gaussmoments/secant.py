@@ -28,28 +28,45 @@ weights.  Where every weight is nonzero it has the same column space as the
 mixture Jacobian: weights only scale the A-blocks, and
 M_l - M_k = (M_l - M_1) - (M_k - M_1).  So the two have the same rank
 there, and the same generic rank (Terracini's lemma: dim Sec_k is the
-dimension of the span of k tangent spaces).  The first k components of the layout fill
-its first k*(m+1) - 1 columns, so the layout of K components holds the one
-of every k <= K as a column prefix.  The component values of a trial come
-from one stream, derive_seed(seed, n, d, trial), drawn one component after
-another, so they do not depend on k, and one elimination's column rank
-profile gives the rank for every k <= K: :func:`census`,
+dimension of the span of k tangent spaces).  The first k components of the
+layout fill its first k*(m+1) - 1 columns, so the layout of K components
+holds the one of every k <= K as a column prefix.  The component values of
+a trial come from one stream, derive_seed(seed, n, d, trial), drawn one
+component after another, so they do not depend on k, and one elimination
+gives the rank of every prefix of whole components: :func:`census`,
 :func:`defect_row` and :func:`secant_dimension` all do one elimination per
-(n, trial).  That elimination starts below the first component's block T
-of moments of order <= 2, which is invertible in closed form: only the
-Schur complement of that block is eliminated (:func:`_layout_profile` says
-why the profile is preserved).  No layout is formed.  Subtracting component
-1's partials from each later component's leaves Delta, whose entries are
-c * (m_b(l) - m_b(1)), the partials of the moment differences, and with C
-component 1's partials in the rows R of order >= 3 the Schur complement is
+(n, trial) (:func:`_prefix_ranks`).  No layout is formed.
 
-    S = Delta[R] - C T^-1 Delta_top.
+Two symmetries of Gaussians fix part of the layout in closed form before
+that elimination.  Each acts on the layout by a row operation (an
+invertible linear map of the moment vector) and by column operations inside
+each component's block (an invertible change of that component's
+coordinates (mu, Sigma)).  Neither changes the rank of any prefix of whole
+components, and both maps have integer polynomial entries, so they hold mod
+every prime.  Nor does subtracting multiples of a column from later
+columns, which is how the unit pivots they expose take their rows.
 
-Delta_top, Delta's rows of order <= 2, vanishes outside the mean and
-moment columns: the covariance partials of those moments are the same for
-every component.  So the products run on (K-1)(n+1) of the (K-1)(m+1)
-later columns, 154 instead of 924 at n = 10, K = 15
-(:func:`_schur_complement`).
+* Convolution.  The moments of N(mu + nu, Sigma + T) are those of
+  N(mu, Sigma) under a map that is unipotent by order, with entries
+  C(a, b) m_{a-b}(nu, T).  With (nu, T) = (-mu_1, -Sigma_1) each component
+  l moves to Delta_l = v_l - v_1, and the column M_l - M_1 to the moments
+  of Delta_l, since those of the origin vanish in every order >= 1.
+  Component 1's partials at the origin are unit vectors: 1 in the row of
+  x_i for mu_i, and of x_i x_j for sigma_ij.  They take the rows of order
+  <= 2, and what is left is the rows of order >= 3 of the moment blocks of
+  the Delta_l, l >= 2 (:func:`_moment_blocks`).
+* A linear change of coordinates x -> Bx maps N(mu, Sigma) to
+  N(B mu, B Sigma B^T), and the moments of each order by a linear map,
+  invertible with B.  :func:`_rotate` takes the B that maps component 2's
+  mean difference to e_i0.  Then each covariance column sigma_ij of
+  component 2 has one nonzero entry of order 3, c in {1, 2, 3} at
+  x_i x_j x_i0, and these pivots, units for every p > 3, take their rows
+  and columns (:func:`_drop_second`).  Where that mean difference is 0 the
+  step is skipped.
+
+So the kernel eliminates 165 x 275 of the 285 x 395 layout of the n = 10
+row of the order-3 census, and 880 x 869 of the 1000 x 989 one at n = 10,
+K = 15 and order 4.
 
 A reported dimension is a certified lower bound for the generic rank; by
 Schwartz-Zippel it equals the generic rank with probability at least
@@ -72,14 +89,16 @@ import numpy as np
 # rank_mod_p stays importable here: bench/spans.py wraps secant.rank_mod_p
 from .linalg import (PRIME_LIMIT, _fold, _limbs, _shift,  # noqa: F401
                      _sub_matmul, rank_mod_p, rank_profile_mod_p)
-from .moments import multi_indices, sigma_var_index
+from .moments import multi_indices
 from .rng import PRNG_NAME, SplitMix64, derive_seed
 
-# Fixed 62-bit default prime (2^62 - 57).  Every nonzero coefficient of a
-# moment polynomial m_a, and of its partials, divides a_1! ... a_n! and so
-# d!; a prime above d! reduces none of them to 0.  This one exceeds 20!, for
-# every order d <= 20 used in rank runs, and Schwartz-Zippel failure is
-# negligible.
+# Fixed 62-bit default prime (2^62 - 57).  It exceeds 20!, so the rule
+# p > d! of _check_prime admits it at every order that rule allows (d <= 20).
+# The rule keeps every coefficient of a moment polynomial and of its
+# partials nonzero mod p: each divides d!.  A rank mod any prime is a lower
+# bound for the generic rank, and the closed-form steps of _prefix_ranks
+# need only p > 3.  At this size the Schwartz-Zippel bound dim*d/p of a
+# trial is below 2^-40 while dim*d < 2^22.
 DEFAULT_PRIME = 4611686018427387847
 DEFAULT_TRIALS = 3
 DEFAULT_SEED = 2016
@@ -334,12 +353,10 @@ def _moment_residues(n: int, d: int, comp_vals, p: int):
 
 def _moment_blocks(n: int, d: int, moments, p: int):
     """The N x K x (m+1) int64 array B of residues mod p built from a
-    table of moments of :func:`_moment_residues`, or of differences of
-    such moments, with K columns: B[:, l, 0] is the l-th column's entries
-    of order 1..d, and B[:, l, 1:] their partials in the m = n(n+3)/2
-    (mu, sigma) coordinates.  The partials are linear in the moments
-    (c * m_b, :func:`_partials_index`), so those of a difference of
-    moments are the differences of their partials.
+    table of moments of :func:`_moment_residues` with K columns:
+    B[:, l, 0] is the l-th column's moments of order 1..d, and B[:, l, 1:]
+    their partials in the m = n(n+3)/2 (mu, sigma) coordinates, c * m_b
+    (:func:`_partials_index`).
 
     The partials are gathered, in one index assignment, from the table
     times each distinct c.
@@ -357,88 +374,141 @@ def _moment_blocks(n: int, d: int, moments, p: int):
     return blocks
 
 
-def _unit_columns(n: int, d: int) -> list[int]:
-    """For each moment of order 1..min(d, 2), in graded-lex order, the
-    coordinate in which its partial is 1: mu_i for x_i, and sigma_ij for
-    x_i x_j."""
-    cols = []
-    for a in multi_indices(n, min(d, 2), min_order=1):
-        pos = [i for i in range(n) for _ in range(a[i])]
-        cols.append(pos[0] if len(pos) == 1 else sigma_var_index(n, *pos))
-    return cols
+def _product(x, y, p: int):
+    """x * y mod p, elementwise with numpy broadcasting, for int64
+    residues: :func:`_limb_product` folded."""
+    return _fold(*_limb_product(x, _shifted(y, p), p), p)
 
 
-def _schur_complement(n: int, d: int, comp_vals, p: int):
-    """S, the Schur complement of component 1's block T in the layout of
-    the components ``comp_vals`` (:func:`_layout_profile`), as an int64
-    view of a fresh array: one row per moment of order 3..d, and the
-    m + 1 columns [M_l - M_1, A_l] of each later component l.
+def _rotate(delta, n: int, i0: int, p: int) -> None:
+    """Each row (mu, sigma) of the int64 residues ``delta`` <- (B mu,
+    B Sigma B^T), in place, for the B that maps row 0's mean u to e_i0,
+    u[i0] != 0: B = E^-1, E the identity with column i0 replaced by u.
 
-    Subtracting component 1's columns from every later component's changes
-    no column rank profile, and turns the layout into [A_1 | Delta], with
-    Delta's block of component l [M_l - M_1, A_l - A_1].  Its entries are
-    c * (m_b(l) - m_b(1)), gathered from the moment differences by
-    :func:`_moment_blocks`.  With A_1 = [T; C] and Delta = [Delta_top;
-    Delta_R] split at the moments of order <= 2,
-
-        S = Delta_R - C T^-1 Delta_top,
-
-    the Schur complement of the layout's own later columns too.  On those
-    moments, x_i and x_i x_j, the partials in sigma are the same for every
-    component (0 or 1), and those in mu_i are 1 or mu_j, 2 mu_i.  So
-    Delta_top is zero outside the n mean columns and the moment column of
-    each later block, and so is T^-1 Delta_top; elsewhere S is Delta_R.
-    The two products below thus run on (K-1)(n+1) columns, not (K-1)(m+1):
-    154 instead of 924 at n = 10, K = 15.
-
-    T = [[P1, 0], [X, P2]]: the row of x_i has a 1 in column mu_i, that of
-    x_i x_j a 1 in column sigma_ij (:func:`_unit_columns`), and X holds the
-    order-2 rows' mean partials mu_j and 2 mu_i.  With P = diag(P1, P2)
-    and Delta_top = [B1; B2] split at the order-2 rows, T^-1 Delta_top =
-    P^T B' for B' = [B1; B2 - X P1^T B1], so C T^-1 Delta_top = (C P^T) B'.
-    X P1^T and C P^T are the columns of X and C in
-    the order of the rows' unit entries, taken from the index maps and not
-    from matrix values, so each product is one _sub_matmul.  At d = 1
-    there are no order-2 rows and S has no rows.
+    E = I + (u - e_i0) e_i0^T, so by Sherman-Morrison B = I - w e_i0^T
+    with w = (u - e_i0) / u[i0].  With a = Sigma e_i0, s = Sigma[i0, i0]
+    and b = a - s w, B mu = mu - mu[i0] w and
+    (B Sigma B^T)_ij = Sigma_ij - w_i b_j - a_i w_j.
     """
-    m, k = n * (n + 3) // 2, len(comp_vals)
-    moments = _moment_residues(n, d, comp_vals, p)
-    moments[:, 1:] = (moments[:, 1:] - moments[:, :1]) % p
-    blocks = _moment_blocks(n, d, moments, p)
-    cols = _unit_columns(n, d)
-    top, low = len(cols), len(blocks) - len(cols)
-    first = blocks[:, 0, 1:]
-    # Delta on the moment and mean columns, as 2-D arrays written back
-    # after the products
-    b = blocks[:top, 1:, :n + 1].reshape(top, (k - 1) * (n + 1))
-    s = blocks[top:, 1:, :n + 1].reshape(low, (k - 1) * (n + 1))
-    _sub_matmul(b[n:], first[n:top, cols[:n]], b[:n], p)
-    _sub_matmul(s, first[top:, cols], b, p)
-    blocks[top:, 1:, :n + 1] = s.reshape(low, k - 1, n + 1)
-    return blocks.reshape(len(blocks), k * (m + 1))[top:, m + 1:]
+    u = delta[0, :n].tolist()
+    inv = pow(u[i0], -1, p)
+    u[i0] -= 1
+    w = np.array([x * inv % p for x in u], dtype=np.int64)
+    # the position of sigma_{r, i0} in a row, for r = 0..n-1
+    lo, hi = np.minimum(np.arange(n), i0), np.maximum(np.arange(n), i0)
+    a = delta[:, n + lo * n - lo * (lo - 1) // 2 + hi - lo]
+    b = (a - _product(a[:, i0:i0 + 1], w, p)) % p
+    delta[:, :n] = (delta[:, :n] - _product(delta[:, i0:i0 + 1], w, p)) % p
+    # in chunks of the upper triangle, which bound the temporaries at
+    # large n
+    i, j = np.triu_indices(n)
+    for s in range(0, len(i), 1 << 16):
+        rows, cols = i[s:s + (1 << 16)], j[s:s + (1 << 16)]
+        sigma = delta[:, n + s:n + s + len(rows)]
+        sigma[:] = (sigma - _product(b[:, cols], w[rows], p)
+                    - _product(a[:, rows], w[cols], p)) % p
 
 
-def _layout_profile(n: int, d: int, comp_vals, p: int) -> list[int]:
-    """Column rank profile mod p of the layout
-    [A_1 | M_2 - M_1, A_2 | ... | M_K - M_1, A_K] of the components
-    ``comp_vals`` (the module docstring), eliminating only the Schur
-    complement of its first block.
+@lru_cache(maxsize=32)
+def _pivot_index(n: int, d: int, i0: int):
+    """Where :func:`_drop_second` finds and moves what it drops, as
+    read-only intp arrays.  For each covariance coordinate sigma_ij of
+    component 2, in parameter order, ``rows`` is the row of x_i x_j x_i0
+    among the moments of order >= 3; ``special`` lists the coordinates
+    whose entry c there is not 1, and ``scales`` that c.  The rows ``src``
+    are the first n(n+1)/2 rows that are not dropped, and ``dst`` the
+    dropped rows below them.  They do not depend on the point, so they are
+    built once per (n, d, i0).
 
-    The first rows, the moments of order 1..min(d, 2), meet the first
-    columns, component 1's partials in mu and (for d >= 2) sigma, in an
-    invertible block T (:func:`_schur_complement`).  With L = [[T, B],
-    [C, D]], subtracting C T^-1 times the first rows from the others
-    changes no dependency among the columns, and then subtracting the
-    first columns times T^-1 B from the later ones adds to each column a
-    combination of earlier ones.  Neither step changes the column rank
-    profile, and they leave [[T, 0], [0, S]] with S = D - C T^-1 B.  So
-    the profile is that of T's columns followed by m + the profile of S.
-    At d = 1, T is the identity on the mu columns and S has no rows.
+    The entry is the partial of m_a, a = e_i + e_j + e_i0, in sigma_ij
+    (:func:`_partials_index`): a_i a_j for i < j and a_i (a_i - 1)/2 for
+    i = j, so 2 where i0 is one of i < j, 3 at i = j = i0, and 1
+    otherwise.
     """
-    s = _schur_complement(n, d, comp_vals, p)
-    top = comb(n + d, d) - 1 - len(s)
-    return list(range(top)) + [n * (n + 3) // 2 + j
-                               for j in rank_profile_mod_p(s, p)]
+    i, j = np.triu_indices(n)
+    unit = np.eye(n, dtype=np.intp)
+    exps = unit[i] + unit[j] + unit[i0]
+    rows = _grlex_positions(exps, d) - 1 - n * (n + 3) // 2
+    diagonal = (i == j).astype(np.intp)
+    coefs = (exps[np.arange(len(i)), i]
+             * (exps[np.arange(len(i)), j] - diagonal) // (1 + diagonal))
+    special = np.flatnonzero(coefs != 1)
+    below = rows >= len(i)
+    kept = np.ones(len(i), dtype=bool)
+    kept[rows[~below]] = False
+    out = rows, special, coefs[special], np.flatnonzero(kept), rows[below]
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _drop_second(mat, n: int, d: int, i0: int, p: int):
+    """The view of ``mat`` left to eliminate once component 2's covariance
+    columns and their pivot rows are dropped; ``mat`` holds the rows of
+    order >= 3 of the later components' moment blocks, component 2 first,
+    at a point where component 2's mean is e_i0 (:func:`_rotate`).
+
+    Each covariance column sigma_ij of component 2 is then zero on the
+    rows of order 3 but for c in {1, 2, 3} at x_i x_j x_i0, since the
+    moments of order 1 are the mean (:func:`_pivot_index`).  Subtracting
+    (entry / c) times that row from each row of order >= 4 zeroes the
+    column below it, and keeps every column dependency; then subtracting
+    multiples of the column from the later ones clears its row.  The
+    column and the row thus add n(n+1)/2 to the rank of every prefix that
+    holds component 2, and are dropped.
+
+    So no array is copied whole: component 2's moment and mean columns
+    move to the last n + 1 of its covariance columns, the kept rows among
+    the first n(n+1)/2 to dropped rows below them, and the result is a
+    view of ``mat`` without its first n(n+1)/2 rows and columns.
+    """
+    m, half = n * (n + 3) // 2, n * (n + 1) // 2
+    rows, special, scales, src, dst = _pivot_index(n, d, i0)
+    low = comb(n + 3, 3) - 1 - m  # the first row of order >= 4
+    if low < len(mat):
+        entries = mat[low:, n + 1:m + 1].copy()
+        inverses = np.array([pow(int(c), -1, p) for c in scales],
+                            dtype=np.int64)
+        entries[:, special] = _product(entries[:, special], inverses, p)
+    mat[:, half:m + 1] = mat[:, :n + 1]
+    if low < len(mat):
+        _sub_matmul(mat[low:, half:], entries, mat[rows, half:], p)
+    mat[dst] = mat[src]
+    return mat[half:, half:]
+
+
+def _prefix_ranks(n: int, d: int, comp_vals, p: int) -> list[int]:
+    """The rank mod p of the layout of components 1..k of ``comp_vals``
+    (the module docstring), for k = 1..K, from one elimination.
+
+    Component 1's columns take the rows of order <= 2, and at d >= 3 the
+    kernel eliminates the rows of order >= 3 of the moment blocks of the
+    differences Delta_l = v_l - v_1, l >= 2 (:func:`_moment_blocks`), less
+    component 2's covariance columns and their pivot rows
+    (:func:`_drop_second`) after :func:`_rotate` has made its mean
+    difference e_i0, i0 its first nonzero coordinate.  Where the mean
+    difference is 0 the rotation and the drop are skipped.  At K = 1 or
+    d <= 2 component 1 fills the rank, m = n(n+3)/2 or, at d = 1, n:
+    no table is built.
+    """
+    m, top = n * (n + 3) // 2, len(comp_vals)
+    if top == 1 or d < 3:
+        return [min(m, comb(n + d, d) - 1)] * top
+    vals = np.asarray(comp_vals, dtype=np.int64)
+    delta = (vals[1:] - vals[0]) % p
+    heads = np.flatnonzero(delta[0, :n])
+    if heads.size:
+        _rotate(delta, n, int(heads[0]), p)
+    blocks = _moment_blocks(n, d, _moment_residues(n, d, delta, p), p)
+    mat = blocks.reshape(len(blocks), -1)[m:]
+    fixed = m
+    if heads.size:
+        mat = _drop_second(mat, n, d, int(heads[0]), p)
+        fixed += n * (n + 1) // 2
+    profile = rank_profile_mod_p(mat, p)
+    # components 2..j+1 fill j blocks of m + 1 columns, less those fixed
+    return [m] + [fixed + bisect_left(profile, j * (m + 1) + m - fixed)
+                  for j in range(1, top)]
 
 
 def _shown(value) -> str:
@@ -496,17 +566,18 @@ def _check_prime(d: int, prime: int) -> None:
 
 
 def _points(n: int, d: int, top: int, trials: int, seed: int, prime: int):
-    """Per trial, the values of ``top`` components at a random point: they
-    come from the stream derive_seed(seed, n, d, trial), drawn one
-    component after another, so the first k components do not depend on
-    ``top``."""
+    """Per trial, the values of ``top`` components at a random point, as
+    an int64 array with one row per component: they come from the stream
+    derive_seed(seed, n, d, trial), drawn one component after another, so
+    the first k components do not depend on ``top``."""
     if trials < 1:
         raise ValueError("at least one trial required")
     _check_prime(d, prime)
     m = n * (n + 3) // 2
     for t in range(trials):
         rng = SplitMix64(derive_seed(seed, n, d, t))
-        yield [[rng.below(prime) for _ in range(m)] for _ in range(top)]
+        yield np.fromiter((rng.below(prime) for _ in range(top * m)),
+                          dtype=np.int64, count=top * m).reshape(top, m)
 
 
 def _certified(problem: SecantProblem, ranks: tuple[int, ...], seed: int,
@@ -537,17 +608,16 @@ def _certified(problem: SecantProblem, ranks: tuple[int, ...], seed: int,
 def _rows(n: int, d: int, ks, trials: int, seed: int, prime: int):
     """(DefectRow, RankCertificate) for each k in ``ks``, ascending and
     distinct, from one elimination per trial at the largest k: the rank of
-    a k's layout is that of its column prefix, the number of profile
-    entries below its column count par."""
+    a k's layout is that of the prefix of its first k components
+    (:func:`_prefix_ranks`)."""
     problems = [SecantProblem(n, d, k) for k in ks]
     if not problems:
         return
-    profiles = [_layout_profile(n, d, comp_vals, prime) for comp_vals in
-                _points(n, d, problems[-1].k, trials, seed, prime)]
+    ranks = [_prefix_ranks(n, d, comp_vals, prime) for comp_vals in
+             _points(n, d, problems[-1].k, trials, seed, prime)]
     for problem in problems:
-        ranks = tuple(bisect_left(profile, problem.parameters)
-                      for profile in profiles)
-        yield _certified(problem, ranks, seed, prime)
+        yield _certified(problem, tuple(r[problem.k - 1] for r in ranks),
+                         seed, prime)
 
 
 def secant_dimension(problem: SecantProblem, trials: int = DEFAULT_TRIALS,

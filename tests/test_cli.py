@@ -325,6 +325,26 @@ class TestCensusAndDim:
         assert code == 2 and out == ""
         assert err == f"usage error: --prime {big} must be below 2^62\n"
 
+    @pytest.mark.parametrize("command", ["dim", "census"])
+    @pytest.mark.parametrize("seed,shown", [
+        ("-1", "-1"), (str(2 ** 64), str(2 ** 64)),
+        ("9" * 50, "99999999999999999999... (50 characters)")])
+    def test_seed_outside_64_bits_rejected(self, capsys, command, seed,
+                                           shown):
+        # SplitMix64 keeps the seed mod 2^64, so -1 would give the ranks of
+        # 2^64 - 1 under another certificate
+        assert run(capsys, command, "--n", "2", "--d", "3", "--k", "2",
+                   "--seed", seed) == (
+            2, "", f"usage error: --seed must be in 0..2^64-1, not {shown}\n")
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_seed_at_the_ends_of_64_bits_accepted(self, capsys, seed):
+        code, out, err = run(capsys, "dim", "--n", "2", "--d", "3", "--k",
+                             "2", "--seed", str(seed), "--prime", str(P31),
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["certificate"]["seed"] == seed
+
     def test_prime_must_exceed_d_factorial(self, capsys):
         code, _, err = run(capsys, "census", "--d", "4", "--n", "1..1",
                            "--k", "1..1", "--prime", "23")
@@ -349,7 +369,7 @@ class TestCensusAndDim:
         (cli, "_parse_range",
          ("census", "--d", "3", "--n", "1..3", "--k", "1..99999999999")),
         (S, "_moment_residues",
-         ("dim", "--n", "3000", "--d", "3", "--k", "1", "--trials", "1"))])
+         ("dim", "--n", "3000", "--d", "3", "--k", "2", "--trials", "1"))])
     def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch,
                                              module, name, argv):
         # the step where each call runs out of memory raises instead of

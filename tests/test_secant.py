@@ -1,5 +1,6 @@
 """Secant dimensions by modular Jacobian rank, and the closed formulas."""
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import comb, factorial
 
@@ -10,10 +11,10 @@ from gaussmoments import moments as M
 from gaussmoments import secant as S
 from gaussmoments.linalg import rank_mod_p, rank_profile_mod_p
 from gaussmoments.rng import SplitMix64
-from util import (PRIMES, fills_ambient, jacobian_reference, layouts,
-                  moment_residues_reference, params_to_modular,
-                  partials_reference, rand_mixture, rank_mod_p_oracle,
-                  residue, schur_reference, terracini_reference)
+from util import (PRIMES, deconvolved, fills_ambient, jacobian_reference,
+                  layouts, moment_residues_reference, params_to_modular,
+                  partials_reference, prefix_ranks_reference, rand_mixture,
+                  rank_mod_p_oracle, residue, rotated, terracini_reference)
 
 P31 = 2 ** 31 - 1
 
@@ -132,7 +133,7 @@ class TestTerraciniLayout:
             checked += 1
             layout = terracini_reference(n, d, comp_vals, prime)
             assert layout.shape == (problem.ambient, problem.parameters)
-            rank = len(S._layout_profile(n, d, comp_vals, prime))
+            rank = S._prefix_ranks(n, d, comp_vals, prime)[-1]
             assert rank == rank_mod_p(layout, prime)
             assert rank == rank_mod_p(
                 jacobian_reference(n, d, comp_vals, weights, prime), prime)
@@ -329,8 +330,9 @@ class TestCensus:
             assert row.dim == dim, (row.n, row.k)
 
     def test_dim_point_is_a_census_prefix(self, monkeypatch):
-        # both eliminate the Schur complement of component 1's block, whose
-        # columns depend only on the layout columns above them
+        # both eliminate the same closed-form reduction of the layout: it
+        # depends only on components 1 and 2, and each later component's
+        # columns only on that component
         seen = []
         kernel = S.rank_profile_mod_p
 
@@ -341,12 +343,14 @@ class TestCensus:
         S.census(3, [4], range(1, 6), trials=2, seed=5, prime=P31)
         S.secant_dimension(S.SecantProblem(4, 3, 3), trials=2, seed=5,
                            prime=P31)
-        m = 4 * 7 // 2
-        cols = S.SecantProblem(4, 3, 3).parameters - m
+        # less component 1's m rows and columns, and component 2's
+        # n(n+1)/2 covariance columns with their pivot rows
+        fixed = 4 * 7 // 2 + 4 * 5 // 2
+        cols = S.SecantProblem(4, 3, 3).parameters - fixed
         assert len(seen) == 4
         for big, small in zip(seen[:2], seen[2:]):
-            assert big.shape == (S.SecantProblem(4, 3, 5).ambient - m,
-                                 S.SecantProblem(4, 3, 5).parameters - m)
+            assert big.shape == (S.SecantProblem(4, 3, 5).ambient - fixed,
+                                 S.SecantProblem(4, 3, 5).parameters - fixed)
             assert (big[:, :cols] == small).all()
 
     def test_one_elimination_per_n_and_trial(self, monkeypatch):
@@ -361,15 +365,17 @@ class TestCensus:
                         trials=1, seed=11)
         assert len(rows) == 15
         # one K = 6 layout per n, less the m = n(n+3)/2 rows and columns
-        # of the first component's order-<=2 block: N - m rows and
-        # 6*(m+1) - 1 - m columns
-        assert calls == [(comb(n + 3, 3) - 1 - n * (n + 3) // 2,
-                          5 * (n * (n + 3) // 2 + 1))
+        # of the first component's order-<=2 block and the n(n+1)/2 of
+        # component 2's covariance pivots: N - m - n(n+1)/2 rows and
+        # 6*(m+1) - 1 - m - n(n+1)/2 columns
+        assert calls == [(comb(n + 3, 3) - 1 - n * (n + 3) // 2
+                          - n * (n + 1) // 2,
+                          5 * (n * (n + 3) // 2 + 1) - n * (n + 1) // 2)
                          for n in range(5, 11)]
 
     def test_kernel_works_on_a_view_of_the_blocks(self, monkeypatch):
-        # the Schur complement is formed in place on the moment blocks of
-        # the moment differences: no copy of its (K-1)(m+1) columns
+        # the closed-form steps work in place on the moment blocks of the
+        # moment differences: no copy of their (K-1)(m+1) columns
         built, calls = [], []
         build, kernel = S._moment_blocks, S.rank_profile_mod_p
 
@@ -384,12 +390,12 @@ class TestCensus:
         monkeypatch.setattr(S, "rank_profile_mod_p", counted)
         for d in (1, 3, 4):
             S.census(d, [3], range(1, 4), trials=2, seed=3, prime=P31)
-        assert len(calls) == len(built) == 6
-        # d = 1 (like d = 2) leaves no rows below the block, and an empty
-        # view shares no memory
-        assert [rows.shape for rows in calls[:2]] == [(0, 20), (0, 20)]
-        for rows, blocks in zip(calls[2:], built[2:]):
-            assert rows.shape[1] == 20
+        # d = 1 (like d = 2) leaves no rows below component 1's block, and
+        # builds nothing; K = 3 leaves 2 * 10 columns, less component 2's
+        # 6 covariance columns
+        assert len(calls) == len(built) == 4
+        for rows, blocks in zip(calls, built):
+            assert rows.shape[1] == 14
             assert np.shares_memory(rows, blocks)
 
     def test_partials_index_built_once_per_n_and_d(self):
@@ -422,93 +428,147 @@ class TestCensus:
             return table(n, d, comp_vals, p)
         monkeypatch.setattr(S, "_moment_residues", counted)
         S.census(3, range(5, 8), range(3, 7), trials=2, seed=11, prime=P31)
-        # the means of the parameters: n coordinates of all K = 6 components
-        assert shapes == [(n, 6) for n in range(5, 8) for _ in range(2)]
+        # the means of the differences of the K = 6 components from
+        # component 1: n coordinates of 5 columns
+        assert shapes == [(n, 5) for n in range(5, 8) for _ in range(2)]
 
     def test_univariate_rows_never_defective(self):
         rows = S.census(3, [1], range(1, 4), defective_only=True,
                         trials=1, seed=11, prime=P31)
         assert rows == []
 
+    def test_one_component_or_low_order_builds_nothing(self, monkeypatch):
+        # component 1 alone has rank m = n(n+3)/2, or n at d = 1, and at
+        # d <= 2 it fills the ambient space whatever K is: no moment table
+        # and no elimination
+        def unused(*args):
+            raise AssertionError("built a table or ran the kernel")
+        monkeypatch.setattr(S, "_moment_residues", unused)
+        monkeypatch.setattr(S, "rank_profile_mod_p", unused)
+        for n in range(1, 5):
+            m = n * (n + 3) // 2
+            for d in range(1, 6):
+                rank = n if d == 1 else m
+                assert S._prefix_ranks(n, d, [[1] * m], P31) == [rank]
+                dim, _ = S.secant_dimension(S.SecantProblem(n, d, 1),
+                                            trials=2, seed=3, prime=P31)
+                assert dim == rank
+                if d <= 2:
+                    rows = S.census(d, [n], range(1, 4), defective_only=False,
+                                    trials=1, seed=3, prime=P31)
+                    assert [r.dim for r in rows] == [rank] * 3
+
 
 def _edge_points(rng, n, k, p):
     """k components of _residues, and the same with component 2 equal to
-    component 1 (Delta = 0) and with the means of components 2.. equal to
-    component 1's (Delta mu = 0)."""
+    component 1 (Delta = 0), with the means of components 2.. equal to
+    component 1's (Delta mu = 0), and with the first mean coordinate of
+    component 2 equal to component 1's (Delta mu_2[0] = 0, so i0 > 0)."""
     comp_vals = _residues(rng, n, k, p)
     yield comp_vals
     if k > 1:
         yield [comp_vals[0], list(comp_vals[0])] + comp_vals[2:]
         yield [comp_vals[0]] + [comp_vals[0][:n] + vals[n:]
                                 for vals in comp_vals[1:]]
+        if n > 1:
+            yield ([comp_vals[0], comp_vals[0][:1] + comp_vals[1][1:]]
+                   + comp_vals[2:])
 
 
 class TestSchurStep:
-    """Eliminating only the Schur complement of the first component's
-    order-<=2 block gives the profile of the whole layout."""
+    """Component 1's block and component 2's covariance pivots, fixed in
+    closed form before the kernel, leave the rank of every prefix of
+    whole components as it is in the whole layout."""
 
     @pytest.mark.parametrize("prime", [29, 7919, P31, S.DEFAULT_PRIME])
     def test_profile_equals_full_layout_profile(self, prime):
+        # the prefix ranks against the column rank profile of the whole
+        # layout
         rng = SplitMix64(prime % 10007)
         for n in range(1, 5):
+            m = n * (n + 3) // 2
             for d in range(1, 6):
                 if prime <= factorial(d):
                     continue
                 for k in (1, 2, 4):
                     comp_vals = _residues(rng, n, k, prime)
-                    want = rank_profile_mod_p(
+                    profile = rank_profile_mod_p(
                         terracini_reference(n, d, comp_vals, prime), prime)
-                    assert S._layout_profile(n, d, comp_vals, prime) == \
+                    want = [bisect_left(profile, j * (m + 1) - 1)
+                            for j in range(1, k + 1)]
+                    assert S._prefix_ranks(n, d, comp_vals, prime) == \
                         want, (n, d, k)
 
-    @pytest.mark.parametrize("prime", [29, 7919, P31, S.DEFAULT_PRIME])
-    def test_schur_complement_equals_reference(self, prime):
-        # entry for entry, against the general step formed in place on the
-        # whole layout
+    @pytest.mark.parametrize("prime", [7, 29, 7919, P31, S.DEFAULT_PRIME])
+    def test_symmetries_keep_prefix_ranks(self, prime):
+        # the prefix ranks of the whole layout, by the textbook oracle, are
+        # the same at the point, at the point deconvolved by component 1
+        # (component 1 at the origin) and at that point rotated (component
+        # 2's mean at e_i0), and _prefix_ranks gives them; the steps need
+        # only p > 3, so d runs past p <= d! here
         rng = SplitMix64(prime % 10037)
-        for n in range(1, 5):
-            m = n * (n + 3) // 2
-            for d in range(1, 7):
-                if prime <= factorial(d):
-                    continue
-                rows = comb(n + d, d) - 1 - (n if d == 1 else m)
+        for n in range(1, 4):
+            for d in range(1, 4 if prime == 7 else 7):
                 for k in (1, 2, 4):
                     for comp_vals in _edge_points(rng, n, k, prime):
-                        got = S._schur_complement(n, d, comp_vals, prime)
-                        want = schur_reference(terracini_reference(
-                            n, d, comp_vals, prime), n, d, prime)
-                        assert got.shape == want.shape == \
-                            (rows, (k - 1) * (m + 1)), (n, d, k)
-                        assert np.array_equal(got, want), (n, d, k)
+                        moved = deconvolved(comp_vals, prime)
+                        turned = rotated(moved, n, prime) if k > 1 else moved
+                        assert not any(moved[0])
+                        if k > 1 and any(moved[1][:n]):
+                            i0 = next(i for i in range(n) if moved[1][i])
+                            assert turned[1][:n] == [int(i == i0)
+                                                     for i in range(n)]
+                        want = prefix_ranks_reference(n, d, comp_vals, prime)
+                        for point in (moved, turned):
+                            assert prefix_ranks_reference(
+                                n, d, point, prime) == want, (n, d, k)
+                        assert S._prefix_ranks(n, d, comp_vals, prime) == \
+                            want, (n, d, k)
 
     @pytest.mark.parametrize("prime", [29, 7919, P31, S.DEFAULT_PRIME])
     def test_profile_for_any_later_columns(self, prime):
-        # the reference step needs only the form of the first m x m block:
-        # here the later columns are random, and every third one a
-        # combination of the columns before it, so the profile has gaps to
-        # get right
+        # dropping component 2's covariance pivots needs only their form on
+        # the rows of order 3, c in {1, 2, 3} at x_i x_j x_i0 and 0 on the
+        # others: here every other entry is random, and every third later
+        # column a combination of the columns before it, so the ranks have
+        # gaps to get right
         rng = SplitMix64(prime % 10009)
         for n in range(1, 5):
-            m = n * (n + 3) // 2
-            for d in range(2, 5):
-                if prime <= factorial(d):
-                    continue
-                first = terracini_reference(
-                    n, d, _residues(rng, n, 1, prime), prime)
-                cols = first.T.tolist()
-                for j in range(len(first) + 3):
-                    if j % 3 == 2:
-                        coefs = [rng.below(prime) for _ in cols]
-                        cols.append([sum(c * x for c, x in zip(coefs, row))
-                                     % prime for row in zip(*cols)])
-                    else:
-                        cols.append([rng.below(prime) for _ in first])
-                layout = np.array(cols, dtype=np.int64).T.copy()
-                want = rank_profile_mod_p(layout.copy(), prime)
-                assert len(want) < len(cols) - 2
-                schur = schur_reference(layout, n, d, prime)
-                assert list(range(m)) + [m + j for j in rank_profile_mod_p(
-                    schur, prime)] == want, (n, d)
+            m, half = n * (n + 3) // 2, n * (n + 1) // 2
+            # the rows of order >= 3, those of order 3 first
+            index = {a: i - 1 - m
+                     for i, a in enumerate(M.multi_indices(n, 5))}
+            upper = [(x, y) for x in range(n) for y in range(x, n)]
+            for d in range(3, 6):
+                height = comb(n + d, d) - 1 - m
+                for i0 in range(n):
+                    cols = []
+                    for j in range(3 * (m + 1)):
+                        if n < j <= m:
+                            # component 2's covariance column sigma_xy
+                            col = [rng.below(prime) for _ in range(height)]
+                            col[:comb(n + 2, 3)] = [0] * comb(n + 2, 3)
+                            x, y = upper[j - n - 1]
+                            exps = [int(x == t) + int(y == t) + int(i0 == t)
+                                    for t in range(n)]
+                            col[index[tuple(exps)]] = (
+                                3 if x == y == i0 else
+                                2 if i0 in (x, y) and x != y else 1)
+                        elif j % 3 == 2 and j > m:
+                            coefs = [rng.below(prime) for _ in cols]
+                            col = [sum(c * v for c, v in zip(coefs, row))
+                                   % prime for row in zip(*cols)]
+                        else:
+                            col = [rng.below(prime) for _ in range(height)]
+                        cols.append(col)
+                    mat = np.array(cols, dtype=np.int64).T.copy()
+                    want = [rank_mod_p_oracle(
+                        [row[:j * (m + 1)] for row in mat.tolist()], prime)
+                        for j in (1, 2, 3)]
+                    profile = rank_profile_mod_p(
+                        S._drop_second(mat, n, d, i0, prime), prime)
+                    assert [half + bisect_left(profile, j * (m + 1) - half)
+                            for j in (1, 2, 3)] == want, (n, d, i0)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("prime", [7919, P31, S.DEFAULT_PRIME])

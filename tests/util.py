@@ -8,13 +8,12 @@ from math import comb, factorial
 import numpy as np
 
 from gaussmoments import recovery
-from gaussmoments.linalg import _sub_matmul
 from gaussmoments.moments import (GaussianParams, MixtureParams,
                                   gaussian_moment_table, lower_index,
                                   multi_indices, sigma_var_index)
 from gaussmoments.polyring import Polynomial, PolyRing, grlex_key
 from gaussmoments.rng import SplitMix64
-from gaussmoments.secant import _points, _unit_columns
+from gaussmoments.secant import _points
 
 # primes at the limb boundaries of the modular kernel: for 1, 2 and 3 limbs
 # the largest prime (full 21-bit limbs) and the smallest above the boundary
@@ -336,24 +335,72 @@ def layouts(n: int, d: int, top: int, trials: int, seed: int, prime: int):
     """Per trial, the layout (terracini_reference) of ``top`` components at
     the random point that secant's census and dim draw for it."""
     for comp_vals in _points(n, d, top, trials, seed, prime):
-        yield terracini_reference(n, d, comp_vals, prime)
+        yield terracini_reference(n, d, comp_vals.tolist(), prime)
 
 
-def schur_reference(layout, n: int, d: int, p: int):
-    """The Schur complement S = D - C T^-1 B of the layout [[T, B], [C, D]],
-    T its first block of moments of order <= 2, formed in place on a
-    layout with any later columns: the oracle for secant._schur_complement.
-    Returns the view of the later columns' rows of order >= 3.
+def prefix_ranks_reference(n: int, d: int, comp_vals, p: int) -> list[int]:
+    """The rank mod p of the layout (terracini_reference) of components
+    1..k, for k = 1..K, each by rank_mod_p_oracle: the reference that
+    secant._prefix_ranks is checked against."""
+    m = n * (n + 3) // 2
+    layout = terracini_reference(n, d, comp_vals, p).tolist()
+    return [rank_mod_p_oracle([row[:k * (m + 1) - 1] for row in layout], p)
+            for k in range(1, len(comp_vals) + 1)]
 
-    T^-1 B = P^T [B1; B2 - X P1^T B1] with P the permutation of the rows'
-    unit entries (secant._unit_columns), so B2 is overwritten by
-    B2 - X P1^T B1, and D by S = D - (C P^T) B'."""
-    cols = _unit_columns(n, d)
-    top = len(cols)
-    b = layout[:top, top:]
-    _sub_matmul(b[n:], layout[n:top, cols[:n]], b[:n], p)
-    _sub_matmul(layout[top:, top:], layout[top:, cols], b, p)
-    return layout[top:, n * (n + 3) // 2:]
+
+def deconvolved(comp_vals, p: int):
+    """Each component's values less component 1's, mod p: the point whose
+    moments are those of ``comp_vals`` convolved with N(-mu_1, -Sigma_1),
+    with component 1 at the origin."""
+    return [[(x - y) % p for x, y in zip(vals, comp_vals[0])]
+            for vals in comp_vals]
+
+
+def inverse_mod_p(matrix, p: int):
+    """The inverse mod p of a square matrix of Python ints, by Gauss-Jordan
+    on [matrix | I]."""
+    n = len(matrix)
+    rows = [[x % p for x in row] + [int(i == j) for j in range(n)]
+            for i, row in enumerate(matrix)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = pow(rows[col][col], -1, p)
+        rows[col] = [x * inv % p for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def rotated(comp_vals, n: int, p: int):
+    """Each component (mu, Sigma) mapped to (B mu, B Sigma B^T) mod p, with
+    B the inverse of E, the identity with column i0 replaced by component
+    2's mean, i0 its first nonzero coordinate: the point of the Gaussians
+    in the coordinates y = Bx, where component 2's mean is e_i0.  The point
+    is returned as it is when that mean is 0.  Full matrix products with
+    Python ints."""
+    mean = comp_vals[1][:n]
+    heads = [i for i in range(n) if mean[i] % p]
+    if not heads:
+        return [list(vals) for vals in comp_vals]
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        e[i][heads[0]] = mean[i]
+    b = inverse_mod_p(e, p)
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    out = []
+    for vals in comp_vals:
+        sigma = [[vals[sigma_var_index(n, i, j)] for j in range(n)]
+                 for i in range(n)]
+        bs = [[sum(b[i][t] * sigma[t][j] for t in range(n)) for j in range(n)]
+              for i in range(n)]
+        out.append([sum(b[i][t] * vals[t] for t in range(n)) % p
+                    for i in range(n)]
+                   + [sum(bs[i][t] * b[j][t] for t in range(n)) % p
+                      for i, j in upper])
+    return out
 
 
 def residue(x: Fraction, p: int) -> int:
