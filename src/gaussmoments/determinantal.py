@@ -25,7 +25,7 @@ from itertools import combinations
 from math import comb
 
 from .linalg import rank_rational
-from .moments import GaussianParams, MomentVector, multi_indices
+from .moments import MomentVector, multi_indices
 from .polyring import Polynomial, PolyRing, det
 
 
@@ -41,14 +41,6 @@ class LinearMatrix:
             for e in row:
                 if e.total_degree() > 1:
                     raise ValueError("matrix entry of degree > 1")
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
 
 
 def csv_text(rows) -> str:
@@ -313,33 +305,11 @@ def willink_numeric(n: int, d: int, m: MomentVector) -> list[list[Fraction]]:
 class WillinkResult:
     rank: int
     is_member: bool
-    kernel_ok: bool | None
 
 
-def willink_membership(n: int, d: int, m: MomentVector,
-                       params: GaussianParams | None = None) -> WillinkResult:
-    """Membership in the affine moment variety by Willink rank.
-
-    The rank is computed exactly over the rationals; membership means rank
-    <= n+1.  When the generating parameters are supplied, additionally checks
-    that the n kernel vectors (mu_i, -e_i, sigma_{1i}..sigma_{ni}) annihilate
-    the matrix.
+def willink_membership(n: int, d: int, m: MomentVector) -> WillinkResult:
+    """Membership in the affine moment variety by Willink rank: the rank is
+    computed exactly over the rationals, and membership means rank <= n+1.
     """
-    mat = willink_numeric(n, d, m)
-    rank = rank_rational(mat)
-    kernel_ok = None
-    if params is not None:
-        if params.n != n:
-            raise ValueError("parameter dimension mismatch")
-        kernel_ok = True
-        for i in range(n):
-            vec = [params.mean[i]]
-            vec += [Fraction(-1) if j == i else Fraction(0) for j in range(n)]
-            vec += [params.sigma(j, i) for j in range(n)]
-            for row in mat:
-                if sum(a * b for a, b in zip(row, vec)) != 0:
-                    kernel_ok = False
-                    break
-            if not kernel_ok:
-                break
-    return WillinkResult(rank, rank <= n + 1, kernel_ok)
+    rank = rank_rational(willink_numeric(n, d, m))
+    return WillinkResult(rank, rank <= n + 1)

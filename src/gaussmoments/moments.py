@@ -37,7 +37,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from .polyring import PolyRing
+from .polyring import PolyRing, _coerce
 
 Index = tuple[int, ...]
 
@@ -71,10 +71,6 @@ def multi_indices(n: int, d: int, min_order: int = 0) -> list[Index]:
 # -- parameter and vector types ----------------------------------------------
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class GaussianParams:
     """Mean vector and symmetric covariance, stored as the upper triangle.
@@ -90,9 +86,9 @@ class GaussianParams:
         n = len(self.mean)
         if len(self.cov_upper) != n * (n + 1) // 2:
             raise ValueError("covariance upper triangle has wrong length")
-        object.__setattr__(self, "mean", tuple(_frac(x) for x in self.mean))
+        object.__setattr__(self, "mean", tuple(_coerce(x) for x in self.mean))
         object.__setattr__(self, "cov_upper",
-                           tuple(_frac(x) for x in self.cov_upper))
+                           tuple(_coerce(x) for x in self.cov_upper))
 
     @property
     def n(self) -> int:
@@ -113,7 +109,7 @@ class MixtureParams:
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "weights",
-                           tuple(_frac(w) for w in self.weights))
+                           tuple(_coerce(w) for w in self.weights))
         if len(self.components) != len(self.weights):
             raise ValueError("one weight per component required")
         if not self.components:
@@ -149,7 +145,7 @@ class MomentVector:
             raise ValueError(
                 f"moment vector must have exactly {len(idxs)} entries "
                 f"(orders 0..{self.d})")
-        vals = {i: _frac(self.values[i]) for i in idxs}
+        vals = {i: _coerce(self.values[i]) for i in idxs}
         if vals[(0,) * self.n] != 1:
             raise ValueError("chart violation: the order-zero moment must be 1")
         object.__setattr__(self, "values", vals)
@@ -188,7 +184,7 @@ class CumulantVector:
         if set(self.values) != set(idxs):
             raise ValueError("cumulant vector must cover orders 1..d exactly")
         object.__setattr__(
-            self, "values", {i: _frac(self.values[i]) for i in idxs})
+            self, "values", {i: _coerce(self.values[i]) for i in idxs})
 
     def __getitem__(self, idx: Index) -> Fraction:
         return self.values[tuple(idx)]
@@ -282,9 +278,9 @@ def univariate_moments(mu, var, d: int) -> MomentVector:
     three-term recursion m_i = mu*m_{i-1} + (i-1)*var*m_{i-2}, which is
     exactly the column-(1,2,i) minor relation of the moment matrix.
     O(d) arithmetic."""
-    var = _frac(var)
+    var = _coerce(var)
     return MomentVector(1, d, gaussian_moment_table(
-        (_frac(mu),), lambda i, j: var, d, Fraction(1)))
+        (_coerce(mu),), lambda i, j: var, d, Fraction(1)))
 
 
 def _recursion_terms(a: Index):

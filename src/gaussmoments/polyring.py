@@ -131,11 +131,6 @@ class Polynomial:
     def constant_term(self) -> Fraction:
         return self.terms.get(self.ring._zero_exp, _ZERO)
 
-    def sorted_terms(self, reverse: bool = True):
-        """Terms in graded-lex order; ``reverse=True`` puts the leading term first."""
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]),
-                      reverse=reverse)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_compatible(self, other: "Polynomial"):
@@ -234,7 +229,8 @@ class Polynomial:
         if not self.terms:
             return "0"
         pieces = []
-        for e, c in self.sorted_terms():
+        for e, c in sorted(self.terms.items(), key=lambda t: grlex_key(t[0]),
+                           reverse=True):
             mono = "*".join(
                 f"{v}^{k}" if k > 1 else v
                 for v, k in zip(self.ring.vars, e) if k)

@@ -24,8 +24,10 @@ moment equations:
    Its coordinate b2 makes the coefficients of the residuals in b3
    rational, and their gcd gives b3 in the same way.
 
-Every recovered parameter set is verified against all binom(n+3, 3) moment
-equations, and only a set that reproduces every moment is returned.
+Every recovered mixture is verified once, by ``recover``, against all
+binom(n+3, 3) moment equations, and only a mixture that reproduces every
+moment is returned.  The subset recoveries are not verified on their own:
+each solves all the moment equations of its subset.
 Inputs that are off the secant variety, or degenerate, are rejected with a
 structured error instead of being fitted approximately.  Equal first mean
 coordinates force m300 = 3*m100*m200 - 2*m100^3, the collapsed-mean
@@ -289,7 +291,12 @@ def recover_n3(inp: RecoveryInput,
     """Exact recovery for n = 3 from the 19 moment equations, the step that
     :func:`recover` runs on each coordinate subset.  ``coords`` are the
     0-based coordinates of a larger mixture that the three stand for; error
-    messages name the unknowns by them."""
+    messages name the unknowns by them.
+
+    The result is not checked against the moments: each of the subset's
+    19 moment equations of order 1 to 3 enters the elimination, and the
+    chart fixes the 20th, m000 = 1, so a unique root satisfies them all.
+    :func:`recover` checks the whole mixture once."""
     st = _eliminate(inp)
 
     g = _univariate(st.e_b3, "b3")
@@ -307,24 +314,11 @@ def recover_n3(inp: RecoveryInput,
 
     point = {"b2": b2_star, "b3": b3_star}
     at = lambda x: x.evaluate(point) if isinstance(x, Polynomial) else x
-    params = MixtureParams(tuple(
+    return MixtureParams(tuple(
         GaussianParams(tuple(at(x) for x in st.mean[t]),
                        tuple(at(st.cov[t][i, j]) for i in range(3)
                              for j in range(i, 3)))
         for t in (0, 1)), (st.lam, 1 - st.lam))
-    return _verified(params, inp.m)
-
-
-def _verified(params: MixtureParams, m: MomentVector) -> MixtureParams:
-    """``params``, once every moment equation holds exactly; else an
-    error naming the first that fails."""
-    regen = mixture_moments(params, m.d)
-    for idx in multi_indices(m.n, m.d):
-        if regen[idx] != m[idx]:
-            raise RecoveryError(
-                "recovered parameters do not reproduce the moments; the "
-                "input is not on the secant variety", equation=idx)
-    return params
 
 
 def _recover(inp: RecoveryInput) -> MixtureParams:
@@ -340,8 +334,6 @@ def _recover(inp: RecoveryInput) -> MixtureParams:
                 mean[c][local[s]] = comp.mean[s]
                 for t in range(s, 3):
                     cov[c][local[s], local[t]] = comp.sigma(s, t)
-    if n == 3:  # the one subset is the whole mixture, verified already
-        return sub
 
     w = sub.weights
     _solve_covariances(m, w, mean, cov,
@@ -352,7 +344,14 @@ def _recover(inp: RecoveryInput) -> MixtureParams:
         GaussianParams(tuple(mean[c]), tuple(cov[c][i, j] for i in range(n)
                                              for j in range(i, n)))
         for c in (0, 1)), w)
-    return _verified(params, m)
+    # the one check of the moment equations
+    regen = mixture_moments(params, m.d)
+    for idx in multi_indices(m.n, m.d):
+        if regen[idx] != m[idx]:
+            raise RecoveryError(
+                "recovered parameters do not reproduce the moments; the "
+                "input is not on the secant variety", equation=idx)
+    return params
 
 
 def recover(m: MomentVector, mu11, mu21) -> MixtureParams:
@@ -365,11 +364,12 @@ def recover(m: MomentVector, mu11, mu21) -> MixtureParams:
     covariance.  Each other pair (sigma1_ij, sigma2_ij) solves the block of
     m_{e_i+e_j} and m_{e_1+e_i+e_j}, with constant matrix
     [[lam, 1-lam], [lam*mu11, (1-lam)*mu21]] of determinant
-    lam*(1-lam)*(mu21-mu11) != 0 (``_solve_covariances``).  Only the final
-    check of every moment equation accepts the result; at n = 3 that is
-    the check of the one subset.  A failure on moments that satisfy the
-    collapsed-mean identity is reported as that: the identity, not the
-    step that failed, explains it."""
+    lam*(1-lam)*(mu21-mu11) != 0 (``_solve_covariances``).  The mixture so
+    built is checked once, against all binom(n+3, 3) moment equations, and
+    returned only if every one holds; an off-variety error names the first
+    equation of the whole moment vector that fails.  A failure on moments
+    that satisfy the collapsed-mean identity is reported as that: the
+    identity, not the step that failed, explains it."""
     inp = RecoveryInput(m, mu11, mu21)
     try:
         return _recover(inp)

@@ -182,10 +182,6 @@ class DefectRow:
 
     COLUMNS = ("n", "k", "d", "par", "N", "exp", "dim", "delta", "par_minus_dim")
 
-    def astuple(self) -> tuple[int, ...]:
-        return (self.n, self.k, self.d, self.par, self.N, self.exp, self.dim,
-                self.delta, self.par_minus_dim)
-
     def is_defective(self) -> bool:
         return self.delta > 0
 

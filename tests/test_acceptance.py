@@ -10,6 +10,7 @@ vectorized elimination); the univariate suite runs at the 62-bit default.
 """
 
 from contextlib import contextmanager
+from dataclasses import astuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -85,7 +86,7 @@ def table1_census(seed: int):
 def test_criterion_1_table1_reproduction(capsys):
     with criterion("1 (Table 1, three seeds)"):
         for seed in (11, 22, 33):
-            rows = [r.astuple() for r in table1_census(seed)]
+            rows = [astuple(r) for r in table1_census(seed)]
             assert rows == TABLE1, f"seed {seed}"
         # and through the command line, as specified
         code = cli_main(["census", "--d", "3", "--n", "5..10", "--k", "3..6",
@@ -221,7 +222,7 @@ def test_criterion_9_formula_constants():
             [9, 39, 105, 225, 420, 714]
         assert S.degree_formula_sec3_x(9) == 2497
         rows = table1_census(11)
-        assert [r.astuple() for r in rows] == TABLE1
+        assert [astuple(r) for r in rows] == TABLE1
         for r in rows:
             assert S.dim_formula_d3(r.n, r.k) == r.dim, (r.n, r.k)
             assert S.defect_identity_d3(r.n, r.k) == r.par_minus_dim, (r.n, r.k)
@@ -232,4 +233,4 @@ def test_criterion_2_table2_reproduction():
         rows = [row for n, ks in TABLE2_K_RANGES.items()
                 for row in S.census(4, [n], ks, defective_only=True,
                                     trials=1, seed=11, prime=P31)]
-        assert [r.astuple() for r in rows] == TABLE2
+        assert [astuple(r) for r in rows] == TABLE2

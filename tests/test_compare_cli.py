@@ -1,5 +1,6 @@
 """tools/compare_cli.py: the byte comparison of two source trees' CLI."""
 
+import json
 import shutil
 import subprocess
 import sys
@@ -37,3 +38,57 @@ def test_a_changed_help_text_is_printed_in_full(tmp_path):
     assert "    cumulants           cumulant vector\n" in proc.stdout
     assert "    cumulants           cumulants of it\n" in proc.stdout
     assert proc.stdout.endswith("21 calls, 1 differ\n")
+
+
+def test_a_changed_check_witness_differs_on_the_seeded_calls(tmp_path):
+    # the benchmark runs no check; the seeded corpus runs each method on
+    # a Gaussian and a mixture for n = 1, 2, 3
+    changed = tmp_path / "src"
+    shutil.copytree(SRC / "gaussmoments", changed / "gaussmoments",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = changed / "gaussmoments" / "cli.py"
+    text = cli.read_text()
+    assert text.count('"bound": mv.n + 1') == 1
+    cli.write_text(text.replace('"bound": mv.n + 1', '"bound": mv.n + 2'))
+    proc = compare(SRC, changed, "--seeds", "1")
+    assert proc.returncode == 1
+    differ = [line for line in proc.stdout.splitlines()
+              if line.startswith("differs: ")]
+    assert len(differ) == 6
+    assert all(" check --moments " in line and line.endswith(
+        " --method willink") for line in differ)
+    assert proc.stdout.endswith("109 calls, 6 differ\n")
+
+
+def test_the_seeded_corpus_covers_the_subcommands_the_benchmark_skips(
+        tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOL.parent))
+    import compare_cli
+
+    calls = compare_cli.cli_corpus([1], tmp_path)
+    option = lambda argv, flag: (argv[argv.index(flag) + 1]
+                                 if flag in argv else None)
+    kinds = {(argv[0], option(argv, "--method") or option(argv, "--which"),
+              "--moments" in argv) for argv in calls}
+    for method in ("gd", "willink", "cumulant"):
+        assert ("check", method, True) in kinds
+    for which in ("gd", "hb", "willink"):
+        assert {("matrix", which, True), ("matrix", which, False)} <= kinds
+    assert {("moments", None, False), ("cumulants", None, False),
+            ("cumulants", None, True)} <= kinds
+    assert {argv[1] for argv in calls if argv[0] == "formulas"} == {
+        "--deg-sec2-g1", "--deg-sec2-x", "--deg-sec3-x", "--dim-d3",
+        "--defect-d3", "--conj-eleven"}
+    assert {argv[0] for argv in calls} == {
+        "moments", "cumulants", "check", "formulas", "matrix"}
+    # every input file is written, and the Gaussian's moments are a member
+    # of the moment variety by each method that applies, the mixture's not
+    results = compare_cli.run_tree(str(SRC), calls, str(tmp_path))
+    for argv, (code, out, err) in zip(calls, results):
+        if argv[0] != "check":
+            assert code == 0, (argv, err)
+        elif argv[-1] == "gd" and "-n1-" not in argv[2]:
+            assert (code, out) == (1, ""), argv
+        else:
+            member = json.loads(out)["member"]
+            assert (code, member) == (0, "gaussian" in argv[2]), argv

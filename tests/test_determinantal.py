@@ -9,8 +9,8 @@ from gaussmoments import determinantal as D
 from gaussmoments import moments as M
 from gaussmoments.linalg import rank_rational
 from gaussmoments.rng import SplitMix64
-from util import (hb_minors_reference, poly_det_reference, power,
-                  rand_fraction, rand_gaussian)
+from util import (annihilates, hb_minors_reference, poly_det_reference,
+                  power, rand_fraction, rand_gaussian, willink_kernel)
 
 
 class TestMomentMatrix:
@@ -243,32 +243,38 @@ class TestWillink:
 
     def test_shape(self):
         w = D.build_willink(3, 4)
-        assert w.rows == comb(3 + 3, 3) and w.cols == 7
+        assert len(w.entries) == comb(3 + 3, 3)
+        assert all(len(row) == 7 for row in w.entries)
 
 
 class TestWillinkMembership:
     def test_gaussian_rank_and_kernel(self):
+        # the n vectors (mu_i, -e_i, Sigma e_i) annihilate the Willink
+        # matrix of the Gaussian's moments, which has rank n + 1
         rng = SplitMix64(15)
         for n in range(1, 5):
             for d in range(2, 7):
                 g = rand_gaussian(rng, n)
                 mv = M.gaussian_moments(g, d)
-                res = D.willink_membership(n, d, mv, params=g)
+                mat = D.willink_numeric(n, d, mv)
+                assert all(annihilates(mat, vec) for vec in willink_kernel(g))
+                res = D.willink_membership(n, d, mv)
                 assert res.rank == n + 1
                 assert res.is_member
-                assert res.kernel_ok
 
     def test_kernel_rejects_other_parameters(self):
-        # the moments of g are in the variety, but the kernel vectors of
-        # another Gaussian do not annihilate their Willink matrix
+        # the moments of g are in the variety, but no kernel vector of
+        # another Gaussian annihilates their Willink matrix
         rng = SplitMix64(19)
         for n, d in ((1, 4), (2, 3), (3, 4)):
             g, other = rand_gaussian(rng, n), rand_gaussian(rng, n)
             assert other != g
-            res = D.willink_membership(n, d, M.gaussian_moments(g, d),
-                                       params=other)
+            mv = M.gaussian_moments(g, d)
+            mat = D.willink_numeric(n, d, mv)
+            assert not any(annihilates(mat, vec)
+                           for vec in willink_kernel(other))
+            res = D.willink_membership(n, d, mv)
             assert res.rank == n + 1 and res.is_member
-            assert res.kernel_ok is False
 
     def test_random_vector_is_not_member(self):
         rng = SplitMix64(16)
@@ -278,7 +284,6 @@ class TestWillinkMembership:
             mv = M.MomentVector(n, d, vals)
             res = D.willink_membership(n, d, mv)
             assert res.rank > n + 1 and not res.is_member
-            assert res.kernel_ok is None
 
     def test_unit_minor_certificate(self):
         # the first n+1 rows on the columns (1, n+2, ..., 2n+1) form a

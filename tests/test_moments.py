@@ -8,8 +8,9 @@ import pytest
 from gaussmoments import moments as M
 from gaussmoments.polyring import PolyRing
 from gaussmoments.rng import SplitMix64
-from util import (free_weight_mixture, index_factorial, moment_count,
-                  rand_fraction, rand_gaussian, rand_mixture)
+from util import (annihilates, free_weight_mixture, index_factorial,
+                  moment_count, rand_fraction, rand_gaussian, rand_mixture,
+                  willink_kernel)
 
 
 class TestMultiIndices:
@@ -289,13 +290,16 @@ class TestMembershipCharacterizations:
     def test_three_characterizations_agree_on_members(self):
         # minors (n=1), Willink rank, and cumulant vanishing all certify the
         # same variety on the chart
-        from gaussmoments.determinantal import gd_minors, willink_membership
+        from gaussmoments.determinantal import (gd_minors, willink_membership,
+                                                willink_numeric)
         rng = SplitMix64(55)
         for n, d in ((1, 6), (2, 4), (3, 3)):
             g = rand_gaussian(rng, n)
             mv = M.gaussian_moments(g, d)
-            res = willink_membership(n, d, mv, params=g)
-            assert res.rank == n + 1 and res.is_member and res.kernel_ok
+            res = willink_membership(n, d, mv)
+            assert res.rank == n + 1 and res.is_member
+            mat = willink_numeric(n, d, mv)
+            assert all(annihilates(mat, vec) for vec in willink_kernel(g))
             cum = M.moments_to_cumulants(mv)
             assert all(cum[idx] == 0
                        for idx in M.multi_indices(n, d, min_order=3))

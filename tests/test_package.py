@@ -42,8 +42,6 @@ ROOT = Path(__file__).resolve().parents[1]
 TEST_ONLY = {
     "determinantal.singular_locus_rank":
         "the acceptance criteria check the singular line with it",
-    "secant.DefectRow.astuple":
-        "the acceptance criteria compare census rows with the paper's tables",
     "determinantal.gd_surface_degree":
         "ROADMAP item 6 derives the degree it states",
     "secant.dim_formula_d3_max_k":
@@ -97,6 +95,58 @@ def _definitions(module, tree):
                     yield f"{stmt.name}.{item.name}", item
 
 
+def _functions(module, tree):
+    """(qualified name, name its calls use, def, 1 if a method else 0) of
+    each module-level function and each method that no base class
+    defines (the base calls an override).  Calls to a class pass the
+    arguments of its __init__."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield stmt.name, stmt.name, stmt, 0
+        if isinstance(stmt, ast.ClassDef):
+            bases = getattr(module, stmt.name).__mro__[1:]
+            for item in stmt.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                if item.name == "__init__":
+                    yield f"{stmt.name}.__init__", stmt.name, item, 1
+                elif not any(hasattr(b, item.name) for b in bases):
+                    yield f"{stmt.name}.{item.name}", item.name, item, 1
+
+
+def _defaulted(fn, bound: int):
+    """(argument position, name) of each parameter of fn that has a
+    default, with the first ``bound`` parameters bound by the call (self);
+    the position of a keyword-only one is None."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(i - bound, a.arg) for i, a in enumerate(positional)
+           if i >= first]
+    out += [(None, a.arg) for a, v in zip(args.kwonlyargs, args.kw_defaults)
+            if v is not None]
+    return out
+
+
+def _callee(call):
+    """The name a call uses: f(...) or obj.f(...)."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _passes(call, pos, name) -> bool:
+    """Whether the call passes the parameter, at argument position ``pos``
+    (None: keyword-only), by keyword, by position or through * or **."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if pos is None:
+        return False
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or pos < len(call.args))
+
+
 def test_no_library_code_only_tests_call():
     # every def, class and public method of the package is used by another
     # definition of the package, the tools or the benchmark, or exported,
@@ -125,3 +175,21 @@ def test_no_library_code_only_tests_call():
     assert unused == []
     # no entry outlives the code it names, or gains a caller
     assert listed == set(TEST_ONLY)
+
+    # every defaulted parameter of a function that is not exported is
+    # passed by some call: a default that no call overrides is a constant
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unpassed = []
+    for path, tree in trees.items():
+        if path.parent != ROOT / "src" / "gaussmoments":
+            continue
+        module = importlib.import_module(f"gaussmoments.{path.stem}")
+        for qualname, called, fn, bound in _functions(module, tree):
+            if qualname in gaussmoments.__all__:  # public API
+                continue
+            mine = [c for c in calls if _callee(c) == called]
+            for pos, name in _defaulted(fn, bound):
+                if not any(_passes(c, pos, name) for c in mine):
+                    unpassed.append(f"{path.stem}.{qualname}({name}=)")
+    assert unpassed == []

@@ -175,8 +175,9 @@ class TestSubsetPlan:
             assert len(calls) == n // 2  # ceil((n - 1) / 2)
 
     def test_n3_verifies_once(self, monkeypatch):
-        # the one subset {1, 2, 3} is the whole mixture: its own check of
-        # the 20 moment equations is the final one
+        # each n = 3 recovery solves every moment equation of its subset,
+        # so only the check of the whole moment vector regenerates moments:
+        # once per recover, for n = 3 (one subset) and beyond
         calls = []
         inner = R.mixture_moments
 
@@ -185,10 +186,13 @@ class TestSubsetPlan:
             return inner(params, d)
 
         monkeypatch.setattr(R, "mixture_moments", counting)
-        p, mv = make_instance(SplitMix64(711), 3)
-        assert R.recover(mv, p.components[0].mean[0],
-                         p.components[1].mean[0]) == p
-        assert len(calls) == 1
+        rng = SplitMix64(711)
+        for n in (3, 4, 5, 6, 7, 8):
+            calls.clear()
+            p, mv = make_instance(rng, n)
+            assert R.recover(mv, p.components[0].mean[0],
+                             p.components[1].mean[0]) == p
+            assert calls == [p]
 
     def test_cross_moment_read_only_by_the_closed_form(self):
         # m_{e2+e5} at n = 6: coordinates 2 and 5 share no subset of

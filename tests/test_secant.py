@@ -1,6 +1,7 @@
 """Secant dimensions by modular Jacobian rank, and the closed formulas."""
 
 from bisect import bisect_left
+from dataclasses import astuple
 from fractions import Fraction
 from math import comb, factorial
 
@@ -312,7 +313,7 @@ class TestCensus:
     def test_row_shape(self):
         row, cert = S.defect_row(S.SecantProblem(6, 3, 4), trials=1, seed=11,
                                  prime=P31)
-        assert row.astuple() == (6, 4, 3, 111, 83, 83, 82, 1, 29)
+        assert astuple(row) == (6, 4, 3, 111, 83, 83, 82, 1, 29)
         assert row.par_minus_dim == row.par - row.dim
         assert row.delta == row.exp - row.dim
 

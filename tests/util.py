@@ -233,6 +233,19 @@ def rank_mod_p_oracle(rows, p: int) -> int:
     return rank
 
 
+def willink_kernel(g: GaussianParams) -> list[list[Fraction]]:
+    """The n vectors (mu_i, -e_i, Sigma e_i), i = 1..n, which annihilate
+    the Willink matrix of the moments of g."""
+    n = g.n
+    return [[g.mean[i]] + [Fraction(-(j == i)) for j in range(n)]
+            + [g.sigma(j, i) for j in range(n)] for i in range(n)]
+
+
+def annihilates(matrix, vec) -> bool:
+    """Whether the matrix times the column vector is zero."""
+    return all(sum(a * b for a, b in zip(row, vec)) == 0 for row in matrix)
+
+
 def recover_all_subsets(m, mu11, mu21) -> MixtureParams:
     """Recovery for n >= 4 by running the n = 3 recovery on every subset
     {1, i, j} and requiring exact agreement on every shared parameter: the

@@ -7,8 +7,12 @@ and compares the exit code, stdout and stderr of every call:
 
 * the help and usage corpus: top-level ``--help``, no arguments, an unknown
   subcommand, and ``CMD --help`` and ``CMD`` alone for every subcommand;
-* with --seeds, the units of every workload in ``bench/workloads.py`` for
-  each seed (its recover inputs are written to a temporary directory).
+* with --seeds, for each seed: the units of every workload in
+  ``bench/workloads.py``, and calls of the subcommands the benchmark does
+  not run (``moments``, ``cumulants``, ``check`` with each method,
+  ``formulas`` with each flag, ``matrix`` for each matrix with and without
+  ``--moments``) on inputs drawn from the seed.  The input files of both
+  go to a temporary directory.
 
 Each tree runs the whole corpus in one fresh interpreter, without the
 GAUSSMOMENTS_* environment variables, from which older trees read their
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -74,6 +79,58 @@ def workload_corpus(seeds: list[int], inputs: Path) -> list[list[str]]:
     return [list(argv) for argv in calls]
 
 
+def cli_corpus(seeds: list[int], inputs: Path) -> list[list[str]]:
+    """For each seed and n = 1, 2, 3: the seeded calls of ``moments``,
+    ``cumulants``, ``check`` and ``matrix`` on a random two-component
+    mixture and on its first component alone (a Gaussian, so a member of
+    the moment variety), and one call of ``formulas`` per flag."""
+    sys.path.insert(0, str(BENCH))
+    import oracles
+
+    calls = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        fmt = ("csv", "json", "markdown")[seed % 3]
+        for n in (1, 2, 3):
+            mix = oracles.random_mixture(rng, n)
+            params = inputs / f"params-n{n}-seed{seed}.json"
+            params.write_text(json.dumps({"components": [
+                {"weight": str(w), "mean": [str(x) for x in mu],
+                 "cov": [str(x) for x in cov]}
+                for w, mu, cov in zip(mix["weights"], mix["means"],
+                                      mix["covs"])]}))
+            d = str(rng.randint(3, 5))
+            calls += [["moments", "--params", str(params), "--d", d],
+                      ["cumulants", "--params", str(params), "--d", d]]
+            gaussian = {key: value[:1] for key, value in mix.items()}
+            gaussian["weights"] = [1]
+            for name, m in (("gaussian", gaussian), ("mixture", mix)):
+                path = str(inputs / f"{name}-n{n}-seed{seed}.json")
+                Path(path).write_text(json.dumps(oracles.moments_json(
+                    n, oracles.mixture_moments3(m))))
+                calls += [["check", "--moments", path, "--method", how]
+                          for how in ("gd", "willink", "cumulant")]
+                calls.append(["cumulants", "--moments", path])
+                calls += [["matrix", "--which", which, "--n", str(n), "--d",
+                           "3", "--moments", path]
+                          for which in ("gd", "hb", "willink")]
+            calls += [["matrix", "--which", which, "--n", str(n), "--d",
+                       str(rng.randint(3, 6))]
+                      for which in ("gd", "hb", "willink")]
+        # the lowest d, n and r each formula takes
+        for flag, lo in (("--deg-sec2-g1", 3), ("--deg-sec2-x", 4),
+                         ("--deg-sec3-x", 6)):
+            calls.append(["formulas", flag, "--d",
+                          f"{lo}..{lo + rng.randrange(10)}", "--format", fmt])
+        for flag in ("--dim-d3", "--defect-d3"):
+            calls.append(["formulas", flag, "--n", str(rng.randint(1, 10)),
+                          "--k", f"1..{rng.randint(1, 8)}", "--format", fmt])
+        calls.append(["formulas", "--conj-eleven", "--n",
+                      str(rng.randint(8, 12)), "--r",
+                      f"3..{rng.randint(3, 6)}", "--format", fmt])
+    return calls
+
+
 def run_tree(src: str, calls: list[list[str]], cwd: str) -> list[list]:
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("GAUSSMOMENTS_")}
@@ -109,7 +166,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
-        calls = usage_corpus() + workload_corpus(args.seeds, Path(tmp))
+        calls = (usage_corpus() + workload_corpus(args.seeds, Path(tmp))
+                 + cli_corpus(args.seeds, Path(tmp)))
         parent = run_tree(args.parent_src, calls, tmp)
         change = run_tree(args.change_src, calls, tmp)
 
