@@ -15,10 +15,15 @@ One elimination strategy per coefficient domain:
   residues are split into limbs of at most 21 bits, so a limb product is
   below 2^42, and no float64 product sums more than 2048 of them, so every
   value BLAS forms is an integer below 2^53, which float64 represents
-  exactly whatever the order of summation.  The limb products are
-  recombined in int64; the one float64 quotient estimate there is within 1
-  of the true quotient (proved in ``_sub_matmul`` and ``_fold``) and is
-  corrected with exact wrapping integer arithmetic.
+  exactly whatever the order of summation.
+
+No other module knows the limbs.  The residue arithmetic here, which
+:mod:`secant` shares, forms V congruent to the result, wrapped to int64,
+and a float64 estimate f of V/p that :func:`_fold` corrects when
+|f - V/p| < 1; each function proves its error: :func:`_scale` (c y for
+c <= 2^42, below 2^-9, also behind the limb shifts of :func:`_shifts`),
+the elementwise :func:`_limb_product` (below 2^-27; :func:`_product` folds
+it) and :func:`_sub_matmul` (below 2^-14).
 
 No result depends on floating-point rounding.
 """
@@ -127,11 +132,46 @@ def _add_p_if_negative(v, p: int) -> None:
     np.minimum(u, u + p, out=u)
 
 
-def _shift(y, bits: int, p: int):
-    """y * 2^bits mod p for residues y and bits <= 42.  The estimate
-    fl(fl(y) * fl(2^bits / p)) has three roundings of relative error 2^-53
-    on a quotient below 2^42, so its error is below 2^-9."""
-    return _fold(y << bits, y * (float(1 << bits) / p), p)
+def _scale(y, c: int, p: int):
+    """c * y mod p for int64 residues y and an integer 0 <= c <= 2^42.  The
+    int64 product wraps; the estimate fl(y) * fl(c / p) has four roundings
+    of relative error 2^-53 (y, p, quotient, product) on a value below
+    2^42, so its error is below 2^-9."""
+    return _fold(y * c, y * (c / p), p)
+
+
+def _shifts(y, p: int) -> list:
+    """The limb shifts y^(i) = 2^(width*i) y mod p, i < count, of int64
+    residues y (:func:`_limbs`): with x_i the limbs of x,
+    sum_i x_i y^(i) is congruent to x y mod p."""
+    count, width = _limbs(p)
+    return [y] + [_scale(y, 1 << (width * i), p) for i in range(1, count)]
+
+
+def _limb_product(x, shifts, p: int):
+    """(v, f) for the elementwise product, with numpy broadcasting, of int64
+    residues x and y mod p, with ``shifts`` = :func:`_shifts` y:
+    V = sum_i x_i y^(i) is congruent to x y mod p, v is V wrapped to int64
+    and f = sum_i x_i fl(y^(i) / p) estimates V/p, for :func:`_fold`.
+
+    Here V/p < count * 2^21 <= 3 * 2^21 (x_i < 2^21, y^(i) < p), and f has
+    at most six roundings of relative error 2^-53 (y^(i), p and the
+    quotient, the product, two sums), all on non-negative values, so
+    |f - V/p| < 6.01 * 2^-53 * 3 * 2^21 < 2^-27."""
+    count, width = _limbs(p)
+    mask = (1 << width) - 1
+    v = f = 0
+    for i, y in enumerate(shifts):
+        limb = x >> (width * i) & mask
+        v = v + limb * y
+        f = f + limb * (y / p)
+    return v, f
+
+
+def _product(x, y, p: int):
+    """x * y mod p, elementwise with numpy broadcasting, for int64
+    residues: :func:`_limb_product` folded."""
+    return _fold(*_limb_product(x, _shifts(y, p), p), p)
 
 
 def _sub_matmul(c, x, y, p: int) -> None:
@@ -158,12 +198,11 @@ def _sub_matmul(c, x, y, p: int) -> None:
                              for i in range(count)], axis=1, dtype=np.float64)
         for t in range(0, y.shape[1], _TILE):
             yt = y[s:s + step, t:t + _TILE]
-            shifted = [yt] + [_shift(yt, width * i, p)
-                              for i in range(1, count)]
+            shifts = _shifts(yt, p)
             v = f = None
             for j in range(count):
                 ys = np.concatenate([(y_i >> (width * j)) & mask
-                                     for y_i in shifted],
+                                     for y_i in shifts],
                                     axis=0, dtype=np.float64)
                 q = xs @ ys
                 term = q.astype(np.int64)

@@ -317,15 +317,21 @@ def cumulants_to_moments(c: CumulantVector) -> MomentVector:
 # -- JSON shapes ---------------------------------------------------------------
 
 
-def moment_vector_to_json(m: MomentVector) -> dict:
+def _vector_json(n: int, d: int, items) -> dict:
+    """The JSON shape of moment and cumulant vectors, from the (index,
+    value) pairs in graded-lex order."""
     return {
-        "n": m.n,
-        "d": m.d,
+        "n": n,
+        "d": d,
         "values": [
             {"idx": list(idx), "num": v.numerator, "den": v.denominator}
-            for idx, v in m.items()
+            for idx, v in items
         ],
     }
+
+
+def moment_vector_to_json(m: MomentVector) -> dict:
+    return _vector_json(m.n, m.d, m.items())
 
 
 def _json_object(x, what: str) -> dict:
@@ -382,12 +388,8 @@ def moment_vector_from_json(data) -> MomentVector:
 
 
 def cumulant_vector_to_json(c: CumulantVector) -> dict:
-    values = []
-    for idx in multi_indices(c.n, c.d, min_order=1):
-        v = c.values[idx]
-        values.append({"idx": list(idx), "num": v.numerator,
-                       "den": v.denominator})
-    return {"n": c.n, "d": c.d, "values": values}
+    # __post_init__ keys the values in graded-lex order
+    return _vector_json(c.n, c.d, c.values.items())
 
 
 def mixture_params_to_json(p: MixtureParams) -> dict:

@@ -12,10 +12,23 @@ of a census therefore do not depend on the order in which rows are computed.
 
 from __future__ import annotations
 
+import numpy as np
+
 PRNG_NAME = "splitmix64-v1"
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+# Draws per numpy step of SplitMix64.below_array: bounds its temporaries.
+_CHUNK = 1 << 20
+
+
+def _mix(z):
+    """The SplitMix64 output of state z, a Python int or a numpy uint64
+    array (whose products wrap mod 2^64 as the mask does)."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 class SplitMix64:
@@ -26,10 +39,7 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return _mix(self._state)
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection sampling (no modulo bias)."""
@@ -40,6 +50,32 @@ class SplitMix64:
             x = self.next_u64()
             if x < limit:
                 return x % n
+
+    def below_array(self, n: int, count: int):
+        """``count`` values of :meth:`below` (n) as a numpy uint64 array,
+        for 1 <= n < 2^64, computed a chunk of the stream at a time.  The
+        stream is used up exactly as ``count`` calls of :meth:`below` use
+        it, rejections included: each step draws at most as many outputs as
+        values are still missing, so it never draws past the last one
+        kept."""
+        if not 1 <= n < 1 << 64:
+            raise ValueError("below_array() requires 1 <= n < 2^64")
+        limit = (1 << 64) - (1 << 64) % n
+        out = np.empty(count, dtype=np.uint64)
+        filled = 0
+        while filled < count:
+            size = min(count - filled, _CHUNK)
+            states = np.arange(1, size + 1, dtype=np.uint64)
+            states *= _GAMMA
+            states += self._state
+            self._state = (self._state + size * _GAMMA) & _MASK64
+            z = _mix(states)
+            if limit < 1 << 64:
+                z = z[z < limit]
+            z %= n
+            out[filled:filled + len(z)] = z
+            filled += len(z)
+        return out
 
 
 def derive_seed(seed: int, *words: int) -> int:

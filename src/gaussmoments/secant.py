@@ -87,8 +87,9 @@ from math import comb, factorial
 import numpy as np
 
 # rank_mod_p stays importable here: bench/spans.py wraps secant.rank_mod_p
-from .linalg import (PRIME_LIMIT, _fold, _limbs, _shift,  # noqa: F401
-                     _sub_matmul, rank_mod_p, rank_profile_mod_p)
+from .linalg import (PRIME_LIMIT, _fold, _limb_product,  # noqa: F401
+                     _product, _scale, _shifts, _sub_matmul, rank_mod_p,
+                     rank_profile_mod_p)
 from .moments import multi_indices
 from .rng import PRNG_NAME, SplitMix64, derive_seed
 
@@ -189,6 +190,24 @@ class DefectRow:
 # -- Jacobian machinery --------------------------------------------------------
 
 
+def _frozen(*arrays) -> tuple:
+    """The arrays, made read-only, as cached arrays shared by callers are."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=32)
+def _sigma_positions(n: int):
+    """The read-only n x n table of the position of sigma_ij = sigma_ji
+    among a component's parameters (mu, sigma), with the covariance in
+    np.triu_indices order, as :func:`moments.sigma_var_index` has it."""
+    i, j = np.triu_indices(n)
+    table = np.empty((n, n), dtype=np.intp)
+    table[i, j] = table[j, i] = np.arange(n, n + len(i))
+    return _frozen(table)[0]
+
+
 def _grlex_positions(exps, d: int):
     """The position in the graded-lex order of :func:`multi_indices` of
     each multi-index of order <= d, a row of the int array ``exps``.
@@ -235,10 +254,7 @@ def _partials_index(n: int, d: int):
     rows, params = np.nonzero(coefs)
     srcs = _grlex_positions(exps[rows] - lowering[params], d)
     scales, which = np.unique(coefs[rows, params], return_inverse=True)
-    out = rows, params + 1, srcs, scales, which
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+    return _frozen(rows, params + 1, srcs, scales, which)
 
 
 @lru_cache(maxsize=32)
@@ -265,7 +281,8 @@ def _recursion_index(n: int, d: int):
     rows, cols = np.nonzero(np.hstack([np.ones((len(a), 1), np.intp), a]))
     i, j = first[rows], cols - 1
     sigma = cols > 0
-    params = np.where(sigma, n + i * n - i * (i - 1) // 2 + j - i, i)
+    # j = -1 on the terms of mu_i reads a position that np.where drops
+    params = np.where(sigma, _sigma_positions(n)[i, j], i)
     coefs = np.where(sigma, a[rows, j], 1)
     srcs = a[rows]
     srcs[np.flatnonzero(sigma), j[sigma]] -= 1
@@ -276,42 +293,10 @@ def _recursion_index(n: int, d: int):
     for t in range(1, d + 1):
         lo, hi = comb(n + t - 1, n), comb(n + t, n)
         t0, t1 = firsts[lo - 1], firsts[hi - 1]
-        arrays = (params[t0:t1], srcs[t0:t1], coefs[t0:t1, None],
-                  firsts[lo - 1:hi - 1] - t0)
-        for arr in arrays:
-            arr.flags.writeable = False
-        out.append((lo, hi, *arrays))
+        out.append((lo, hi, *_frozen(params[t0:t1], srcs[t0:t1],
+                                     coefs[t0:t1, None],
+                                     firsts[lo - 1:hi - 1] - t0)))
     return tuple(out)
-
-
-def _shifted(y, p: int):
-    """For int64 residues y, the operands of :func:`_limb_product`: per
-    limb i of the other factor, y^(i) = 2^(width*i) y mod p and its
-    quotient estimate fl(y^(i) / p)."""
-    count, width = _limbs(p)
-    shifts = [y] + [_shift(y, width * i, p) for i in range(1, count)]
-    return [(s, s / p) for s in shifts]
-
-
-def _limb_product(x, shifted, p: int):
-    """(v, f) for the elementwise product of int64 residues x and y mod p,
-    by the limbs of the rank kernel: with x_i the limbs of x and
-    ``shifted`` = :func:`_shifted` y, V = sum_i x_i y^(i) is congruent to
-    x y mod p, v is V wrapped to int64 and f = sum_i x_i fl(y^(i) / p)
-    estimates V/p, for :func:`_fold`.
-
-    Here V/p < count * 2^21 <= 3 * 2^21 (x_i < 2^21, y^(i) < p), and f
-    has at most four roundings of relative error 2^-53 (the quotient, the
-    product, two sums), all on non-negative values, so
-    |f - V/p| < 4 * 2^-53 * 3 * 2^21 < 2^-28."""
-    count, width = _limbs(p)
-    mask = (1 << width) - 1
-    v = f = 0
-    for i, (y, q) in enumerate(shifted):
-        limb = x >> (width * i) & mask
-        v = v + limb * y
-        f = f + limb * q
-    return v, f
 
 
 def _moment_residues(n: int, d: int, comp_vals, p: int):
@@ -322,24 +307,23 @@ def _moment_residues(n: int, d: int, comp_vals, p: int):
     The table is built one order at a time, each order in one step over
     all its moments and components: the terms of the recursion
     (:func:`_recursion_index`) are gathered, multiplied by
-    :func:`_limb_product`, scaled by their coefficients, summed per moment
-    and folded mod p once.  For a moment, V = sum of c * sum_i x_i y^(i)
-    over its at most n + 1 terms, with c <= d, so V/p < 3 (n + 1) d 2^21
-    (:func:`_limb_product`).  f has at most n + 5 roundings of relative
-    error 2^-53 (those of the limb product, the coefficient, and n sums
-    over the terms), all on non-negative values, so
-    |f - V/p| < (n + 5) 2^-53 V/p < 3 d (n + 1) (n + 5) 2^-32.  That is
+    :func:`linalg._limb_product`, scaled by their coefficients, summed per
+    moment and folded mod p once.  For a moment, V = sum of c * (a limb
+    product) over its at most n + 1 terms, with c <= d, so
+    V/p < 3 (n + 1) d 2^21.  f has at most n + 7 roundings of relative
+    error 2^-53 (six of the limb product, the coefficient, and n sums over
+    the terms), all on non-negative values, so
+    |f - V/p| < (n + 7) 2^-53 V/p < 3 d (n + 1) (n + 7) 2^-32.  That is
     below 2^-6 for every d <= 20 and n <= 1000, and below 1, as
-    :func:`_fold` needs, up to n = 8000, where a table of order d >= 2
-    already has over 3 * 10^7 rows.
+    :func:`linalg._fold` needs, up to n = 8000, where a table of order
+    d >= 2 already has over 3 * 10^7 rows.
     """
     y = np.array(comp_vals, dtype=np.int64).T
-    shifted = _shifted(y, p)
+    shifts = _shifts(y, p)
     table = np.empty((comb(n + d, d), y.shape[1]), dtype=np.int64)
     table[0] = 1
     for lo, hi, params, srcs, coefs, starts in _recursion_index(n, d):
-        v, f = _limb_product(table[srcs],
-                             [(s[params], q[params]) for s, q in shifted], p)
+        v, f = _limb_product(table[srcs], [s[params] for s in shifts], p)
         v *= coefs
         f *= coefs
         table[lo:hi] = _fold(np.add.reduceat(v, starts),
@@ -355,25 +339,16 @@ def _moment_blocks(n: int, d: int, moments, p: int):
     (:func:`_partials_index`).
 
     The partials are gathered, in one index assignment, from the table
-    times each distinct c.
+    times each distinct c (:func:`linalg._scale`; c <= d^2).
     """
     m = n * (n + 3) // 2
     rows, cols, srcs, scales, which = _partials_index(n, d)
-    # c * x mod p for x < p: the int64 product wraps, and its quotient
-    # estimate x * (c/p) < c is off by far less than the 1 _fold allows
-    scaled = np.stack([_fold(c * moments, moments * (c / p), p)
-                       for c in scales])
+    scaled = np.stack([_scale(moments, c, p) for c in scales])
     blocks = np.zeros((len(moments) - 1, moments.shape[1], m + 1),
                       dtype=np.int64)
     blocks[:, :, 0] = moments[1:]
     blocks[rows, :, cols] = scaled[which, srcs]
     return blocks
-
-
-def _product(x, y, p: int):
-    """x * y mod p, elementwise with numpy broadcasting, for int64
-    residues: :func:`_limb_product` folded."""
-    return _fold(*_limb_product(x, _shifted(y, p), p), p)
 
 
 def _rotate(delta, n: int, i0: int, p: int) -> None:
@@ -390,9 +365,7 @@ def _rotate(delta, n: int, i0: int, p: int) -> None:
     inv = pow(u[i0], -1, p)
     u[i0] -= 1
     w = np.array([x * inv % p for x in u], dtype=np.int64)
-    # the position of sigma_{r, i0} in a row, for r = 0..n-1
-    lo, hi = np.minimum(np.arange(n), i0), np.maximum(np.arange(n), i0)
-    a = delta[:, n + lo * n - lo * (lo - 1) // 2 + hi - lo]
+    a = delta[:, _sigma_positions(n)[i0]]
     b = (a - _product(a[:, i0:i0 + 1], w, p)) % p
     delta[:, :n] = (delta[:, :n] - _product(delta[:, i0:i0 + 1], w, p)) % p
     # in chunks of the upper triangle, which bound the temporaries at
@@ -410,32 +383,19 @@ def _pivot_index(n: int, d: int, i0: int):
     """Where :func:`_drop_second` finds and moves what it drops, as
     read-only intp arrays.  For each covariance coordinate sigma_ij of
     component 2, in parameter order, ``rows`` is the row of x_i x_j x_i0
-    among the moments of order >= 3; ``special`` lists the coordinates
-    whose entry c there is not 1, and ``scales`` that c.  The rows ``src``
-    are the first n(n+1)/2 rows that are not dropped, and ``dst`` the
-    dropped rows below them.  They do not depend on the point, so they are
-    built once per (n, d, i0).
-
-    The entry is the partial of m_a, a = e_i + e_j + e_i0, in sigma_ij
-    (:func:`_partials_index`): a_i a_j for i < j and a_i (a_i - 1)/2 for
-    i = j, so 2 where i0 is one of i < j, 3 at i = j = i0, and 1
-    otherwise.
+    among the moments of order >= 3.  The rows ``src`` are the first
+    n(n+1)/2 rows that are not dropped, and ``dst`` the dropped rows below
+    them.  They do not depend on the point, so they are built once per
+    (n, d, i0).
     """
     i, j = np.triu_indices(n)
     unit = np.eye(n, dtype=np.intp)
-    exps = unit[i] + unit[j] + unit[i0]
-    rows = _grlex_positions(exps, d) - 1 - n * (n + 3) // 2
-    diagonal = (i == j).astype(np.intp)
-    coefs = (exps[np.arange(len(i)), i]
-             * (exps[np.arange(len(i)), j] - diagonal) // (1 + diagonal))
-    special = np.flatnonzero(coefs != 1)
+    rows = (_grlex_positions(unit[i] + unit[j] + unit[i0], d)
+            - 1 - n * (n + 3) // 2)
     below = rows >= len(i)
     kept = np.ones(len(i), dtype=bool)
     kept[rows[~below]] = False
-    out = rows, special, coefs[special], np.flatnonzero(kept), rows[below]
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+    return _frozen(rows, np.flatnonzero(kept), rows[below])
 
 
 def _drop_second(mat, n: int, d: int, i0: int, p: int):
@@ -445,8 +405,8 @@ def _drop_second(mat, n: int, d: int, i0: int, p: int):
     at a point where component 2's mean is e_i0 (:func:`_rotate`).
 
     Each covariance column sigma_ij of component 2 is then zero on the
-    rows of order 3 but for c in {1, 2, 3} at x_i x_j x_i0, since the
-    moments of order 1 are the mean (:func:`_pivot_index`).  Subtracting
+    rows of order 3 but for c m_{e_i0} = c in {1, 2, 3} at x_i x_j x_i0
+    (:func:`_pivot_index`), read off the matrix.  Subtracting
     (entry / c) times that row from each row of order >= 4 zeroes the
     column below it, and keeps every column dependency; then subtracting
     multiples of the column from the later ones clears its row.  The
@@ -459,13 +419,13 @@ def _drop_second(mat, n: int, d: int, i0: int, p: int):
     view of ``mat`` without its first n(n+1)/2 rows and columns.
     """
     m, half = n * (n + 3) // 2, n * (n + 1) // 2
-    rows, special, scales, src, dst = _pivot_index(n, d, i0)
+    rows, src, dst = _pivot_index(n, d, i0)
     low = comb(n + 3, 3) - 1 - m  # the first row of order >= 4
     if low < len(mat):
-        entries = mat[low:, n + 1:m + 1].copy()
-        inverses = np.array([pow(int(c), -1, p) for c in scales],
+        pivots = mat[rows, np.arange(n + 1, m + 1)]
+        inverses = np.array([pow(int(c), -1, p) for c in pivots],
                             dtype=np.int64)
-        entries[:, special] = _product(entries[:, special], inverses, p)
+        entries = _product(mat[low:, n + 1:m + 1], inverses, p)
     mat[:, half:m + 1] = mat[:, :n + 1]
     if low < len(mat):
         _sub_matmul(mat[low:, half:], entries, mat[rows, half:], p)
@@ -572,8 +532,7 @@ def _points(n: int, d: int, top: int, trials: int, seed: int, prime: int):
     m = n * (n + 3) // 2
     for t in range(trials):
         rng = SplitMix64(derive_seed(seed, n, d, t))
-        yield np.fromiter((rng.below(prime) for _ in range(top * m)),
-                          dtype=np.int64, count=top * m).reshape(top, m)
+        yield rng.below_array(prime, top * m).view(np.int64).reshape(top, m)
 
 
 def _certified(problem: SecantProblem, ranks: tuple[int, ...], seed: int,

@@ -57,7 +57,7 @@ def test_a_changed_check_witness_differs_on_the_seeded_calls(tmp_path):
     assert len(differ) == 6
     assert all(" check --moments " in line and line.endswith(
         " --method willink") for line in differ)
-    assert proc.stdout.endswith("109 calls, 6 differ\n")
+    assert proc.stdout.endswith("121 calls, 6 differ\n")
 
 
 def test_the_seeded_corpus_covers_the_subcommands_the_benchmark_skips(
@@ -92,3 +92,25 @@ def test_the_seeded_corpus_covers_the_subcommands_the_benchmark_skips(
         else:
             member = json.loads(out)["member"]
             assert (code, member) == (0, "gaussian" in argv[2]), argv
+
+
+def test_the_rank_corpus_covers_each_limb_count_at_orders_4_and_5(
+        monkeypatch):
+    # _drop_second's order >= 4 product runs at every limb count
+    monkeypatch.syspath_prepend(str(TOOL.parent))
+    import compare_cli
+    from gaussmoments.linalg import _limbs
+    from gaussmoments.secant import DEFAULT_PRIME
+
+    calls = compare_cli.rank_corpus([1, 2])
+    option = lambda argv, flag: (argv[argv.index(flag) + 1]
+                                 if flag in argv else None)
+    kinds = {(argv[0], argv[argv.index("--d") + 1],
+              _limbs(int(option(argv, "--prime") or DEFAULT_PRIME))[0])
+             for argv in calls}
+    assert kinds == {(cmd, d, limbs) for cmd in ("census", "dim")
+                     for d in ("4", "5") for limbs in (1, 2, 3)}
+    assert len(calls) == 2 * len(kinds)
+    for argv in calls:
+        n = option(argv, "--n")
+        assert n == "2..6" if argv[0] == "census" else 2 <= int(n) <= 6

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussmoments import linalg
-from gaussmoments.linalg import (_BASE_WIDTH, _fold, _sub_matmul, rank_mod_p,
+from gaussmoments.linalg import (_BASE_WIDTH, _fold, _limbs, _product, _scale,
+                                 _shifts, _sub_matmul, rank_mod_p,
                                  rank_profile_mod_p, rank_rational)
 from gaussmoments.polyring import PolyRing
 from gaussmoments.rng import SplitMix64
@@ -352,6 +353,42 @@ class TestLimbMatmul:
             want = [[(c[i][j] - sum(x[i][t] * y[t][j] for t in range(k))) % p
                      for j in range(n)] for i in range(h)]
             assert got.tolist() == want, p
+
+
+def _edge_residues(rng, p):
+    """0, 1 and p - 1, and five random residues mod p."""
+    return np.array(sorted({0, 1, p - 1} | {rng.below(p) for _ in range(5)}),
+                    dtype=np.int64)
+
+
+class TestResidueArithmetic:
+    """The elementwise arithmetic mod p of linalg, which the moment table
+    uses, against Python ints."""
+
+    def test_scale_up_to_2_to_the_42(self):
+        rng = SplitMix64(5)
+        for p in PRIMES:
+            y = _edge_residues(rng, p)
+            for c in (0, 1, 3, 2 ** 21, 2 ** 42 - 1, 2 ** 42,
+                      np.int64(2 ** 42)):
+                assert _scale(y, c, p).tolist() == \
+                    [int(c) * x % p for x in y.tolist()], (p, c)
+
+    def test_shifts_are_the_limb_shifts(self):
+        rng = SplitMix64(6)
+        for p in PRIMES:
+            count, width = _limbs(p)
+            y = _edge_residues(rng, p)
+            assert [s.tolist() for s in _shifts(y, p)] == [
+                [(x << (width * i)) % p for x in y.tolist()]
+                for i in range(count)], p
+
+    def test_product_broadcasts(self):
+        rng = SplitMix64(7)
+        for p in PRIMES:
+            y = _edge_residues(rng, p)
+            assert _product(y[:, None], y, p).tolist() == [
+                [a * b % p for b in y.tolist()] for a in y.tolist()], p
 
 
 def _poly_cofactor_det(m):

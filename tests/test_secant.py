@@ -11,7 +11,7 @@ import pytest
 from gaussmoments import moments as M
 from gaussmoments import secant as S
 from gaussmoments.linalg import rank_mod_p, rank_profile_mod_p
-from gaussmoments.rng import SplitMix64
+from gaussmoments.rng import SplitMix64, derive_seed
 from util import (PRIMES, deconvolved, fills_ambient, jacobian_reference,
                   layouts, moment_residues_reference, params_to_modular,
                   partials_reference, prefix_ranks_reference, rand_mixture,
@@ -330,6 +330,15 @@ class TestCensus:
                                         trials=trials, seed=23, prime=prime)
             assert row.dim == dim, (row.n, row.k)
 
+    @pytest.mark.parametrize("prime", PRIMES[1:])
+    def test_points_are_the_below_stream(self, prime):
+        # each trial's values are the calls of below on its own stream
+        n, d, top, m = 3, 3, 2, 9
+        for t, vals in enumerate(S._points(n, d, top, 3, 17, prime)):
+            stream = SplitMix64(derive_seed(17, n, d, t))
+            assert vals.tolist() == [[stream.below(prime) for _ in range(m)]
+                                     for _ in range(top)], t
+
     def test_dim_point_is_a_census_prefix(self, monkeypatch):
         # both eliminate the same closed-form reduction of the layout: it
         # depends only on components 1 and 2, and each later component's
@@ -570,6 +579,37 @@ class TestSchurStep:
                         S._drop_second(mat, n, d, i0, prime), prime)
                     assert [half + bisect_left(profile, j * (m + 1) - half)
                             for j in (1, 2, 3)] == want, (n, d, i0)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_pivots_read_off_the_matrix(self, monkeypatch, n):
+        # the matrix _prefix_ranks hands to _drop_second has each
+        # covariance column sigma_xy of component 2 zero on the rows of
+        # order 3 but for its pivot c m_{e_i0} = c at x_x x_y x_i0: 2
+        # where i0 is one of x < y, 3 at x = y = i0, and 1 otherwise
+        seen, drop = [], S._drop_second
+
+        def spy(mat, *args):
+            seen.append((mat.copy(), args))
+            return drop(mat, *args)
+
+        monkeypatch.setattr(S, "_drop_second", spy)
+        m, d, p = n * (n + 3) // 2, 4, P31
+        low = comb(n + 3, 3) - 1 - m
+        upper = [(x, y) for x in range(n) for y in range(x, n)]
+        rng = SplitMix64(n)
+        for i0 in range(n):
+            comp_vals = _residues(rng, n, 3, p)
+            comp_vals[1][:i0] = comp_vals[0][:i0]
+            comp_vals[1][i0] = (comp_vals[0][i0] + 1 + rng.below(p - 1)) % p
+            S._prefix_ranks(n, d, comp_vals, p)
+            mat, args = seen.pop()
+            assert args == (n, d, i0, p)
+            want = np.zeros((low, m - n), dtype=np.int64)
+            rows = S._pivot_index(n, d, i0)[0]
+            want[rows, np.arange(m - n)] = [
+                3 if x == y == i0 else 2 if i0 in (x, y) and x != y else 1
+                for x, y in upper]
+            assert (mat[:low, n + 1:m + 1] == want).all(), i0
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("prime", [7919, P31, S.DEFAULT_PRIME])

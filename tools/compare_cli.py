@@ -11,8 +11,11 @@ and compares the exit code, stdout and stderr of every call:
   ``bench/workloads.py``, and calls of the subcommands the benchmark does
   not run (``moments``, ``cumulants``, ``check`` with each method,
   ``formulas`` with each flag, ``matrix`` for each matrix with and without
-  ``--moments``) on inputs drawn from the seed.  The input files of both
-  go to a temporary directory.
+  ``--moments``) on inputs drawn from the seed, and ``dim`` and
+  ``census`` calls at d = 4 and 5, n = 2..6, at one prime per limb count
+  of the rank kernel (1, 2 and 3 limbs), which the benchmark runs at
+  other orders and primes.  The input files of both go to a temporary
+  directory.
 
 Each tree runs the whole corpus in one fresh interpreter, without the
 GAUSSMOMENTS_* environment variables, from which older trees read their
@@ -131,6 +134,33 @@ def cli_corpus(seeds: list[int], inputs: Path) -> list[list[str]]:
     return calls
 
 
+# one prime per limb count of linalg's residue arithmetic: 21, 31 and 62 bits
+LIMB_PRIMES = (2097143, 2147483647, None)
+
+
+def rank_corpus(seeds: list[int]) -> list[list[str]]:
+    """For each seed, d = 4 and 5 and each of LIMB_PRIMES (None: the
+    default prime): one ``census`` of every row with n = 2..6 and one
+    ``dim`` at a random n in that range.  Each runs the closed-form steps
+    and the order >= 4 product that drops component 2's covariance
+    columns."""
+    calls = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        fmt = ("csv", "json", "markdown")[seed % 3]
+        for d in ("4", "5"):
+            for prime in LIMB_PRIMES:
+                options = ["--seed", str(seed), "--format", fmt]
+                if prime is not None:
+                    options += ["--prime", str(prime)]
+                calls += [["census", "--d", d, "--n", "2..6", "--k",
+                           f"1..{rng.randint(2, 8)}", "--trials", "1",
+                           *options],
+                          ["dim", "--n", str(rng.randint(2, 6)), "--d", d,
+                           "--k", str(rng.randint(2, 12)), *options]]
+    return calls
+
+
 def run_tree(src: str, calls: list[list[str]], cwd: str) -> list[list]:
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("GAUSSMOMENTS_")}
@@ -167,7 +197,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         calls = (usage_corpus() + workload_corpus(args.seeds, Path(tmp))
-                 + cli_corpus(args.seeds, Path(tmp)))
+                 + cli_corpus(args.seeds, Path(tmp)) + rank_corpus(args.seeds))
         parent = run_tree(args.parent_src, calls, tmp)
         change = run_tree(args.change_src, calls, tmp)
 
