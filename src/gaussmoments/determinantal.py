@@ -3,8 +3,8 @@
 Three matrix families, each with linear-form entries:
 
 * the 3 x d moment matrix of the univariate moment surface, whose 3x3
-  minors cut out the surface in P^d and whose Jacobian detects the singular
-  line at infinity;
+  minors cut out the surface in P^d (criterion 8 ranks their Jacobian on
+  the singular line by ``gd_jacobian_reference`` in ``tests/util.py``);
 * the d x (d+1) banded matrix in x, y, z whose maximal minors parametrize
   the same surface (substituting x = -var, y = mean, z = 1 turns them into
   the univariate moments), together with the structural facts about those
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 
 from .linalg import rank_rational
 from .moments import MomentVector, multi_indices
@@ -85,46 +84,6 @@ def gd_minors(d: int) -> tuple[Polynomial, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _gd_minor_gradients(d: int) -> tuple:
-    ring = moment_ring(d)
-    return tuple(
-        tuple(q.differentiate(v) for v in ring.vars) for q in gd_minors(d))
-
-
-def gd_jacobian_rank(d: int, values) -> int:
-    """Rank of the Jacobian of the 3x3 minors at a point of A^{d+1}."""
-    values = [Fraction(v) for v in values]
-    if len(values) != d + 1:
-        raise ValueError(f"expected {d + 1} coordinates m0..m{d}")
-    ring = moment_ring(d)
-    point = dict(zip(ring.vars, values))
-    rows = [[g.evaluate(point) for g in grad]
-            for grad in _gd_minor_gradients(d)]
-    return rank_rational(rows)
-
-
-def singular_locus_rank(d: int, values) -> int:
-    """Jacobian rank at a point of the line m0 = ... = m_{d-2} = 0.
-
-    The point must actually lie on that line (and not be the origin); the
-    returned rank is at most d - 3, strictly below the surface codimension.
-    """
-    values = [Fraction(v) for v in values]
-    if len(values) != d + 1:
-        raise ValueError(f"expected {d + 1} coordinates m0..m{d}")
-    if any(values[i] != 0 for i in range(d - 1)):
-        raise ValueError("point is not on the singular line: m0..m_{d-2} must vanish")
-    if values[d - 1] == 0 and values[d] == 0:
-        raise ValueError("the last two coordinates must not both vanish")
-    return gd_jacobian_rank(d, values)
-
-
-def gd_surface_degree(d: int) -> int:
-    """Degree of the univariate moment surface in P^d (formula constant)."""
-    return comb(d, 2)
-
-
 # -- the banded d x (d+1) parametrization matrix -------------------------------
 
 
@@ -163,7 +122,7 @@ def hb_minors(d: int) -> tuple[Polynomial, ...]:
     Its coefficients are integers: i! / (k! (i-2k)! 2^k) counts the ways
     to pick k disjoint pairs from i positions.  At (x, y, z) = (-var, mu, 1)
     the sign (-1)^k cancels and b_i is sum_k (count) var^k mu^(i-2k), the
-    i-th moment of N(mu, var) (``hb_substituted_moments``).
+    i-th moment of N(mu, var).
     """
     if d < 2:
         raise ValueError("the parametrization matrix needs d >= 2")
@@ -193,7 +152,6 @@ class StructuralReport:
 
 def _lowest_part_at_base_point(p: Polynomial) -> dict:
     """Terms of lowest total (y,z)-degree after setting x = 1."""
-    ix = p.ring.var_index("x")
     iy = p.ring.var_index("y")
     iz = p.ring.var_index("z")
     best = None
@@ -238,12 +196,6 @@ def hb_structural_checks(d: int) -> StructuralReport:
             lowest_ok = False
 
     return StructuralReport(d, disjoint, no_y2, lowest_ok)
-
-
-def hb_substituted_moments(d: int, mu, var) -> list[Fraction]:
-    """The minors at (x, y, z) = (-var, mu, 1): the moments of N(mu, var)."""
-    point = {"x": -Fraction(var), "y": Fraction(mu), "z": Fraction(1)}
-    return [q.evaluate(point) for q in hb_minors(d)]
 
 
 # -- the Willink matrix ---------------------------------------------------------

@@ -125,9 +125,6 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def coefficient(self, exponent: Exponent) -> Fraction:
-        return self.terms.get(tuple(exponent), _ZERO)
-
     def constant_term(self) -> Fraction:
         return self.terms.get(self.ring._zero_exp, _ZERO)
 
@@ -192,19 +189,7 @@ class Polynomial:
 
     __hash__ = None
 
-    # -- calculus and evaluation -------------------------------------------
-
-    def differentiate(self, name: str) -> "Polynomial":
-        """Formal partial derivative."""
-        i = self.ring.var_index(name)
-        out = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k:
-                d = list(e)
-                d[i] = k - 1
-                out[tuple(d)] = c * k
-        return Polynomial(self.ring, out)
+    # -- evaluation --------------------------------------------------------
 
     def evaluate(self, point: Mapping[str, ScalarLike]) -> Fraction:
         """Exact evaluation; ``point`` must assign every ring variable."""

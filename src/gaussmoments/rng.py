@@ -41,23 +41,12 @@ class SplitMix64:
         self._state = (self._state + _GAMMA) & _MASK64
         return _mix(self._state)
 
-    def below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection sampling (no modulo bias)."""
-        if n <= 0:
-            raise ValueError("below() requires n >= 1")
-        limit = (1 << 64) - (1 << 64) % n
-        while True:
-            x = self.next_u64()
-            if x < limit:
-                return x % n
-
     def below_array(self, n: int, count: int):
-        """``count`` values of :meth:`below` (n) as a numpy uint64 array,
-        for 1 <= n < 2^64, computed a chunk of the stream at a time.  The
-        stream is used up exactly as ``count`` calls of :meth:`below` use
-        it, rejections included: each step draws at most as many outputs as
-        values are still missing, so it never draws past the last one
-        kept."""
+        """``count`` uniform integers in [0, n), 1 <= n < 2^64, as a numpy
+        uint64 array, by rejection sampling (no modulo bias): each output x
+        of :meth:`next_u64` below the largest multiple of n up to 2^64 gives
+        x mod n.  Each step draws a chunk of at most as many outputs as
+        values are missing, so the stream stops after the last one kept."""
         if not 1 <= n < 1 << 64:
             raise ValueError("below_array() requires 1 <= n < 2^64")
         limit = (1 << 64) - (1 << 64) % n

@@ -74,6 +74,16 @@ Schwartz-Zippel it equals the generic rank with probability at least
 
 The closed-form dimension, defect and degree formulas from the d=3 and d=4
 censuses live here as exact integer evaluations.
+
+At d = 3 the same symmetries bound every prefix rank from above (a
+finding; the code does not use it).  With B mapping the mean differences
+of components 2..k (k <= n + 1) to e_0..e_(k-2), component j's covariance
+pivots take the C(n-j+3, 2) cubics whose least variable is x_(j-2); on the
+C(n-k+3, 3) cubics left only (k-1)(n-k+1) mean columns are nonzero.  So
+dim Sec_k <= n(n+3)/2 + sum_{j=2..k} C(n-j+3, 2) + min(C(n-k+3, 3),
+(k-1)(n-k+1)), which :func:`dim_formula_d3` equals wherever it tracks the
+secants, and which Hochster and Laksov's theorem on generic forms (Comm.
+Algebra 1987) says is reached; README.md has the argument.
 """
 
 from __future__ import annotations
@@ -627,22 +637,6 @@ def defect_identity_d3(n: int, k: int) -> int:
     if num % 6:
         raise ArithmeticError(f"defect identity not integral at (n={n}, k={k})")
     return num // 6
-
-
-def dim_formula_d3_max_k(n: int) -> int:
-    """Largest K for which the d=3 dimension formula still tracks secant
-    dimensions: the formula must stay within the ambient dimension and in
-    its increasing range (the cubic dips again after the secants fill, which
-    happens for n = 2 already at k = 3)."""
-    ambient = comb(n + 3, 3) - 1
-    k = 1
-    prev = dim_formula_d3(n, 1)
-    while True:
-        nxt = dim_formula_d3(n, k + 1)
-        if nxt <= prev or nxt > ambient:
-            return k
-        k += 1
-        prev = nxt
 
 
 def conjecture_eleven_defect(n: int, r: int) -> int:

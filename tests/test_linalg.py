@@ -14,8 +14,8 @@ from gaussmoments.linalg import (_BASE_WIDTH, _fold, _limbs, _product, _scale,
                                  rank_profile_mod_p, rank_rational)
 from gaussmoments.polyring import PolyRing
 from gaussmoments.rng import SplitMix64
-from util import (PRIMES, poly_det_reference, rand_fraction, rand_poly,
-                  rank_mod_p_oracle, to_sympy)
+from util import (PRIMES, below, poly_det_reference, rand_fraction,
+                  rand_poly, rank_mod_p_oracle, to_sympy)
 
 P31 = 2 ** 31 - 1
 P62 = 2 ** 62 - 57
@@ -23,8 +23,8 @@ P62 = 2 ** 62 - 57
 
 def random_matrix_with_rank(rng, rows, cols, rank):
     """rows x cols integer matrix of the given rank (a product of factors)."""
-    a = [[rng.below(9) - 4 for _ in range(rank)] for _ in range(rows)]
-    b = [[rng.below(9) - 4 for _ in range(cols)] for _ in range(rank)]
+    a = [[below(rng, 9) - 4 for _ in range(rank)] for _ in range(rows)]
+    b = [[below(rng, 9) - 4 for _ in range(cols)] for _ in range(rank)]
     m = [[sum(a[i][t] * b[t][j] for t in range(rank)) for j in range(cols)]
          for i in range(rows)]
     return m
@@ -34,9 +34,9 @@ class TestRankRational:
     def test_against_numpy(self):
         rng = SplitMix64(2024)
         for _ in range(300):
-            r = rng.below(6) + 1
-            c = rng.below(6) + 1
-            k = rng.below(min(r, c) + 1)
+            r = below(rng, 6) + 1
+            c = below(rng, 6) + 1
+            k = below(rng, min(r, c) + 1)
             m = random_matrix_with_rank(rng, r, c, k)
             want = np.linalg.matrix_rank(np.array(m, dtype=float))
             assert rank_rational(m) == want
@@ -45,7 +45,8 @@ class TestRankRational:
         rng = SplitMix64(17)
         for _ in range(50):
             m = random_matrix_with_rank(rng, 5, 5, 3)
-            scaled = [[Fraction(x, rng.below(5) + 1) for x in row] for row in m]
+            scaled = [[Fraction(x, below(rng, 5) + 1) for x in row]
+                      for row in m]
             # scaling single rows does not change the rank
             row_scaled = [[Fraction(x, i + 2) for x in row]
                           for i, row in enumerate(m)]
@@ -60,9 +61,9 @@ class TestRankRational:
 def residue_matrix_with_rank(rng, rows, cols, rank, p, density=1.0):
     """rows x cols matrix of residues mod p, a product of random factors of
     inner dimension ``rank``; some entries of the left factor are zeroed."""
-    a = [[rng.below(p) if rng.below(1000) < density * 1000 else 0
+    a = [[below(rng, p) if below(rng, 1000) < density * 1000 else 0
           for _ in range(rank)] for _ in range(rows)]
-    b = [[rng.below(p) for _ in range(cols)] for _ in range(rank)]
+    b = [[below(rng, p) for _ in range(cols)] for _ in range(rank)]
     return [[sum(a[i][t] * b[t][j] for t in range(rank)) % p
              for j in range(cols)] for i in range(rows)]
 
@@ -71,7 +72,7 @@ class TestRankModP:
     def test_equals_rational_rank_generically(self):
         rng = SplitMix64(5)
         for _ in range(100):
-            m = random_matrix_with_rank(rng, 6, 5, rng.below(6))
+            m = random_matrix_with_rank(rng, 6, 5, below(rng, 6))
             want = rank_rational(m)
             for p in (P31, P62):
                 assert rank_mod_p(m, p) == want == rank_mod_p_oracle(m, p)
@@ -85,7 +86,7 @@ class TestRankModP:
         for p in PRIMES:
             for rows, cols in shapes:
                 for density in (1.0, 0.2):
-                    r = rng.below(min(rows, cols) + 1)
+                    r = below(rng, min(rows, cols) + 1)
                     m = residue_matrix_with_rank(rng, rows, cols, r, p,
                                                  density)
                     assert rank_mod_p(m, p) == rank_mod_p_oracle(m, p), \
@@ -95,7 +96,7 @@ class TestRankModP:
         rng = SplitMix64(9)
         for p in (P31, P62):
             for rows, cols in ((12, 30), (30, 12), (25, 25)):
-                r = rng.below(min(rows, cols) + 1)
+                r = below(rng, min(rows, cols) + 1)
                 m = random_matrix_with_rank(rng, rows, cols, r)
                 assert rank_mod_p(m, p) == rank_rational(m) == r
 
@@ -126,7 +127,7 @@ class TestRankModP:
 
     def test_int64_array_reduced_in_place(self):
         rng = SplitMix64(10)
-        m = [[rng.below(2 ** 40) - 2 ** 39 for _ in range(20)]
+        m = [[below(rng, 2 ** 40) - 2 ** 39 for _ in range(20)]
              for _ in range(30)]
         for p in PRIMES:
             a = np.array(m, dtype=np.int64)
@@ -178,7 +179,7 @@ class TestRankProfile:
         m = residue_matrix_with_rank(rng, rows, cols, min(rank, rows, cols),
                                      p)
         for _ in range(repeats):
-            src, dst = rng.below(cols), rng.below(cols)
+            src, dst = below(rng, cols), below(rng, cols)
             for row in m:
                 row[dst] = 0 if src == dst else row[src]
         profile = rank_profile_mod_p(m, p)
@@ -211,7 +212,7 @@ class TestBlockRounds:
             inner(c, x, y, p)
         monkeypatch.setattr(linalg, "_sub_matmul", counted)
         rng = SplitMix64(13)
-        m = np.array([[rng.below(P31) for _ in range(300)]
+        m = np.array([[below(rng, P31) for _ in range(300)]
                       for _ in range(300)], dtype=np.int64)
         assert len(rank_profile_mod_p(m, P31)) == 300
         blocks, splits = _split_counts(300)
@@ -226,8 +227,8 @@ class TestBlockRounds:
         # the profile is [0, 1] only if G follows the pivot rows' order
         for p in PRIMES:
             rng = SplitMix64(14)
-            a = [0] + [rng.below(p - 1) + 1 for _ in range(7)]
-            b = [rng.below(p - 1) + 1 for _ in range(8)]
+            a = [0] + [below(rng, p - 1) + 1 for _ in range(7)]
+            b = [below(rng, p - 1) + 1 for _ in range(8)]
             rows = [a, b] + [[(x * s + y * t) % p for s, t in zip(a, b)]
                              for x, y in ((1, 2), (3, 1), (2, 5))]
             m = [row + row for row in rows] + [[0] * 16] * 35
@@ -264,23 +265,23 @@ class TestBlockRounds:
             rng = SplitMix64(seed)
             m = residue_matrix_with_rank(rng, rows, cols, min(rank, cols), p)
             for _ in range(repeats):
-                src = rng.below(cols)
-                dst = src + rng.below(cols - src)
+                src = below(rng, cols)
+                dst = src + below(rng, cols - src)
                 for row in m:
                     row[dst] = row[src]
             if kind == "band":
                 # half the time only up to one block's worth of top rows
                 # stays nonzero, with some entries zeroed, so that a round
                 # finds its pivots out of row order
-                if rng.below(2):
-                    lo, hi = 1 + rng.below(_BASE_WIDTH), rows
+                if below(rng, 2):
+                    lo, hi = 1 + below(rng, _BASE_WIDTH), rows
                     for row in m[:lo]:
                         for j in range(cols):
-                            if not rng.below(3):
+                            if not below(rng, 3):
                                 row[j] = 0
                 else:
-                    lo = rng.below(rows)
-                    hi = lo + 1 + rng.below(rows - lo)
+                    lo = below(rng, rows)
+                    hi = lo + 1 + below(rng, rows - lo)
                 m[lo:hi] = [[0] * cols for _ in range(hi - lo)]
             elif kind == "spread":
                 for w in range(1, _BASE_WIDTH + 1):
@@ -343,10 +344,10 @@ class TestLimbMatmul:
     def test_against_python_ints(self):
         rng = SplitMix64(11)
         for p in PRIMES:
-            h, k, n = 7, rng.below(3000) + 1, 70
-            x = [[rng.below(p) for _ in range(k)] for _ in range(h)]
-            y = [[rng.below(p) for _ in range(n)] for _ in range(k)]
-            c = [[rng.below(p) for _ in range(n)] for _ in range(h)]
+            h, k, n = 7, below(rng, 3000) + 1, 70
+            x = [[below(rng, p) for _ in range(k)] for _ in range(h)]
+            y = [[below(rng, p) for _ in range(n)] for _ in range(k)]
+            c = [[below(rng, p) for _ in range(n)] for _ in range(h)]
             got = np.array(c, dtype=np.int64)
             _sub_matmul(got, np.array(x, dtype=np.int64),
                         np.array(y, dtype=np.int64), p)
@@ -357,7 +358,7 @@ class TestLimbMatmul:
 
 def _edge_residues(rng, p):
     """0, 1 and p - 1, and five random residues mod p."""
-    return np.array(sorted({0, 1, p - 1} | {rng.below(p) for _ in range(5)}),
+    return np.array(sorted({0, 1, p - 1} | {below(rng, p) for _ in range(5)}),
                     dtype=np.int64)
 
 
@@ -419,15 +420,15 @@ class TestPolyDet:
         ring = PolyRing(["x"])
         rng = SplitMix64(7)
         for _ in range(25):
-            m = [[ring.from_terms({(rng.below(3),): rand_fraction(rng)})
+            m = [[ring.from_terms({(below(rng, 3),): rand_fraction(rng)})
                   for _ in range(3)] for _ in range(3)]
             assert poly_det_reference(m) == _poly_cofactor_det(m)
         # integer coefficients, two variables, 4 x 4
         ring = PolyRing(["x", "y"])
         rng = SplitMix64(6)
         for _ in range(25):
-            m = [[ring.from_terms({(rng.below(3), rng.below(3)):
-                                   rng.below(7) - 3}) for _ in range(4)]
+            m = [[ring.from_terms({(below(rng, 3), below(rng, 3)):
+                                   below(rng, 7) - 3}) for _ in range(4)]
                  for _ in range(4)]
             assert poly_det_reference(m) == _poly_cofactor_det(m)
 

@@ -38,50 +38,44 @@ def test_readme_library_example_runs():
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# library code that only tests call, each with the reason it stays
-TEST_ONLY = {
-    "determinantal.singular_locus_rank":
-        "the acceptance criteria check the singular line with it",
-    "determinantal.gd_surface_degree":
-        "ROADMAP item 6 derives the degree it states",
-    "secant.dim_formula_d3_max_k":
-        "ROADMAP item 4's survey bounds the d = 3 formula with it",
-    "determinantal.hb_substituted_moments":
-        "the acceptance criteria check that the minors give the moments",
-    "polyring.Polynomial.coefficient":
-        "the one reader of a single coefficient of a polynomial",
-    "determinantal.gd_jacobian_rank":
-        "only singular_locus_rank reaches it",
-    "determinantal._gd_minor_gradients":
-        "only singular_locus_rank reaches it, through gd_jacobian_rank",
-    "polyring.Polynomial.differentiate":
-        "only singular_locus_rank reaches it, through _gd_minor_gradients",
-}
 
-
-def _refs(node) -> set[str]:
-    """The names a statement uses: its names and attributes, and the dotted
-    parts of its strings (the benchmark wraps functions by name)."""
-    out = set()
-    for sub in ast.walk(node):
+def _refs(*nodes) -> tuple[set[str], set[str]]:
+    """The names some statements use bare and as an attribute: their
+    names, and their attribute accesses (obj.name); a dotted string (the
+    benchmark wraps functions by name) uses its first part bare and the
+    others as attributes."""
+    names, attrs = set(), set()
+    for sub in (s for node in nodes for s in ast.walk(node)):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            attrs.add(sub.attr)
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            out.update(sub.value.split("."))
-    return out
+            head, *tail = sub.value.split(".")
+            names.add(head)
+            attrs.update(tail)
+    return names, attrs
+
+
+def test_a_method_is_used_only_as_an_attribute():
+    # a local variable named like a method does not use it; an attribute
+    # access or a dotted string does
+    names, attrs = _refs(ast.parse(
+        "below = rows >= 3\nrng.next_u64()\nwrap('secant.rank_mod_p')"))
+    assert "below" in names and "below" not in attrs
+    assert {"next_u64", "rank_mod_p"} <= attrs
+    assert "secant" in names and "secant" not in attrs
 
 
 def _units(tree):
-    """(owners, names used) per top-level statement, and per statement of
-    a class body, whose owners are the class and that statement."""
+    """(owners, (bare names, attributes) used) per top-level statement,
+    and per statement of a class body, whose owners are the class and that
+    statement."""
     for stmt in tree.body:
         if isinstance(stmt, ast.ClassDef):
             for item in stmt.body:
                 yield {stmt, item}, _refs(item)
-            yield {stmt}, set().union(*map(_refs, stmt.bases
-                                            + stmt.decorator_list))
+            yield {stmt}, _refs(*stmt.bases, *stmt.decorator_list)
         else:
             yield {stmt}, _refs(stmt)
 
@@ -155,8 +149,8 @@ def _passes(call, pos, name) -> bool:
 
 def test_no_library_code_only_tests_call():
     # every def, class and public method of the package is used by another
-    # definition of the package, the tools or the benchmark, or exported,
-    # or listed in TEST_ONLY with its reason; uses are matched by name
+    # definition of the package, the tools or the benchmark, or exported;
+    # uses are matched by name, and a method's only as an attribute
     trees = {path: ast.parse(path.read_text())
              for top in ("src", "tools", "bench")
              for path in sorted((ROOT / top).rglob("*.py"))
@@ -166,29 +160,17 @@ def test_no_library_code_only_tests_call():
         if path.parent == ROOT / "src" / "gaussmoments":
             module = importlib.import_module(f"gaussmoments.{path.stem}")
             package[path.stem] = list(_definitions(module, tree))
-    # a use inside a TEST_ONLY definition is no production use, so what
-    # only such definitions reach must be listed too
-    test_only = {node for stem, defs in package.items()
-                 for qualname, node in defs
-                 if f"{stem}.{qualname}" in TEST_ONLY}
-    units = [unit for tree in trees.values() for unit in _units(tree)
-             if not unit[0] & test_only]
-    unused, listed = [], set()
+    units = [unit for tree in trees.values() for unit in _units(tree)]
+    unused = []
     for stem, defs in package.items():
         for qualname, node in defs:
-            name = qualname.rpartition(".")[2]
-            used = any(name in refs for owners, refs in units
+            _, dot, name = qualname.rpartition(".")
+            used = any(name in attrs or not dot and name in names
+                       for owners, (names, attrs) in units
                        if node not in owners)
-            key = f"{stem}.{qualname}"
-            if used or qualname in gaussmoments.__all__:
-                continue
-            if key in TEST_ONLY:
-                listed.add(key)
-            else:
-                unused.append(key)
+            if not used and qualname not in gaussmoments.__all__:
+                unused.append(f"{stem}.{qualname}")
     assert unused == []
-    # no entry outlives the code it names, or gains a caller
-    assert listed == set(TEST_ONLY)
 
     # every defaulted parameter of a function that is not exported is
     # passed by some call: a default that no call overrides is a constant

@@ -1,10 +1,11 @@
-"""The seeded SplitMix64 stream: numpy draws against the scalar ones."""
+"""The seeded SplitMix64 stream: numpy draws against the scalar ones
+(tests/util.below)."""
 
 import pytest
 
 from gaussmoments import rng as R
 from gaussmoments.rng import SplitMix64
-from util import PRIMES
+from util import PRIMES, below
 
 # just above 2^63: 2^64 mod n = 2^64 - n, so about half the outputs are
 # rejected
@@ -19,7 +20,7 @@ def test_below_array_uses_the_stream_as_below_does(monkeypatch, n, chunk):
     for seed in (0, 1, 2016, 2 ** 64 - 1):
         scalar, vector = SplitMix64(seed), SplitMix64(seed)
         for count in (0, 1, 100):
-            want = [scalar.below(n) for _ in range(count)]
+            want = [below(scalar, n) for _ in range(count)]
             assert vector.below_array(n, count).tolist() == want, seed
             # and leaves the stream where the calls of below leave it
             assert vector.next_u64() == scalar.next_u64()

@@ -12,10 +12,12 @@ from gaussmoments import moments as M
 from gaussmoments import secant as S
 from gaussmoments.linalg import rank_mod_p, rank_profile_mod_p
 from gaussmoments.rng import SplitMix64, derive_seed
-from util import (PRIMES, deconvolved, fills_ambient, jacobian_reference,
-                  layouts, moment_residues_reference, params_to_modular,
+from util import (PRIMES, below, deconvolved, dim_formula_d3_max_k,
+                  fills_ambient, jacobian_reference, layouts,
+                  moment_residues_reference, params_to_modular, partial,
                   partials_reference, prefix_ranks_reference, rand_mixture,
-                  rank_mod_p_oracle, residue, rotated, terracini_reference)
+                  rank_mod_p_oracle, residue, rotated, terracini_reference,
+                  veronese_layout)
 
 P31 = 2 ** 31 - 1
 
@@ -75,7 +77,7 @@ def _symbolic_blocks(n: int, d: int, point: M.MixtureParams,
     values = [dict(zip(names, c.mean + c.cov_upper))
               for c in point.components]
     return [[[residue(q.evaluate(vals), p)
-              for q in [polys[idx]] + [polys[idx].differentiate(v)
+              for q in [polys[idx]] + [partial(polys[idx], v)
                                        for v in names]]
              for vals in values]
             for idx in M.multi_indices(n, d, min_order=1)]
@@ -108,7 +110,7 @@ class TestJacobianOracle:
         # a prime above d! therefore leaves every coefficient nonzero
         names = M.parameter_ring(n).vars
         for poly in M.moment_polynomials(n, d).values():
-            for q in [poly] + [poly.differentiate(v) for v in names]:
+            for q in [poly] + [partial(poly, v) for v in names]:
                 for c in q.terms.values():
                     assert c.denominator == 1
                     assert factorial(d) % c.numerator == 0, (q, c)
@@ -149,7 +151,7 @@ def _residues(rng, n, k, p):
     """k components of random residues mod p, a quarter of them 0, 1 or
     p - 1."""
     edge = (0, 1, p - 1)
-    return [[edge[rng.below(3)] if rng.below(4) == 0 else rng.below(p)
+    return [[edge[below(rng, 3)] if below(rng, 4) == 0 else below(rng, p)
              for _ in range(n * (n + 3) // 2)] for _ in range(k)]
 
 
@@ -274,10 +276,49 @@ class TestDimensionProperties:
 
     def test_formula_rank_agreement(self):
         for n in range(2, 11):
-            for k in range(1, S.dim_formula_d3_max_k(n) + 1):
+            for k in range(1, dim_formula_d3_max_k(n) + 1):
                 dim, _ = S.secant_dimension(S.SecantProblem(n, 3, k),
                                             trials=2, seed=6, prime=P31)
                 assert dim == S.dim_formula_d3(n, k), (n, k)
+
+
+class TestVeroneseOracle:
+    """At Sigma = 0 the layout is the Terracini matrix of the Veronese
+    variety v_d(P^n) (tests/util.veronese_layout), whose secant dimensions
+    are the Alexander-Hirschowitz theorem (Alexander and Hirschowitz, J.
+    Algebraic Geom. 1995): min(N, k(n+1) - 1), one less at four
+    exceptions, and at d = 2 those of symmetric matrices of rank <= k."""
+
+    EXCEPTIONS = {(2, 4, 5), (3, 4, 9), (4, 3, 7), (4, 4, 14)}
+
+    def expected(self, n, d, k):
+        ambient = comb(n + d, d) - 1
+        if d == 2:
+            k = min(k, n + 1)
+            return min(ambient, k * (n + 1) - 1 - comb(k, 2))
+        return (min(ambient, k * (n + 1) - 1)
+                - ((n, d, k) in self.EXCEPTIONS))
+
+    @pytest.mark.parametrize("prime", [2097143, P31, S.DEFAULT_PRIME])
+    def test_ranks_are_the_alexander_hirschowitz_dimensions(self, prime):
+        # every k up to one past the fill, from one elimination per (n, d)
+        checked = set()
+        for n in range(1, 6):
+            for d in range(2, 6):
+                ambient = comb(n + d, d) - 1
+                fill = n + 1 if d == 2 else -(-(ambient + 1) // (n + 1))
+                rng = SplitMix64(derive_seed(10, n, d))
+                means = rng.below_array(prime, (fill + 1) * n)
+                layout = veronese_layout(
+                    n, d, means.view(np.int64).reshape(fill + 1, n), prime)
+                profile = rank_profile_mod_p(layout, prime)
+                for k in range(1, fill + 2):
+                    assert bisect_left(profile, k * (n + 1) - 1) == \
+                        self.expected(n, d, k), (n, d, k)
+                    checked.add((n, d, k))
+        # each exception with its k - 1 and k + 1
+        assert {(n, d, k + e) for n, d, k in self.EXCEPTIONS
+                for e in (-1, 0, 1)} <= checked
 
 
 class TestCertificates:
@@ -336,7 +377,7 @@ class TestCensus:
         n, d, top, m = 3, 3, 2, 9
         for t, vals in enumerate(S._points(n, d, top, 3, 17, prime)):
             stream = SplitMix64(derive_seed(17, n, d, t))
-            assert vals.tolist() == [[stream.below(prime) for _ in range(m)]
+            assert vals.tolist() == [[below(stream, prime) for _ in range(m)]
                                      for _ in range(top)], t
 
     def test_dim_point_is_a_census_prefix(self, monkeypatch):
@@ -556,7 +597,7 @@ class TestSchurStep:
                     for j in range(3 * (m + 1)):
                         if n < j <= m:
                             # component 2's covariance column sigma_xy
-                            col = [rng.below(prime) for _ in range(height)]
+                            col = [below(rng, prime) for _ in range(height)]
                             col[:comb(n + 2, 3)] = [0] * comb(n + 2, 3)
                             x, y = upper[j - n - 1]
                             exps = [int(x == t) + int(y == t) + int(i0 == t)
@@ -565,11 +606,11 @@ class TestSchurStep:
                                 3 if x == y == i0 else
                                 2 if i0 in (x, y) and x != y else 1)
                         elif j % 3 == 2 and j > m:
-                            coefs = [rng.below(prime) for _ in cols]
+                            coefs = [below(rng, prime) for _ in cols]
                             col = [sum(c * v for c, v in zip(coefs, row))
                                    % prime for row in zip(*cols)]
                         else:
-                            col = [rng.below(prime) for _ in range(height)]
+                            col = [below(rng, prime) for _ in range(height)]
                         cols.append(col)
                     mat = np.array(cols, dtype=np.int64).T.copy()
                     want = [rank_mod_p_oracle(
@@ -600,7 +641,7 @@ class TestSchurStep:
         for i0 in range(n):
             comp_vals = _residues(rng, n, 3, p)
             comp_vals[1][:i0] = comp_vals[0][:i0]
-            comp_vals[1][i0] = (comp_vals[0][i0] + 1 + rng.below(p - 1)) % p
+            comp_vals[1][i0] = (comp_vals[0][i0] + 1 + below(rng, p - 1)) % p
             S._prefix_ranks(n, d, comp_vals, p)
             mat, args = seen.pop()
             assert args == (n, d, i0, p)
@@ -649,6 +690,19 @@ class TestDimensionFormulaD3:
     def test_domain(self):
         with pytest.raises(ValueError):
             S.dim_formula_d3(1, 2)
+
+    def test_equals_the_pivot_chain_bound(self):
+        # the upper bound of the secant module docstring, wherever the
+        # formula tracks the secants
+        pairs = 0
+        for n in range(2, 60):
+            for k in range(1, dim_formula_d3_max_k(n) + 1):
+                bound = (n * (n + 3) // 2
+                         + sum(comb(n - j + 3, 2) for j in range(2, k + 1))
+                         + min(comb(n - k + 3, 3), (k - 1) * (n - k + 1)))
+                assert bound == S.dim_formula_d3(n, k), (n, k)
+                pairs += 1
+        assert pairs == 1273
 
 
 class TestDefectIdentityD3:

@@ -3,17 +3,20 @@ and polynomials (SplitMix64-backed so runs are reproducible), and the
 reference implementations that fast paths are checked against."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 import numpy as np
 
 from gaussmoments import recovery
+from gaussmoments.determinantal import build_gd
 from gaussmoments.moments import (GaussianParams, MixtureParams,
                                   gaussian_moment_table, lower_index,
                                   multi_indices, sigma_var_index)
 from gaussmoments.polyring import Polynomial, PolyRing, grlex_key
 from gaussmoments.rng import SplitMix64
-from gaussmoments.secant import _points
+from gaussmoments.secant import (_moment_blocks, _moment_residues, _points,
+                                 dim_formula_d3)
 
 # primes at the limb boundaries of the modular kernel: for 1, 2 and 3 limbs
 # the largest prime (full 21-bit limbs) and the smallest above the boundary
@@ -21,9 +24,22 @@ PRIMES = (2, 7, 2097143, 2097169, 2 ** 31 - 1, 4398046511093, 4398046511119,
           2 ** 62 - 57)
 
 
+def below(rng: SplitMix64, n: int) -> int:
+    """A uniform integer in [0, n) by rejection sampling (no modulo bias):
+    the scalar draw, one output of the stream at a time, that
+    SplitMix64.below_array makes ``count`` at a time."""
+    if n <= 0:
+        raise ValueError("below() requires n >= 1")
+    limit = (1 << 64) - (1 << 64) % n
+    while True:
+        x = rng.next_u64()
+        if x < limit:
+            return x % n
+
+
 def rand_fraction(rng: SplitMix64, span: int = 5, max_den: int = 4) -> Fraction:
-    num = rng.below(2 * span + 1) - span
-    den = rng.below(max_den) + 1
+    num = below(rng, 2 * span + 1) - span
+    den = below(rng, max_den) + 1
     return Fraction(num, den)
 
 
@@ -46,7 +62,7 @@ def rand_mixture(rng: SplitMix64, n: int, k: int,
     if distinct_first:
         while len({c.mean[0] for c in comps}) < k:
             comps = [rand_gaussian(rng, n) for _ in range(k)]
-    weights = [Fraction(rng.below(5) + 1, 12) for _ in range(k - 1)]
+    weights = [Fraction(below(rng, 5) + 1, 12) for _ in range(k - 1)]
     weights.append(1 - sum(weights))
     return MixtureParams(tuple(comps), tuple(weights))
 
@@ -54,8 +70,8 @@ def rand_mixture(rng: SplitMix64, n: int, k: int,
 def rand_poly(ring, rng: SplitMix64, max_terms: int = 6, max_exp: int = 3):
     terms = {}
     nvars = len(ring.vars)
-    for _ in range(rng.below(max_terms) + 1):
-        e = tuple(rng.below(max_exp + 1) for _ in range(nvars))
+    for _ in range(below(rng, max_terms) + 1):
+        e = tuple(below(rng, max_exp + 1) for _ in range(nvars))
         terms[e] = rand_fraction(rng)
     return ring.from_terms(terms)
 
@@ -90,6 +106,14 @@ def power(p: Polynomial, k: int) -> Polynomial:
     for _ in range(k):
         out = out * p
     return out
+
+
+def partial(p: Polynomial, name: str) -> Polynomial:
+    """The formal partial derivative of p in the variable ``name``, term
+    by term."""
+    i = p.ring.var_index(name)
+    return p.ring.from_terms({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                              for e, c in p.terms.items() if e[i]})
 
 
 def mul_reference(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -202,6 +226,28 @@ def hb_minors_reference(d: int) -> tuple[Polynomial, ...]:
     for i in range(2, d + 1):
         h.append(y * h[i - 1] - (x * z).scale(i - 1) * h[i - 2])
     return tuple(power(z, d - i) * h[i] for i in range(d + 1))
+
+
+def gd_jacobian_reference(d: int, values) -> list[list[Fraction]]:
+    """The Jacobian of the 3x3 minors of the moment matrix (build_gd) at
+    the point m0..md ``values``, one row per column triple in lexicographic
+    order.  By Jacobi's formula the partial of a minor in m_v is the sum of
+    its cofactors times the coefficients of m_v in its linear entries."""
+    g = build_gd(d)
+    point = dict(zip(g.ring.vars, values))
+    a = [[e.evaluate(point) for e in row] for row in g.entries]
+    rows = []
+    for cols in combinations(range(d), 3):
+        row = [Fraction(0)] * (d + 1)
+        for r in range(3):
+            r1, r2 = (r + 1) % 3, (r + 2) % 3
+            for i, c in enumerate(cols):
+                c1, c2 = cols[(i + 1) % 3], cols[(i + 2) % 3]
+                cof = a[r1][c1] * a[r2][c2] - a[r1][c2] * a[r2][c1]
+                for e, coef in g.entries[r][c].terms.items():
+                    row[e.index(1)] += coef * cof
+        rows.append(row)
+    return rows
 
 
 def to_sympy(p):
@@ -440,3 +486,34 @@ def jacobian_reference(n: int, d: int, comp_vals, weights, p: int):
     cols += [((moments - last) % p).astype(object)[:, None]
              for _, moments in blocks[:-1]]
     return np.hstack(cols).tolist()
+
+
+def dim_formula_d3_max_k(n: int) -> int:
+    """Largest K for which the d=3 dimension formula still tracks secant
+    dimensions: the formula must stay within the ambient dimension and in
+    its increasing range (the cubic dips again after the secants fill, which
+    happens for n = 2 already at k = 3)."""
+    ambient = comb(n + 3, 3) - 1
+    k = 1
+    prev = dim_formula_d3(n, 1)
+    while True:
+        nxt = dim_formula_d3(n, k + 1)
+        if nxt <= prev or nxt > ambient:
+            return k
+        k += 1
+        prev = nxt
+
+
+def veronese_layout(n: int, d: int, means, p: int):
+    """The layout of the module docstring of secant at Sigma = 0, as an
+    int64 array: [A_1 | M_2 - M_1, A_2 | ... | M_K - M_1, A_K] with each
+    A_l its n mean columns only.  ``means`` holds each component's mean
+    residues.  At Sigma = 0 the moments are m_a = mu^a, so this is the
+    Terracini matrix of the Veronese variety v_d(P^n) at K points, and the
+    columns of the first k components are its first k(n+1) - 1."""
+    vals = np.zeros((len(means), n * (n + 3) // 2), dtype=np.int64)
+    vals[:, :n] = means
+    blocks = _moment_blocks(n, d, _moment_residues(n, d, vals, p), p)
+    blocks = blocks[:, :, :n + 1]
+    blocks[:, 1:, 0] = (blocks[:, 1:, 0] - blocks[:, :1, 0]) % p
+    return blocks.reshape(len(blocks), -1)[:, 1:]

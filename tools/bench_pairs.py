@@ -11,9 +11,10 @@ are those of ``BENCHMARK.json``.
 
 Writes ``BENCH_<change rev>.json`` at the root of this repository with the
 revs of both trees, the Python and numpy versions and the CPU count, every
-pair's metrics, and per metric the median and quartiles of both sides and
-the number of pairs the change won.  A file that already holds other
-workloads of the same two revs, Python, numpy and CPU count keeps them.
+pair's metrics, and per metric the median and quartiles of both sides, the
+number of pairs the change won, and the number in which the side that ran
+first read worse.  A file that already holds other workloads of the same
+two revs, Python, numpy and CPU count keeps them.
 """
 
 from __future__ import annotations
@@ -68,24 +69,30 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[tuple[str, str]], better: dict[str, str]) -> dict:
+def summarize(pairs: list[tuple[str, str]], better: dict[str, str],
+              firsts: list[str]) -> dict:
     """Per end-to-end metric, from (parent, change) result lines of
-    bench/run.py: the unit, which way is better, the median and quartiles
-    of each side, and in how many pairs the change was strictly better.
-    Also each side's attempted and failed operations and whether every
-    output was correct."""
+    bench/run.py and the side that ran first in each pair ("parent" or
+    "change"): the unit, which way is better, the median and quartiles of
+    each side, in how many pairs the change was strictly better, and in
+    how many the side that ran first was strictly worse (with no bias from
+    the order, about half the pairs).  Also each side's attempted and
+    failed operations and whether every output was correct."""
     sides = [[json.loads(line) for line in side] for side in zip(*pairs)]
     out: dict = {}
     for name, way in better.items():
         values = [[r["metrics"][name]["value"] for r in side]
                   for side in sides]
         sign = 1 if way == "lower" else -1
-        won = sum(sign * (c - p) < 0 for p, c in zip(*values))
+        gains = [sign * (p - c) for p, c in zip(*values)]
         out[name] = {"unit": sides[0][0]["metrics"][name]["unit"],
                      "better": way,
                      "parent": _spread(values[0]),
                      "change": _spread(values[1]),
-                     "change_won": won, "pairs": len(pairs)}
+                     "change_won": sum(g > 0 for g in gains),
+                     "first_lost": sum(g < 0 if first == "change" else g > 0
+                                       for g, first in zip(gains, firsts)),
+                     "pairs": len(pairs)}
     for label, side in zip(("parent", "change"), sides):
         out[f"{label}_runs"] = {
             "attempted": sum(r["attempted"] for r in side),
@@ -130,7 +137,8 @@ def main(argv=None) -> int:
             for side in order), file=sys.stderr)
 
     record.setdefault("workloads", {})[args.workload] = {
-        "seeds": args.seeds, "summary": summarize(lines, better),
+        "seeds": args.seeds,
+        "summary": summarize(lines, better, [r["first"] for r in runs]),
         "runs": runs}
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(path)
