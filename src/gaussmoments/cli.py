@@ -19,8 +19,11 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import combinations
 
 from . import determinantal, moments, recovery, secant
+from .linalg import rank_rational
+from .polyring import det
 from .rng import PRNG_NAME
 from .secant import _shown
 
@@ -185,6 +188,10 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_cumulants(args) -> int:
+    if args.moments is not None and (args.params is not None
+                                     or args.d is not None):
+        raise SystemExit2("cumulants takes --moments alone, or --params "
+                          "with --d")
     _check_order(args.d)
     if args.moments:
         mv = moments.moment_vector_from_json(_load_json(args.moments))
@@ -214,18 +221,19 @@ def _cmd_check(args) -> int:
         if mv.n != 1:
             raise ValueError("the minor test applies to n = 1 only")
         point = {f"m{i}": mv[(i,)] for i in range(mv.d + 1)}
-        witness = None
-        for cols, q in zip(determinantal.gd_minor_columns(mv.d),
-                           determinantal.gd_minors(mv.d)):
-            if q.evaluate(point) != 0:
-                witness = cols
-                break
+        matrix = [[e.evaluate(point) for e in row]
+                  for row in determinantal.build_gd(mv.d)]
+        # the first column triple, in lexicographic order, whose minor is
+        # nonzero at the point
+        witness = next((cols for cols in combinations(range(mv.d), 3)
+                        if det([[row[c] for c in cols] for row in matrix])),
+                       None)
         result["member"] = witness is None
-        result["witness"] = list(witness) if witness else None
+        result["witness"] = [c + 1 for c in witness] if witness else None
     elif method == "willink":
-        out = determinantal.willink_membership(mv.n, mv.d, mv)
-        result["member"] = out.is_member
-        result["witness"] = {"rank": out.rank, "bound": mv.n + 1}
+        rank = rank_rational(determinantal.willink_numeric(mv.n, mv.d, mv))
+        result["member"] = rank <= mv.n + 1
+        result["witness"] = {"rank": rank, "bound": mv.n + 1}
     else:  # cumulant; argparse's choices admit no other method
         witness = _first_nonzero_cumulant(mv)
         result["member"] = witness is None
@@ -328,14 +336,14 @@ def _cmd_structural(args) -> int:
 
 def _cmd_matrix(args) -> int:
     if args.which == "gd":
-        rows = determinantal.build_gd(args.d).entries
+        rows = determinantal.build_gd(args.d)
     elif args.which == "hb":
-        rows = determinantal.build_hilbert_burch(args.d).entries
+        rows = determinantal.build_hilbert_burch(args.d)
     else:
         if args.n is None:
             raise SystemExit2("matrix --which willink needs --n")
         # built also for --moments: it rejects n < 1 and d < 2
-        rows = determinantal.build_willink(args.n, args.d).entries
+        rows = determinantal.build_willink(args.n, args.d)
         if args.moments:
             mv = moments.moment_vector_from_json(_load_json(args.moments))
             rows = determinantal.willink_numeric(args.n, args.d, mv)

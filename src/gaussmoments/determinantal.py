@@ -1,10 +1,13 @@
 """Determinantal representations of Gaussian moment varieties.
 
-Three matrix families, each with linear-form entries:
+Three matrix families, each with linear-form entries and each returned as
+its tuple of rows:
 
 * the 3 x d moment matrix of the univariate moment surface, whose 3x3
-  minors cut out the surface in P^d (criterion 8 ranks their Jacobian on
-  the singular line by ``gd_jacobian_reference`` in ``tests/util.py``);
+  minors cut out the surface in P^d: ``check --method gd`` evaluates the
+  matrix at a moment vector and tests each minor as a number (criterion 8
+  ranks the Jacobian of the minors on the singular line by
+  ``gd_jacobian_reference`` in ``tests/util.py``);
 * the d x (d+1) banded matrix in x, y, z whose maximal minors parametrize
   the same surface (substituting x = -var, y = mean, z = 1 turns them into
   the univariate moments), together with the structural facts about those
@@ -21,25 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
-from .linalg import rank_rational
 from .moments import MomentVector, multi_indices
-from .polyring import Polynomial, PolyRing, det
-
-
-@dataclass(frozen=True)
-class LinearMatrix:
-    """A matrix whose entries are polynomials of total degree <= 1."""
-
-    ring: PolyRing
-    entries: tuple  # tuple of tuples of Polynomial
-
-    def __post_init__(self):
-        for row in self.entries:
-            for e in row:
-                if e.total_degree() > 1:
-                    raise ValueError("matrix entry of degree > 1")
+from .polyring import Polynomial, PolyRing
 
 
 def csv_text(rows) -> str:
@@ -54,7 +41,7 @@ def moment_ring(d: int) -> PolyRing:
     return PolyRing([f"m{i}" for i in range(d + 1)])
 
 
-def build_gd(d: int) -> LinearMatrix:
+def build_gd(d: int) -> tuple:
     """The 3 x d matrix with rows (0, m0, 2m1, ..., (d-1)m_{d-2}),
     (m0..m_{d-1}), (m1..m_d)."""
     if d < 3:
@@ -65,29 +52,13 @@ def build_gd(d: int) -> LinearMatrix:
     top = [zero] + [m[j - 1].scale(j) for j in range(1, d)]
     mid = [m[j] for j in range(d)]
     bot = [m[j + 1] for j in range(d)]
-    return LinearMatrix(ring, (tuple(top), tuple(mid), tuple(bot)))
-
-
-def gd_minor_columns(d: int) -> list[tuple[int, int, int]]:
-    """Column triples (1-based) in lexicographic order."""
-    return [tuple(c + 1 for c in t) for t in combinations(range(d), 3)]
-
-
-@lru_cache(maxsize=None)
-def gd_minors(d: int) -> tuple[Polynomial, ...]:
-    """All binom(d, 3) 3x3 minors of the moment matrix, as cubics."""
-    g = build_gd(d)
-    out = []
-    for cols in combinations(range(d), 3):
-        sub = [[g.entries[r][c] for c in cols] for r in range(3)]
-        out.append(det(sub, g.ring))
-    return tuple(out)
+    return tuple(top), tuple(mid), tuple(bot)
 
 
 # -- the banded d x (d+1) parametrization matrix -------------------------------
 
 
-def build_hilbert_burch(d: int) -> LinearMatrix:
+def build_hilbert_burch(d: int) -> tuple:
     """The d x (d+1) matrix in x, y, z with diagonal y, superdiagonal z and
     subdiagonal x, 2x, ..., (d-1)x."""
     if d < 2:
@@ -103,7 +74,7 @@ def build_hilbert_burch(d: int) -> LinearMatrix:
         row[i] = y
         row[i + 1] = z
         rows.append(tuple(row))
-    return LinearMatrix(ring, tuple(rows))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -228,7 +199,7 @@ def willink_variable(idx) -> str:
     return "m" + "_".join(str(i) for i in idx)
 
 
-def build_willink(n: int, d: int) -> LinearMatrix:
+def build_willink(n: int, d: int) -> tuple:
     """The binom(n+d-1, d-1) x (2n+1) moment matrix, symbolic in the moment
     coordinates: row u is
     (m_u, m_{u+e_1}, ..., m_{u+e_n}, u_1 m_{u-e_1}, ..., u_n m_{u-e_n}).
@@ -237,11 +208,10 @@ def build_willink(n: int, d: int) -> LinearMatrix:
         raise ValueError("the Willink matrix needs n >= 1 and d >= 2")
     names = [willink_variable(idx) for idx in multi_indices(n, d)]
     ring = PolyRing(names)
-    rows = tuple(
+    return tuple(
         tuple(ring.var(willink_variable(idx)).scale(f) if f else ring.zero()
               for idx, f in cols)
         for _, cols in _willink_entry_rows(n, d))
-    return LinearMatrix(ring, rows)
 
 
 def willink_numeric(n: int, d: int, m: MomentVector) -> list[list[Fraction]]:
@@ -252,16 +222,3 @@ def willink_numeric(n: int, d: int, m: MomentVector) -> list[list[Fraction]]:
     return [[m[idx] * f if f else Fraction(0) for idx, f in cols]
             for _, cols in layout]
 
-
-@dataclass(frozen=True)
-class WillinkResult:
-    rank: int
-    is_member: bool
-
-
-def willink_membership(n: int, d: int, m: MomentVector) -> WillinkResult:
-    """Membership in the affine moment variety by Willink rank: the rank is
-    computed exactly over the rationals, and membership means rank <= n+1.
-    """
-    rank = rank_rational(willink_numeric(n, d, m))
-    return WillinkResult(rank, rank <= n + 1)

@@ -7,9 +7,10 @@ recursion m_i = mu*m_{i-1} + (i-1)*var*m_{i-2}:
     m_{a+e_i} = mu_i m_a + sum_j a_j sigma_ij m_{a-e_j}.
 
 It runs on Fractions for exact moments and on Polynomials for the symbolic
-moment polynomials and the recovery equations; the secant Jacobian runs it
-in residues mod p.  Mixture moments are the weighted sum of component
-moments.
+moment polynomials; the secant Jacobian runs it in residues mod p.  The
+recovery equations need only the third moments, which ``recovery._third``
+writes out in closed form.  Mixture moments are the weighted sum of
+component moments.
 
 All values are rationals in the affine chart where the order-zero moment is 1.
 Cumulants are the coefficients of the log of the moment generating function,
@@ -235,11 +236,13 @@ def parameter_ring(n: int) -> PolyRing:
     return PolyRing(names)
 
 
-def sigma_var_index(n: int, i: int, j: int) -> int:
-    """Position of sigma_ij in the parameter ring, 0-based i <= j."""
-    if i > j:
-        i, j = j, i
-    return n + i * n - i * (i - 1) // 2 + (j - i)
+def sigma_var_index(n: int, i, j):
+    """Position of sigma_ij = sigma_ji in the parameter ring, 0-based.  It
+    is the upper-triangle position of (min, max) after the n means, and
+    works elementwise when i and j are int arrays."""
+    lo = (i + j - abs(i - j)) // 2
+    hi = (i + j + abs(i - j)) // 2
+    return n + lo * n - lo * (lo - 1) // 2 + (hi - lo)
 
 
 @lru_cache(maxsize=None)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import prod
 from operator import add
 from typing import Iterable, Mapping, Union
 
@@ -120,10 +121,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
 
     def constant_term(self) -> Fraction:
         return self.terms.get(self.ring._zero_exp, _ZERO)
@@ -237,15 +234,14 @@ class Polynomial:
         return f"<Polynomial {self}>"
 
 
-def det(rows, ring: PolyRing) -> Polynomial:
-    """Determinant of a square matrix of polynomials in ``ring``: the
-    Leibniz sum of k! signed products, with no division (1 for the 0 x 0
-    matrix).  The matrices here are at most 3 x 3."""
-    out = ring.zero()
+def det(rows):
+    """Determinant of a square matrix: the Leibniz sum of k! signed
+    products, with no division (1 for the 0 x 0 matrix).  It uses only +,
+    - and *, so the entries may be Fractions or polynomials of one ring.
+    The matrices here are at most 3 x 3."""
+    out = 0
     for perm in permutations(range(len(rows))):
-        term = ring.one()
-        for r, i in enumerate(perm):
-            term = term * rows[r][i]
+        term = prod(rows[r][i] for r, i in enumerate(perm))
         odd = sum(a > b for a, b in combinations(perm, 2)) % 2
         out = out - term if odd else out + term
     return out

@@ -195,7 +195,7 @@ def _eliminant(g: list[Fraction], h: Polynomial, var: str) -> Polynomial:
                     for j, c in enumerate(hc) if reduced[i + j][r]),
                    ring.zero())
                for i in range(k)] for r in range(k)]
-    return det(matrix, ring)
+    return det(matrix)
 
 
 def _gcd_lists(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

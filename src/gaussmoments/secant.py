@@ -100,7 +100,7 @@ import numpy as np
 from .linalg import (PRIME_LIMIT, _fold, _limb_product,  # noqa: F401
                      _product, _scale, _shifts, _sub_matmul, rank_mod_p,
                      rank_profile_mod_p)
-from .moments import multi_indices
+from .moments import multi_indices, sigma_var_index
 from .rng import PRNG_NAME, SplitMix64, derive_seed
 
 # Fixed 62-bit default prime (2^62 - 57).  It exceeds 20!, so the rule
@@ -207,17 +207,6 @@ def _frozen(*arrays) -> tuple:
     return arrays
 
 
-@lru_cache(maxsize=32)
-def _sigma_positions(n: int):
-    """The read-only n x n table of the position of sigma_ij = sigma_ji
-    among a component's parameters (mu, sigma), with the covariance in
-    np.triu_indices order, as :func:`moments.sigma_var_index` has it."""
-    i, j = np.triu_indices(n)
-    table = np.empty((n, n), dtype=np.intp)
-    table[i, j] = table[j, i] = np.arange(n, n + len(i))
-    return _frozen(table)[0]
-
-
 def _grlex_positions(exps, d: int):
     """The position in the graded-lex order of :func:`multi_indices` of
     each multi-index of order <= d, a row of the int array ``exps``.
@@ -291,8 +280,8 @@ def _recursion_index(n: int, d: int):
     rows, cols = np.nonzero(np.hstack([np.ones((len(a), 1), np.intp), a]))
     i, j = first[rows], cols - 1
     sigma = cols > 0
-    # j = -1 on the terms of mu_i reads a position that np.where drops
-    params = np.where(sigma, _sigma_positions(n)[i, j], i)
+    # j = -1 on the terms of mu_i gives values that np.where drops
+    params = np.where(sigma, sigma_var_index(n, i, j), i)
     coefs = np.where(sigma, a[rows, j], 1)
     srcs = a[rows]
     srcs[np.flatnonzero(sigma), j[sigma]] -= 1
@@ -375,7 +364,7 @@ def _rotate(delta, n: int, i0: int, p: int) -> None:
     inv = pow(u[i0], -1, p)
     u[i0] -= 1
     w = np.array([x * inv % p for x in u], dtype=np.int64)
-    a = delta[:, _sigma_positions(n)[i0]]
+    a = delta[:, sigma_var_index(n, i0, np.arange(n))]
     b = (a - _product(a[:, i0:i0 + 1], w, p)) % p
     delta[:, :n] = (delta[:, :n] - _product(delta[:, i0:i0 + 1], w, p)) % p
     # in chunks of the upper triangle, which bound the temporaries at

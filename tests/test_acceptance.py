@@ -9,6 +9,7 @@ involved (it exceeds d! for d in {3, 4}, as required, and enables the
 vectorized elimination); the univariate suite runs at the 62-bit default.
 """
 
+import json
 from contextlib import contextmanager
 from dataclasses import astuple
 from fractions import Fraction
@@ -152,19 +153,18 @@ def test_criterion_5_recovery_round_trip():
                 R.recover(bad, Fraction(0), Fraction(1))
 
 
-def _verdicts(mv):
+def _verdicts(mv, path, capsys):
+    """The member verdict of ``check`` by each method that applies."""
+    path.write_text(json.dumps(M.moment_vector_to_json(mv)))
     out = {}
-    if mv.n == 1:
-        pt = {f"m{i}": mv[(i,)] for i in range(mv.d + 1)}
-        out["gd"] = all(q.evaluate(pt) == 0 for q in D.gd_minors(mv.d))
-    out["willink"] = D.willink_membership(mv.n, mv.d, mv).is_member
-    cum = M.moments_to_cumulants(mv)
-    out["cumulant"] = all(cum[i] == 0
-                          for i in M.multi_indices(mv.n, mv.d, min_order=3))
+    for method in ("gd", "willink", "cumulant")[mv.n > 1:]:
+        assert cli_main(["check", "--moments", str(path), "--method",
+                         method]) == 0
+        out[method] = json.loads(capsys.readouterr().out)["member"]
     return out
 
 
-def test_criterion_6_membership_triple_agreement():
+def test_criterion_6_membership_triple_agreement(tmp_path, capsys):
     with criterion("6 (membership checks agree on 50 points each)"):
         rng = SplitMix64(4242)
         for n, d in ((1, 6), (1, 10), (2, 4), (3, 3), (4, 4)):
@@ -178,7 +178,7 @@ def test_criterion_6_membership_triple_agreement():
                     vals[(0,) * n] = Fraction(1)
                     mv = M.MomentVector(n, d, vals)
                     expected = None  # generically a non-member
-                verdicts = _verdicts(mv)
+                verdicts = _verdicts(mv, tmp_path / "m.json", capsys)
                 assert len(set(verdicts.values())) == 1, (n, d, t, verdicts)
                 if expected is not None:
                     assert set(verdicts.values()) == {expected}

@@ -18,7 +18,8 @@ from gaussmoments import secant as S
 from gaussmoments.cli import main
 from gaussmoments.linalg import rank_mod_p
 from gaussmoments.rng import SplitMix64
-from util import layouts, rand_mixture
+from util import (below, gd_witness_reference, layouts, rand_fraction,
+                  rand_mixture, rand_nonzero_fraction)
 
 P31 = 2 ** 31 - 1
 
@@ -106,6 +107,18 @@ class TestCumulants:
                 2, "", "usage error: cumulants needs --moments, or --params "
                 "with --d\n")
 
+    def test_moments_with_params_or_order_is_usage_error(self, capsys,
+                                                          tmp_path):
+        # --moments fixes the vector; a --d or --params beside it would be
+        # ignored, and the file it names never opened
+        path = write_moments(tmp_path, M.univariate_moments(1, 2, 4))
+        for args in (("--d", "2"), ("--d", "4"),
+                     ("--params", str(tmp_path / "missing.json")),
+                     ("--params", path, "--d", "4")):
+            assert run(capsys, "cumulants", "--moments", path, *args) == (
+                2, "", "usage error: cumulants takes --moments alone, or "
+                "--params with --d\n")
+
 
 class TestCheck:
     def test_member_by_all_methods(self, capsys, tmp_path):
@@ -137,6 +150,43 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--moments", path,
                            "--method", "willink")
         assert json.loads(out)["member"] is False
+
+    @pytest.mark.parametrize("d", range(3, 10))
+    def test_gd_witness_is_the_first_nonzero_minor(self, capsys, tmp_path,
+                                                   d):
+        # a Gaussian's moments, the same with m_d or another m_j changed,
+        # and random vectors, against the minors expanded as cubics: the
+        # minors on (1, 2, i), i < j, do not involve m_j, and the one on
+        # (1, 2, j) is m_j less its value from the moments below it
+        rng = SplitMix64(700 + d)
+        gauss = M.univariate_moments(rand_fraction(rng), rand_fraction(rng), d)
+        gauss = [gauss[(i,)] for i in range(d + 1)]
+        cases = [(gauss, None)]
+        for j in (d, below(rng, d - 2) + 3):
+            pushed = list(gauss)
+            pushed[j] += rand_nonzero_fraction(rng)
+            cases.append((pushed, (1, 2, j)))
+        for _ in range(4):
+            cases.append(([Fraction(1)] + [rand_fraction(rng, span=2)
+                                           for _ in range(d)], "random"))
+        for values, want in cases:
+            witness = gd_witness_reference(values)
+            if want != "random":
+                assert witness == want
+            path = write_moments(tmp_path, M.MomentVector(
+                1, d, {(i,): v for i, v in enumerate(values)}))
+            code, out, err = run(capsys, "check", "--moments", path,
+                                 "--method", "gd")
+            assert (code, err) == (0, "")
+            data = json.loads(out)
+            assert data["member"] is (witness is None)
+            assert data["witness"] == (list(witness) if witness else None)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_gd_needs_order_three(self, capsys, tmp_path, d):
+        path = write_moments(tmp_path, M.univariate_moments(1, 2, d))
+        assert run(capsys, "check", "--moments", path, "--method", "gd") == (
+            1, "", "error: the moment matrix needs d >= 3\n")
 
     def test_gd_requires_univariate(self, capsys, tmp_path):
         rng = SplitMix64(6)

@@ -42,7 +42,8 @@ def test_a_changed_help_text_is_printed_in_full(tmp_path):
 
 def test_a_changed_check_witness_differs_on_the_seeded_calls(tmp_path):
     # the benchmark runs no check; the seeded corpus runs each method on
-    # a Gaussian and a mixture for n = 1, 2, 3
+    # a Gaussian and a mixture for n = 1, 2, 3, and on a Gaussian of order
+    # 4..8 and the same with its top moment raised
     changed = tmp_path / "src"
     shutil.copytree(SRC / "gaussmoments", changed / "gaussmoments",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -54,10 +55,10 @@ def test_a_changed_check_witness_differs_on_the_seeded_calls(tmp_path):
     assert proc.returncode == 1
     differ = [line for line in proc.stdout.splitlines()
               if line.startswith("differs: ")]
-    assert len(differ) == 6
+    assert len(differ) == 8
     assert all(" check --moments " in line and line.endswith(
         " --method willink") for line in differ)
-    assert proc.stdout.endswith("121 calls, 6 differ\n")
+    assert proc.stdout.endswith("127 calls, 8 differ\n")
 
 
 def test_the_seeded_corpus_covers_the_subcommands_the_benchmark_skips(

@@ -3,14 +3,15 @@
 from fractions import Fraction
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
 from gaussmoments import moments as M
 from gaussmoments.polyring import PolyRing
 from gaussmoments.rng import SplitMix64
-from util import (annihilates, free_weight_mixture, index_factorial,
-                  moment_count, rand_fraction, rand_gaussian, rand_mixture,
-                  willink_kernel)
+from util import (annihilates, free_weight_mixture, gd_minors_reference,
+                  index_factorial, moment_count, rand_fraction, rand_gaussian,
+                  rand_mixture, willink_kernel)
 
 
 class TestMultiIndices:
@@ -286,26 +287,51 @@ class TestCumulantSympyOracle:
         assert M.cumulants_to_moments(cum) == mv
 
 
+class TestSigmaVarIndex:
+    def test_names_the_parameter_ring_variable(self):
+        for n in range(1, 7):
+            names = M.parameter_ring(n).vars
+            for i in range(n):
+                for j in range(n):
+                    lo, hi = sorted((i, j))
+                    assert names[M.sigma_var_index(n, i, j)] == \
+                        f"s{lo + 1}_{hi + 1}"
+
+    def test_array_form_equals_scalar_form(self):
+        # secant indexes its residue arrays with the array form
+        for n in range(1, 13):
+            i, j = np.indices((n, n)).reshape(2, -1)
+            for a, b in ((i, j), (j, i)):
+                got = M.sigma_var_index(n, a, b)
+                assert got.dtype == a.dtype
+                assert got.tolist() == [M.sigma_var_index(n, x, y)
+                                        for x, y in zip(a.tolist(),
+                                                        b.tolist())]
+            for i0 in range(n):
+                assert M.sigma_var_index(n, i0, np.arange(n)).tolist() == [
+                    M.sigma_var_index(n, i0, y) for y in range(n)]
+
+
 class TestMembershipCharacterizations:
     def test_three_characterizations_agree_on_members(self):
         # minors (n=1), Willink rank, and cumulant vanishing all certify the
         # same variety on the chart
-        from gaussmoments.determinantal import (gd_minors, willink_membership,
-                                                willink_numeric)
+        from gaussmoments.determinantal import willink_numeric
+        from gaussmoments.linalg import rank_rational
         rng = SplitMix64(55)
         for n, d in ((1, 6), (2, 4), (3, 3)):
             g = rand_gaussian(rng, n)
             mv = M.gaussian_moments(g, d)
-            res = willink_membership(n, d, mv)
-            assert res.rank == n + 1 and res.is_member
             mat = willink_numeric(n, d, mv)
+            assert rank_rational(mat) == n + 1
             assert all(annihilates(mat, vec) for vec in willink_kernel(g))
             cum = M.moments_to_cumulants(mv)
             assert all(cum[idx] == 0
                        for idx in M.multi_indices(n, d, min_order=3))
             if n == 1:
                 pt = {f"m{i}": mv[(i,)] for i in range(d + 1)}
-                assert all(q.evaluate(pt) == 0 for q in gd_minors(d))
+                assert all(q.evaluate(pt) == 0
+                           for q in gd_minors_reference(d).values())
 
 
 class TestDegenerateMeanIdentity:

@@ -12,9 +12,9 @@ from gaussmoments import moments as M
 from gaussmoments.polyring import PolyRing, det
 from gaussmoments.rng import SplitMix64
 from gaussmoments.secant import is_prime
-from util import (below, exact_div_reference, index_factorial,
-                  mul_reference, partial, poly_det_reference, rand_fraction,
-                  rand_poly, substitute_reference, to_sympy)
+from util import (below, exact_div_reference, gd_minors_reference,
+                  index_factorial, mul_reference, partial, poly_det_reference,
+                  rand_fraction, rand_poly, substitute_reference, to_sympy)
 
 XYZ = PolyRing(["x", "y", "z"])
 
@@ -106,9 +106,7 @@ class TestDifferentiate:
         # the minor of the 3x6 moment matrix on columns (4,5,6) expands to
         # 3 m2 m4 m6 - 3 m2 m5^2 - 4 m3^2 m6 + 9 m3 m4 m5 - 5 m4^3 (by hand);
         # its m4-partial is 3 m2 m6 + 9 m3 m5 - 15 m4^2
-        from gaussmoments.determinantal import gd_minor_columns, gd_minors
-        idx = gd_minor_columns(6).index((4, 5, 6))
-        minor = gd_minors(6)[idx]
+        minor = gd_minors_reference(6)[4, 5, 6]
         ring = minor.ring
         m = {v: ring.var(v) for v in ring.vars}
         assert minor == ((m["m2"] * m["m4"] * m["m6"]).scale(3)
@@ -311,15 +309,17 @@ class TestExactDivOracle:
     @settings(max_examples=150, deadline=None)
     @given(SEEDS)
     @example(23_532_373_568_691_272)  # draws d = 0
+    @example(398_388_291_152_534)  # draws d = 3/4
     def test_inexact_raises(self, seed):
         # r != 0 has lower total degree than d, so d does not divide q*d + r
         rng = SplitMix64(seed)
         q = rand_poly(XYZ, rng, max_terms=4)
         d = rand_poly(XYZ, rng, max_terms=3) + XYZ.var("x")
-        assume(not d.is_zero())  # rand_poly may draw -x
+        # rand_poly may draw -x or -x + c, and a constant divides everything
+        assume(any(map(sum, d.terms)))
         r = rand_poly(XYZ, rng, max_terms=3)
         r = XYZ.from_terms({e: c for e, c in r.terms.items()
-                            if sum(e) < d.total_degree()})
+                            if sum(e) < max(map(sum, d.terms))})
         if r.is_zero():
             r = XYZ.one()
         with pytest.raises(ValueError, match="inexact"):
@@ -335,7 +335,7 @@ class TestDet:
     """polyring.det, the Leibniz sum, against the Bareiss oracle."""
 
     def test_empty_matrix(self):
-        assert det([], XYZ) == XYZ.one()
+        assert det([]) == 1
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_against_bareiss(self, size):
@@ -343,7 +343,19 @@ class TestDet:
         for _ in range(5):
             rows = [[rand_poly(XYZ, rng, max_terms=3, max_exp=2)
                      for _ in range(size)] for _ in range(size)]
-            assert det(rows, XYZ) == poly_det_reference(rows)
+            assert det(rows) == poly_det_reference(rows)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_fraction_entries(self, size):
+        # the same sum on numbers, as ``check --method gd`` runs it
+        rng = SplitMix64(910 + size)
+        for _ in range(5):
+            rows = [[rand_fraction(rng) for _ in range(size)]
+                    for _ in range(size)]
+            got = det(rows)
+            assert type(got) is Fraction
+            assert got == poly_det_reference(
+                [[XYZ.const(x) for x in row] for row in rows]).constant_term()
 
 
 class TestSeriesSympyOracle:

@@ -3,6 +3,7 @@ and polynomials (SplitMix64-backed so runs are reproducible), and the
 reference implementations that fast paths are checked against."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 
@@ -228,14 +229,35 @@ def hb_minors_reference(d: int) -> tuple[Polynomial, ...]:
     return tuple(power(z, d - i) * h[i] for i in range(d + 1))
 
 
+@lru_cache(maxsize=None)
+def gd_minors_reference(d: int) -> dict:
+    """Each 3x3 minor of the moment matrix (build_gd) as a cubic, keyed by
+    its 1-based column triple, in lexicographic order: Bareiss
+    (poly_det_reference) on the matrix's rows."""
+    rows = build_gd(d)
+    return {tuple(c + 1 for c in cols):
+            poly_det_reference([[row[c] for c in cols] for row in rows])
+            for cols in combinations(range(d), 3)}
+
+
+def gd_witness_reference(values):
+    """The first column triple whose minor (gd_minors_reference) is nonzero
+    at the point m0..md ``values``, or None: the oracle of the witness of
+    ``check --method gd``."""
+    point = {f"m{i}": v for i, v in enumerate(values)}
+    return next((cols for cols, q in
+                 gd_minors_reference(len(values) - 1).items()
+                 if q.evaluate(point)), None)
+
+
 def gd_jacobian_reference(d: int, values) -> list[list[Fraction]]:
     """The Jacobian of the 3x3 minors of the moment matrix (build_gd) at
     the point m0..md ``values``, one row per column triple in lexicographic
     order.  By Jacobi's formula the partial of a minor in m_v is the sum of
     its cofactors times the coefficients of m_v in its linear entries."""
     g = build_gd(d)
-    point = dict(zip(g.ring.vars, values))
-    a = [[e.evaluate(point) for e in row] for row in g.entries]
+    point = {f"m{i}": v for i, v in enumerate(values)}
+    a = [[e.evaluate(point) for e in row] for row in g]
     rows = []
     for cols in combinations(range(d), 3):
         row = [Fraction(0)] * (d + 1)
@@ -244,7 +266,7 @@ def gd_jacobian_reference(d: int, values) -> list[list[Fraction]]:
             for i, c in enumerate(cols):
                 c1, c2 = cols[(i + 1) % 3], cols[(i + 2) % 3]
                 cof = a[r1][c1] * a[r2][c2] - a[r1][c2] * a[r2][c1]
-                for e, coef in g.entries[r][c].terms.items():
+                for e, coef in g[r][c].terms.items():
                     row[e.index(1)] += coef * cof
         rows.append(row)
     return rows

@@ -11,7 +11,8 @@ and compares the exit code, stdout and stderr of every call:
   ``bench/workloads.py``, and calls of the subcommands the benchmark does
   not run (``moments``, ``cumulants``, ``check`` with each method,
   ``formulas`` with each flag, ``matrix`` for each matrix with and without
-  ``--moments``) on inputs drawn from the seed, and ``dim`` and
+  ``--moments``, and ``check`` at orders 4..8, where the gd matrix has
+  more than one minor) on inputs drawn from the seed, and ``dim`` and
   ``census`` calls at d = 4 and 5, n = 2..6, at one prime per limb count
   of the rank kernel (1, 2 and 3 limbs), which the benchmark runs at
   other orders and primes.  The input files of both go to a temporary
@@ -33,6 +34,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -86,7 +88,9 @@ def cli_corpus(seeds: list[int], inputs: Path) -> list[list[str]]:
     """For each seed and n = 1, 2, 3: the seeded calls of ``moments``,
     ``cumulants``, ``check`` and ``matrix`` on a random two-component
     mixture and on its first component alone (a Gaussian, so a member of
-    the moment variety), and one call of ``formulas`` per flag."""
+    the moment variety); one call of ``formulas`` per flag; and ``check``
+    with each method on the moments of a univariate Gaussian of a random
+    order 4..8, and on the same moments with the top one raised by 1."""
     sys.path.insert(0, str(BENCH))
     import oracles
 
@@ -131,7 +135,29 @@ def cli_corpus(seeds: list[int], inputs: Path) -> list[list[str]]:
         calls.append(["formulas", "--conj-eleven", "--n",
                       str(rng.randint(8, 12)), "--r",
                       f"3..{rng.randint(3, 6)}", "--format", fmt])
+        # at order 3 the gd matrix has one minor; at order 4..8 the order
+        # in which check looks for a nonzero one shows in its witness
+        mix = oracles.random_mixture(rng, 1)
+        top = rng.randint(4, 8)
+        gaussian = univariate_moments(mix["means"][0][0], mix["covs"][0][0],
+                                      top)
+        pushed = gaussian[:-1] + [gaussian[-1] + 1]
+        for name, m in (("gaussian", gaussian), ("pushed", pushed)):
+            path = str(inputs / f"{name}-order{top}-n1-seed{seed}.json")
+            Path(path).write_text(json.dumps({"n": 1, "d": top, "values": [
+                {"idx": [i], "num": v.numerator, "den": v.denominator}
+                for i, v in enumerate(m)]}))
+            calls += [["check", "--moments", path, "--method", how]
+                      for how in ("gd", "willink", "cumulant")]
     return calls
+
+
+def univariate_moments(mean: Fraction, var: Fraction, d: int) -> list:
+    """m_0..m_d of N(mean, var) by m_i = mean m_{i-1} + (i-1) var m_{i-2}."""
+    m = [Fraction(1), mean]
+    for i in range(2, d + 1):
+        m.append(mean * m[i - 1] + (i - 1) * var * m[i - 2])
+    return m
 
 
 # one prime per limb count of linalg's residue arithmetic: 21, 31 and 62 bits
