@@ -220,9 +220,8 @@ def _cmd_check(args) -> int:
     if method == "gd":
         if mv.n != 1:
             raise ValueError("the minor test applies to n = 1 only")
-        point = {f"m{i}": mv[(i,)] for i in range(mv.d + 1)}
-        matrix = [[e.evaluate(point) for e in row]
-                  for row in determinantal.build_gd(mv.d)]
+        matrix = determinantal.evaluate(determinantal.build_gd(mv.d),
+                                        determinantal.moment_point(mv))
         # the first column triple, in lexicographic order, whose minor is
         # nonzero at the point
         witness = next((cols for cols in combinations(range(mv.d), 3)
@@ -231,7 +230,9 @@ def _cmd_check(args) -> int:
         result["member"] = witness is None
         result["witness"] = [c + 1 for c in witness] if witness else None
     elif method == "willink":
-        rank = rank_rational(determinantal.willink_numeric(mv.n, mv.d, mv))
+        rank = rank_rational(determinantal.evaluate(
+            determinantal.build_willink(mv.n, mv.d),
+            determinantal.moment_point(mv)))
         result["member"] = rank <= mv.n + 1
         result["witness"] = {"rank": rank, "bound": mv.n + 1}
     else:  # cumulant; argparse's choices admit no other method
@@ -335,6 +336,11 @@ def _cmd_structural(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    if args.which != "willink":
+        for option, value in (("--n", args.n), ("--moments", args.moments)):
+            if value is not None:
+                raise SystemExit2(f"matrix --which {args.which} takes no "
+                                  f"{option}")
     if args.which == "gd":
         rows = determinantal.build_gd(args.d)
     elif args.which == "hb":
@@ -342,11 +348,15 @@ def _cmd_matrix(args) -> int:
     else:
         if args.n is None:
             raise SystemExit2("matrix --which willink needs --n")
-        # built also for --moments: it rejects n < 1 and d < 2
+        if args.n < 1 or args.d < 2:
+            raise ValueError("the Willink matrix needs n >= 1 and d >= 2")
         rows = determinantal.build_willink(args.n, args.d)
         if args.moments:
             mv = moments.moment_vector_from_json(_load_json(args.moments))
-            rows = determinantal.willink_numeric(args.n, args.d, mv)
+            if mv.n != args.n or mv.d < args.d:
+                raise ValueError("moment vector does not match (n, d)")
+            rows = determinantal.evaluate(rows,
+                                          determinantal.moment_point(mv))
     sys.stdout.write(determinantal.csv_text(rows))
     return 0
 

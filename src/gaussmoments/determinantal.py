@@ -1,7 +1,7 @@
 """Determinantal representations of Gaussian moment varieties.
 
-Three matrix families, each with linear-form entries and each returned as
-its tuple of rows:
+Three matrix families, each of whose entries is a coefficient times one
+variable:
 
 * the 3 x d moment matrix of the univariate moment surface, whose 3x3
   minors cut out the surface in P^d: ``check --method gd`` evaluates the
@@ -13,32 +13,61 @@ its tuple of rows:
   the univariate moments), together with the structural facts about those
   minors that drive the surface nondefectivity argument (the minors come
   from their continuant recurrence, the homogenized three-term moment
-  recursion); and
+  recursion, as maps from exponents of (x, y, z) to integer coefficients);
+  and
 * the Willink moment matrix for n-dimensional Gaussians, whose rank-(n+1)
   locus is the affine moment variety and whose explicit kernel vectors carry
   the mean and covariance.
+
+Each builder returns its matrix as a layout: a tuple of rows of
+(coefficient, variable name) entries, where a coefficient of 0 marks a
+structural zero (whose name is None).  :func:`csv_text` prints a layout,
+and :func:`evaluate` gives its matrix of Fractions at a point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .moments import MomentVector, multi_indices
-from .polyring import Polynomial, PolyRing
+from .moments import MomentVector, lower_index, multi_indices
+
+_ZERO = (0, None)
 
 
 def csv_text(rows) -> str:
-    """One line per row, each entry's text in double quotes."""
-    return "".join(",".join(f'"{e}"' for e in row) + "\n" for row in rows)
+    """One line per row, each entry's text in double quotes: a layout
+    entry (c, v) as 0, v or c*v, a number as str prints it."""
+    return "".join(",".join(f'"{_entry_text(e)}"' for e in row) + "\n"
+                   for row in rows)
+
+
+def _entry_text(entry) -> str:
+    if not isinstance(entry, tuple):
+        return str(entry)
+    c, v = entry
+    return "0" if not c else v if c == 1 else f"{c}*{v}"
+
+
+def evaluate(rows, point) -> list[list[Fraction]]:
+    """The matrix of a layout at ``point``, a map from variable names to
+    Fractions."""
+    return [[c * point[v] if c else Fraction(0) for c, v in row]
+            for row in rows]
+
+
+def moment_variable(idx) -> str:
+    """The name of the moment m_idx in every layout: m3 on the line, and
+    m1_0_2 for n = 3."""
+    return "m" + "_".join(str(i) for i in idx)
+
+
+def moment_point(m: MomentVector) -> dict:
+    """The moment vector as a point: each moment's name to its value."""
+    return {moment_variable(idx): v for idx, v in m.items()}
 
 
 # -- the 3 x d univariate moment matrix ---------------------------------------
-
-
-def moment_ring(d: int) -> PolyRing:
-    return PolyRing([f"m{i}" for i in range(d + 1)])
 
 
 def build_gd(d: int) -> tuple:
@@ -46,13 +75,9 @@ def build_gd(d: int) -> tuple:
     (m0..m_{d-1}), (m1..m_d)."""
     if d < 3:
         raise ValueError("the moment matrix needs d >= 3")
-    ring = moment_ring(d)
-    m = [ring.var(f"m{i}") for i in range(d + 1)]
-    zero = ring.zero()
-    top = [zero] + [m[j - 1].scale(j) for j in range(1, d)]
-    mid = [m[j] for j in range(d)]
-    bot = [m[j + 1] for j in range(d)]
-    return tuple(top), tuple(mid), tuple(bot)
+    m = [moment_variable((i,)) for i in range(d + 1)]
+    top = (_ZERO,) + tuple((j, m[j - 1]) for j in range(1, d))
+    return top, tuple((1, v) for v in m[:-1]), tuple((1, v) for v in m[1:])
 
 
 # -- the banded d x (d+1) parametrization matrix -------------------------------
@@ -63,24 +88,21 @@ def build_hilbert_burch(d: int) -> tuple:
     subdiagonal x, 2x, ..., (d-1)x."""
     if d < 2:
         raise ValueError("the parametrization matrix needs d >= 2")
-    ring = PolyRing(["x", "y", "z"])
-    x, y, z = ring.var("x"), ring.var("y"), ring.var("z")
-    zero = ring.zero()
     rows = []
     for i in range(d):
-        row = [zero] * (d + 1)
+        row = [_ZERO] * (d + 1)
         if i >= 1:
-            row[i - 1] = x.scale(i)
-        row[i] = y
-        row[i + 1] = z
+            row[i - 1] = (i, "x")
+        row[i] = (1, "y")
+        row[i + 1] = (1, "z")
         rows.append(tuple(row))
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def hb_minors(d: int) -> tuple[Polynomial, ...]:
-    """The d+1 maximal minors b_0..b_d; b_i deletes column i and is monic
-    with leading term y^i z^(d-i).
+def hb_minors(d: int) -> tuple[dict, ...]:
+    """The d+1 maximal minors b_0..b_d, each as its terms: a map from the
+    exponents (a, b, c) of x^a y^b z^c to an int coefficient.  b_i deletes
+    column i and is monic with leading term y^i z^(d-i).
 
     Deleting column i leaves a block lower-triangular matrix: the leading
     i x i tridiagonal block, whose determinant is the continuant
@@ -97,7 +119,6 @@ def hb_minors(d: int) -> tuple[Polynomial, ...]:
     """
     if d < 2:
         raise ValueError("the parametrization matrix needs d >= 2")
-    ring = PolyRing(["x", "y", "z"])
     minors = []
     for i in range(d + 1):
         terms = {}
@@ -106,7 +127,7 @@ def hb_minors(d: int) -> tuple[Polynomial, ...]:
             terms[k, i - 2 * k, d - i + k] = c
             # the ratio of consecutive coefficients; the quotient is exact
             c = -c * (i - 2 * k) * (i - 2 * k - 1) // (2 * (k + 1))
-        minors.append(ring.from_terms(terms))
+        minors.append(terms)
     return tuple(minors)
 
 
@@ -121,20 +142,18 @@ class StructuralReport:
     lowest_terms_ok: bool      # lowest terms at (1:0:0) follow the z-pattern
 
 
-def _lowest_part_at_base_point(p: Polynomial) -> dict:
-    """Terms of lowest total (y,z)-degree after setting x = 1."""
-    iy = p.ring.var_index("y")
-    iz = p.ring.var_index("z")
+def _lowest_part_at_base_point(terms: dict) -> dict:
+    """Terms of lowest total (y,z)-degree after setting x = 1, keyed by
+    their (y, z) exponents."""
     best = None
     part: dict = {}
-    for e, c in p.terms.items():
-        key = (e[iy], e[iz])
-        deg = key[0] + key[1]
+    for (_, y, z), c in terms.items():
+        deg = y + z
         if best is None or deg < best:
             best = deg
-            part = {key: c}
+            part = {(y, z): c}
         elif deg == best:
-            part[key] = part.get(key, 0) + c
+            part[y, z] = part.get((y, z), 0) + c
     return {k: v for k, v in part.items() if v != 0}
 
 
@@ -148,13 +167,12 @@ def hb_structural_checks(d: int) -> StructuralReport:
     seen: set = set()
     disjoint = True
     for q in minors:
-        for e in q.terms:
+        for e in q:
             if e in seen:
                 disjoint = False
             seen.add(e)
 
-    iy = minors[0].ring.var_index("y")
-    no_y2 = all(min(e[iy] for e in q.terms) < 2 for q in minors)
+    no_y2 = all(min(y for _, y, _ in q) < 2 for q in minors)
 
     lowest_ok = True
     for i, q in enumerate(minors):
@@ -172,53 +190,19 @@ def hb_structural_checks(d: int) -> StructuralReport:
 # -- the Willink matrix ---------------------------------------------------------
 
 
-def _willink_entry_rows(n: int, d: int):
-    """Row layout: for u with |u| <= d-1 yield the 2n+1 (index, factor)
-    column entries; factor 0 marks a structural zero."""
-    rows = []
-    for u in multi_indices(n, d - 1):
-        cols = [(u, 1)]
-        for i in range(n):
-            up = list(u)
-            up[i] += 1
-            cols.append((tuple(up), 1))
-        for i in range(n):
-            if u[i] == 0:
-                cols.append((u, 0))
-            else:
-                um = list(u)
-                um[i] -= 1
-                cols.append((tuple(um), u[i]))
-        rows.append((u, cols))
-    return rows
-
-
-def willink_variable(idx) -> str:
-    if len(idx) == 1:
-        return f"m{idx[0]}"
-    return "m" + "_".join(str(i) for i in idx)
-
-
 def build_willink(n: int, d: int) -> tuple:
     """The binom(n+d-1, d-1) x (2n+1) moment matrix, symbolic in the moment
-    coordinates: row u is
+    coordinates: row u, for each u with |u| <= d-1, is
     (m_u, m_{u+e_1}, ..., m_{u+e_n}, u_1 m_{u-e_1}, ..., u_n m_{u-e_n}).
+    Any d >= 0 is taken: ``check --method willink`` ranks the matrix at
+    every order, the one row of d = 1 included.
     """
-    if n < 1 or d < 2:
-        raise ValueError("the Willink matrix needs n >= 1 and d >= 2")
-    names = [willink_variable(idx) for idx in multi_indices(n, d)]
-    ring = PolyRing(names)
-    return tuple(
-        tuple(ring.var(willink_variable(idx)).scale(f) if f else ring.zero()
-              for idx, f in cols)
-        for _, cols in _willink_entry_rows(n, d))
-
-
-def willink_numeric(n: int, d: int, m: MomentVector) -> list[list[Fraction]]:
-    """The Willink matrix at a moment vector of dimension n and order >= d."""
-    if m.n != n or m.d < d:
-        raise ValueError("moment vector does not match (n, d)")
-    layout = _willink_entry_rows(n, d)
-    return [[m[idx] * f if f else Fraction(0) for idx, f in cols]
-            for _, cols in layout]
-
+    name = {idx: moment_variable(idx) for idx in multi_indices(n, d)}
+    rows = []
+    for u in multi_indices(n, d - 1):
+        row = [(1, name[u])]
+        row += [(1, name[u[:i] + (u[i] + 1,) + u[i + 1:]]) for i in range(n)]
+        row += [(u[i], name[lower_index(u, i)]) if u[i] else _ZERO
+                for i in range(n)]
+        rows.append(tuple(row))
+    return tuple(rows)

@@ -271,11 +271,6 @@ def mixture_moments(params: MixtureParams, d: int) -> MomentVector:
     return MomentVector(params.n, d, values)
 
 
-def gaussian_moments(params: GaussianParams, d: int) -> MomentVector:
-    """Moments of a single Gaussian (the k = 1 mixture)."""
-    return mixture_moments(MixtureParams((params,), (Fraction(1),)), d)
-
-
 def univariate_moments(mu, var, d: int) -> MomentVector:
     """Moments of N(mu, var) on the line: the n = 1 moment table, i.e. the
     three-term recursion m_i = mu*m_{i-1} + (i-1)*var*m_{i-2}, which is

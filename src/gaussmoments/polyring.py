@@ -4,11 +4,11 @@ A polynomial is a map from exponent tuples to nonzero coefficients, tied to a
 ring that fixes the ordered variable list.  Coefficients are rationals,
 represented by ``fractions.Fraction`` (always in lowest terms with positive
 denominator); ints are coerced to ``Fraction`` where a polynomial is built.
+The package uses it for the symbolic moment polynomials
+(``moments.moment_polynomials``) and for the recovery's arithmetic over
+Q[b2, b3]; a polynomial is evaluated exactly, never printed.
 
-There is no floating point anywhere in this module.  Term order for
-iteration and text serialization is graded lexicographic (total degree
-first, then lexicographic with the first variable most significant), which
-makes all output deterministic.
+There is no floating point anywhere in this module.
 
 Polynomials are immutable values; all operations are pure functions, so
 instances can be shared freely across threads.
@@ -30,11 +30,6 @@ _ZERO = Fraction(0)
 
 def _coerce(c: ScalarLike) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
-
-
-def grlex_key(e: Exponent):
-    """Sort key realizing the graded lexicographic order (ascending)."""
-    return (sum(e), e)
 
 
 def _accumulate(out: dict, shift: Exponent, c: Fraction, terms) -> None:
@@ -203,35 +198,6 @@ class Polynomial:
                     t = t * vals[i] ** k
             acc = acc + t
         return acc
-
-    # -- serialization -----------------------------------------------------
-
-    def __str__(self) -> str:
-        """Canonical text form: graded-lex order, ``coeff*var^e`` syntax."""
-        if not self.terms:
-            return "0"
-        pieces = []
-        for e, c in sorted(self.terms.items(), key=lambda t: grlex_key(t[0]),
-                           reverse=True):
-            mono = "*".join(
-                f"{v}^{k}" if k > 1 else v
-                for v, k in zip(self.ring.vars, e) if k)
-            neg = c < 0
-            a = -c if neg else c
-            if not mono:
-                body = str(a)
-            elif a == 1:
-                body = mono
-            else:
-                body = f"{a}*{mono}"
-            if not pieces:
-                pieces.append(f"-{body}" if neg else body)
-            else:
-                pieces.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(pieces)
-
-    def __repr__(self):  # pragma: no cover
-        return f"<Polynomial {self}>"
 
 
 def det(rows):

@@ -33,9 +33,9 @@ layout fill its first k*(m+1) - 1 columns, so the layout of K components
 holds the one of every k <= K as a column prefix.  The component values of
 a trial come from one stream, derive_seed(seed, n, d, trial), drawn one
 component after another, so they do not depend on k, and one elimination
-gives the rank of every prefix of whole components: :func:`census`,
-:func:`defect_row` and :func:`secant_dimension` all do one elimination per
-(n, trial) (:func:`_prefix_ranks`).  No layout is formed.
+gives the rank of every prefix of whole components: :func:`census` and
+:func:`defect_row` both do one elimination per (n, trial)
+(:func:`_prefix_ranks`).  No layout is formed.
 
 Two symmetries of Gaussians fix part of the layout in closed form before
 that elimination.  Each acts on the layout by a row operation (an
@@ -574,18 +574,12 @@ def _rows(n: int, d: int, ks, trials: int, seed: int, prime: int):
                          seed, prime)
 
 
-def secant_dimension(problem: SecantProblem, trials: int = DEFAULT_TRIALS,
-                     seed: int = DEFAULT_SEED,
-                     prime: int = DEFAULT_PRIME) -> tuple[int, RankCertificate]:
-    """Dimension of the k-th secant variety as the max Jacobian rank over
-    seeded random prime-field points, with a reproducible certificate."""
-    row, cert = defect_row(problem, trials=trials, seed=seed, prime=prime)
-    return row.dim, cert
-
-
 def defect_row(problem: SecantProblem, trials: int = DEFAULT_TRIALS,
                seed: int = DEFAULT_SEED,
                prime: int = DEFAULT_PRIME) -> tuple[DefectRow, RankCertificate]:
+    """The row of the k-th secant variety, whose dimension is the max
+    Jacobian rank over seeded random prime-field points, with a
+    reproducible certificate."""
     return next(_rows(problem.n, problem.d, [problem.k], trials, seed, prime))
 
 

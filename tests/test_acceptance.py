@@ -23,6 +23,7 @@ from gaussmoments import recovery as R
 from gaussmoments import secant as S
 from gaussmoments.cli import main as cli_main
 from gaussmoments.linalg import rank_rational
+from gaussmoments.polyring import PolyRing
 from gaussmoments.rng import SplitMix64
 from util import (gd_jacobian_reference, rand_fraction, rand_gaussian,
                   rand_mixture)
@@ -108,14 +109,14 @@ def test_criterion_3_univariate_identifiability():
         for seed in (1, 2, 3):
             for d in range(3, 21):
                 for k in range(1, -(-d // 3) + 2):
-                    dim, _ = S.secant_dimension(S.SecantProblem(1, d, k),
-                                                trials=1, seed=seed)
+                    dim = S.defect_row(S.SecantProblem(1, d, k), trials=1,
+                                       seed=seed)[0].dim
                     assert dim == min(d, 3 * k - 1), (d, k, seed)
         # the specific points called out: a hypersurface for d = 6 and the
         # same dimension for d in {7, 8}
         for d in (6, 7, 8):
-            dim, _ = S.secant_dimension(S.SecantProblem(1, d, 2), trials=3,
-                                        seed=1)
+            dim = S.defect_row(S.SecantProblem(1, d, 2), trials=3,
+                               seed=1)[0].dim
             assert dim == 5
 
 
@@ -123,12 +124,12 @@ def test_criterion_4_defect_two():
     with criterion("4 (two-component third-moment defect is 2)"):
         for n in range(3, 11):
             p = S.SecantProblem(n, 3, 2)
-            dim, cert = S.secant_dimension(p, trials=2, seed=7, prime=P31)
+            dim = S.defect_row(p, trials=2, seed=7, prime=P31)[0].dim
             assert dim == n * (n + 3) + 1 - 2, n
             assert p.expected - dim == 2, n
-        dim, cert = S.secant_dimension(S.SecantProblem(3, 3, 2), trials=3,
-                                       seed=7, prime=P31)
-        assert dim == 17
+        row, cert = S.defect_row(S.SecantProblem(3, 3, 2), trials=3, seed=7,
+                                 prime=P31)
+        assert row.dim == 17
         assert all(r == 17 for r in cert.ranks)
 
 
@@ -170,7 +171,7 @@ def test_criterion_6_membership_triple_agreement(tmp_path, capsys):
         for n, d in ((1, 6), (1, 10), (2, 4), (3, 3), (4, 4)):
             for t in range(50):
                 if t % 2 == 0:
-                    mv = M.gaussian_moments(rand_gaussian(rng, n), d)
+                    mv = M.mixture_moments(rand_mixture(rng, n, 1), d)
                     expected = True
                 else:
                     vals = {i: rand_fraction(rng)
@@ -192,12 +193,14 @@ def test_criterion_7_structural_checks():
             assert rep.no_y2_factor, d
             assert rep.lowest_terms_ok, d
         rng = SplitMix64(135)
+        xyz = PolyRing(["x", "y", "z"])
         for d in range(2, 13):
             mu, var = rand_fraction(rng), rand_fraction(rng)
             mv = M.univariate_moments(mu, var, d)
             point = {"x": -var, "y": mu, "z": 1}
-            assert [q.evaluate(point) for q in D.hb_minors(d)] == \
-                [mv[(i,)] for i in range(d + 1)], d
+            assert [xyz.from_terms(q).evaluate(point)
+                    for q in D.hb_minors(d)] == [mv[(i,)]
+                                                 for i in range(d + 1)], d
 
 
 def test_criterion_8_singular_line_rank():

@@ -2,9 +2,11 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -1249,6 +1251,47 @@ class TestStructuralAndMatrix:
     def test_matrix_willink_needs_n(self, capsys):
         code, _, err = run(capsys, "matrix", "--which", "willink", "--d", "4")
         assert code == 2
+
+    @pytest.mark.parametrize("which", ["gd", "hb"])
+    @pytest.mark.parametrize("option, value", [
+        ("--n", "5"), ("--moments", "/nonexistent.json")])
+    def test_matrix_gd_and_hb_take_no_n_or_moments(self, capsys, which,
+                                                   option, value):
+        # only the Willink matrix has a dimension n and a numeric form
+        assert run(capsys, "matrix", "--which", which, "--d", "3", option,
+                   value) == (2, "", f"usage error: matrix --which {which} "
+                                     f"takes no {option}\n")
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("gd", "--d", "12"), "522616261b9313c6ed43a9c4aecf67cf"
+                              "5e7d6b6ab2a50870ba3219715608e9c1"),
+        (("hb", "--d", "12"), "3f8563f2b5798206625588f2f025fb7b"
+                              "c82a47e1875539ff50483b5a47f96663"),
+        (("willink", "--n", "1", "--d", "12"),
+         "a86bef0bf6f82dd4e571347f4cf2b262"
+         "16f142c32bfe967ff3c7a3c3a76251ae"),
+        (("willink", "--n", "3", "--d", "6"),
+         "24c80b552473358099ad3b30e0433cb6"
+         "338a3eb028b1f30263334fe904f78e4a")])
+    def test_matrix_golden_digest(self, capsys, argv, digest):
+        # the SHA-256 of the whole CSV; at these sizes coefficients have
+        # two digits (11*m10, 11*x)
+        code, out, err = run(capsys, "matrix", "--which", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_matrix_willink_memory(self, capsys):
+        # 1001 rows of 21 entries over 3003 moments: the layout holds one
+        # name per entry, not an exponent tuple per moment
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "matrix", "--which", "willink", "--n",
+                               "10", "--d", "5")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.count("\n") == 1001
+        assert peak < 32 * 2 ** 20
 
 
 # argv for formulas, structural and matrix: for formulas mostly one of its

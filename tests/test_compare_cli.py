@@ -58,7 +58,7 @@ def test_a_changed_check_witness_differs_on_the_seeded_calls(tmp_path):
     assert len(differ) == 8
     assert all(" check --moments " in line and line.endswith(
         " --method willink") for line in differ)
-    assert proc.stdout.endswith("127 calls, 8 differ\n")
+    assert proc.stdout.endswith("119 calls, 8 differ\n")
 
 
 def test_the_seeded_corpus_covers_the_subcommands_the_benchmark_skips(
@@ -73,8 +73,14 @@ def test_the_seeded_corpus_covers_the_subcommands_the_benchmark_skips(
               "--moments" in argv) for argv in calls}
     for method in ("gd", "willink", "cumulant"):
         assert ("check", method, True) in kinds
-    for which in ("gd", "hb", "willink"):
-        assert {("matrix", which, True), ("matrix", which, False)} <= kinds
+    # only the Willink matrix takes --n and --moments
+    assert {("matrix", "gd", False), ("matrix", "hb", False),
+            ("matrix", "willink", False), ("matrix", "willink", True)} <= kinds
+    for argv in calls:
+        if argv[0] == "matrix" and argv[2] != "willink":
+            assert argv[3:] == ["--d", option(argv, "--d")], argv
+    for argv in compare_cli.LARGEST_MATRICES:
+        assert ["matrix", "--which", *argv] in calls
     assert {("moments", None, False), ("cumulants", None, False),
             ("cumulants", None, True)} <= kinds
     assert {argv[1] for argv in calls if argv[0] == "formulas"} == {

@@ -8,27 +8,32 @@ import pytest
 from gaussmoments import determinantal as D
 from gaussmoments import moments as M
 from gaussmoments.linalg import rank_rational
+from gaussmoments.polyring import PolyRing
 from gaussmoments.rng import SplitMix64
 from util import (annihilates, below, gd_jacobian_reference,
-                  gd_minors_reference, hb_minors_reference,
-                  poly_det_reference, power, rand_fraction, rand_gaussian,
-                  willink_kernel)
+                  gd_minors_reference, hb_minors_reference, moment_ring,
+                  poly_det_reference, polynomial_rows, power, rand_fraction,
+                  rand_gaussian, rand_mixture, willink_kernel)
+
+XYZ = PolyRing(["x", "y", "z"])
+ZERO = (0, None)
+
+
+def willink_at(n: int, d: int, mv):
+    """The Willink matrix at a moment vector, as ``check`` evaluates it."""
+    return D.evaluate(D.build_willink(n, d), D.moment_point(mv))
 
 
 class TestMomentMatrix:
     def test_d3_display(self):
-        g = D.build_gd(3)
-        rows = [[str(e) for e in row] for row in g]
-        assert rows == [["0", "m0", "2*m1"],
-                        ["m0", "m1", "m2"],
-                        ["m1", "m2", "m3"]]
+        assert D.build_gd(3) == ((ZERO, (1, "m0"), (2, "m1")),
+                                 ((1, "m0"), (1, "m1"), (1, "m2")),
+                                 ((1, "m1"), (1, "m2"), (1, "m3")))
 
     def test_top_row_rule(self):
         g = D.build_gd(7)
-        ring = D.moment_ring(7)
         for j in range(1, 8):
-            want = ring.zero() if j == 1 else ring.var(f"m{j - 2}").scale(j - 1)
-            assert g[0][j - 1] == want
+            assert g[0][j - 1] == (ZERO if j == 1 else (j - 1, f"m{j - 2}"))
 
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
@@ -43,7 +48,15 @@ class TestMomentMatrix:
 
     def test_csv_dump(self):
         text = D.csv_text(D.build_gd(3))
-        assert text.splitlines()[0] == '"0","m0","2*m1"'
+        assert text.splitlines() == ['"0","m0","2*m1"', '"m0","m1","m2"',
+                                     '"m1","m2","m3"']
+
+    def test_evaluate(self):
+        mv = M.univariate_moments(Fraction(1, 2), 3, 3)
+        matrix = D.evaluate(D.build_gd(3), D.moment_point(mv))
+        assert matrix == [[0, 1, 1], [1, Fraction(1, 2), Fraction(13, 4)],
+                          [Fraction(1, 2), Fraction(13, 4), Fraction(37, 8)]]
+        assert all(type(x) is Fraction for row in matrix for x in row)
 
 
 class TestMomentMatrixMinors:
@@ -71,7 +84,7 @@ class TestMomentMatrixMinors:
         # solving it for m_i on the chart is the moment recursion
         d = 8
         minors = gd_minors_reference(d)
-        ring = D.moment_ring(d)
+        ring = moment_ring(d)
         m = [ring.var(f"m{i}") for i in range(d + 1)]
         for i in range(3, d + 1):
             minor = minors[1, 2, i]
@@ -99,32 +112,28 @@ class TestSingularLocus:
 
 class TestBandedMatrix:
     def test_d3_display(self):
-        b = D.build_hilbert_burch(3)
-        rows = [[str(e) for e in row] for row in b]
-        assert rows == [["y", "z", "0", "0"],
-                        ["x", "y", "z", "0"],
-                        ["0", "2*x", "y", "z"]]
+        text = D.csv_text(D.build_hilbert_burch(3))
+        assert text.splitlines() == ['"y","z","0","0"', '"x","y","z","0"',
+                                     '"0","2*x","y","z"']
 
     def test_subdiagonal_coefficients(self):
         b = D.build_hilbert_burch(9)
-        x = b[0][0].ring.var("x")
         for i in range(1, 9):
-            assert b[i][i - 1] == x.scale(i)
+            assert b[i][i - 1] == (i, "x")
 
     def test_off_band_zero(self):
         b = D.build_hilbert_burch(6)
         for i in range(6):
             for j in range(7):
                 if j not in (i - 1, i, i + 1):
-                    assert b[i][j].is_zero()
+                    assert b[i][j] == ZERO
 
 
 class TestBandedMinors:
     def test_low_index_displays(self):
-        ring = D.build_hilbert_burch(2)[0][0].ring
-        x, y, z = ring.var("x"), ring.var("y"), ring.var("z")
+        x, y, z = XYZ.var("x"), XYZ.var("y"), XYZ.var("z")
         for d in (5, 8):
-            b = D.hb_minors(d)
+            b = [XYZ.from_terms(q) for q in D.hb_minors(d)]
             assert b[0] == power(z, d)
             assert b[1] == y * power(z, d - 1)
             assert b[2] == y * y * power(z, d - 2) - x * power(z, d - 1)
@@ -134,34 +143,33 @@ class TestBandedMinors:
     def test_top_index_second_terms(self):
         for d in (7, 10):
             b = D.hb_minors(d)
-            x_i, y_i, z_i = 0, 1, 2  # ring vars are (x, y, z)
-            top = b[d]
-            assert top.terms.get((0, d, 0), 0) == 1
-            assert top.terms.get((1, d - 2, 1), 0) == -comb(d, 2)
+            top = b[d]  # exponents of (x, y, z)
+            assert top.get((0, d, 0), 0) == 1
+            assert top.get((1, d - 2, 1), 0) == -comb(d, 2)
             nxt = b[d - 1]
-            assert nxt.terms.get((0, d - 1, 1), 0) == 1
-            assert nxt.terms.get((1, d - 3, 2), 0) == -comb(d - 1, 2)
+            assert nxt.get((0, d - 1, 1), 0) == 1
+            assert nxt.get((1, d - 3, 2), 0) == -comb(d - 1, 2)
 
     def test_recurrence_equals_the_matrix_minors(self):
         # b_i is the minor that deletes column i, computed by Bareiss
         for d in range(2, 15):
-            rows = D.build_hilbert_burch(d)
+            rows = polynomial_rows(XYZ, D.build_hilbert_burch(d))
             minors = tuple(
                 poly_det_reference([[row[c] for c in range(d + 1) if c != i]
                                     for row in rows])
                 for i in range(d + 1))
-            assert D.hb_minors(d) == minors
+            assert tuple(XYZ.from_terms(q) for q in D.hb_minors(d)) == minors
 
     def test_closed_form_equals_the_continuant(self):
-        # term for term, Fraction coefficients included
+        # term for term, with exponents of (x, y, z) and int coefficients
         for d in range(2, 41):
             minors = D.hb_minors(d)
             reference = hb_minors_reference(d)
             assert len(minors) == d + 1
             for got, want in zip(minors, reference):
-                assert got.ring == want.ring
-                assert got.terms == want.terms
-                assert all(type(c) is Fraction for c in got.terms.values())
+                assert want.ring == XYZ
+                assert got == want.terms
+                assert all(type(c) is int for c in got.values())
 
     def test_substitution_gives_univariate_moments(self):
         rng = SplitMix64(14)
@@ -169,8 +177,9 @@ class TestBandedMinors:
             mu, var = rand_fraction(rng), rand_fraction(rng)
             mv = M.univariate_moments(mu, var, d)
             point = {"x": -var, "y": mu, "z": 1}
-            assert [q.evaluate(point) for q in D.hb_minors(d)] == \
-                [mv[(i,)] for i in range(d + 1)]
+            assert [XYZ.from_terms(q).evaluate(point)
+                    for q in D.hb_minors(d)] == [mv[(i,)]
+                                                 for i in range(d + 1)]
 
 
 class TestStructuralChecks:
@@ -217,7 +226,6 @@ _W24_DISPLAY = [
 class TestWillink:
     def test_w24_matches_display(self):
         w = D.build_willink(2, 4)
-        ring = w[0][0].ring
         # contract order (m_u, u+e1, u+e2, ...) vs display order (m_u, u+e2,
         # u+e1, ...): swap the middle block
         perm = [0, 2, 1, 3, 4]
@@ -225,17 +233,16 @@ class TestWillink:
             permuted = [row[p] for p in perm]
             for entry, (idx, factor) in zip(permuted, disp):
                 if factor == 0:
-                    assert entry.is_zero()
+                    assert entry == ZERO
                 else:
-                    name = D.willink_variable(idx)
-                    assert entry == ring.var(name).scale(factor)
+                    assert entry == (factor, D.moment_variable(idx))
 
     def test_row_zero(self):
         for n in (1, 2, 3):
             w = D.build_willink(n, 3)
             row = w[0]
-            assert row[0] == row[0].ring.var(D.willink_variable((0,) * n))
-            assert all(row[n + 1 + i].is_zero() for i in range(n))
+            assert row[0] == (1, D.moment_variable((0,) * n))
+            assert all(row[n + 1 + i] == ZERO for i in range(n))
 
     def test_n1_is_transposed_row_permuted_moment_matrix(self):
         for d in (4, 7):
@@ -264,8 +271,8 @@ class TestWillinkMembership:
         for n in range(1, 5):
             for d in range(2, 7):
                 g = rand_gaussian(rng, n)
-                mv = M.gaussian_moments(g, d)
-                mat = D.willink_numeric(n, d, mv)
+                mv = M.mixture_moments(M.MixtureParams((g,), (1,)), d)
+                mat = willink_at(n, d, mv)
                 assert all(annihilates(mat, vec) for vec in willink_kernel(g))
                 assert rank_rational(mat) == n + 1
 
@@ -276,8 +283,8 @@ class TestWillinkMembership:
         for n, d in ((1, 4), (2, 3), (3, 4)):
             g, other = rand_gaussian(rng, n), rand_gaussian(rng, n)
             assert other != g
-            mv = M.gaussian_moments(g, d)
-            mat = D.willink_numeric(n, d, mv)
+            mv = M.mixture_moments(M.MixtureParams((g,), (1,)), d)
+            mat = willink_at(n, d, mv)
             assert not any(annihilates(mat, vec)
                            for vec in willink_kernel(other))
             assert rank_rational(mat) == n + 1
@@ -288,23 +295,22 @@ class TestWillinkMembership:
             vals = {idx: rand_fraction(rng) for idx in M.multi_indices(n, d)}
             vals[(0,) * n] = Fraction(1)
             mv = M.MomentVector(n, d, vals)
-            assert rank_rational(D.willink_numeric(n, d, mv)) > n + 1
+            assert rank_rational(willink_at(n, d, mv)) > n + 1
 
     def test_unit_minor_certificate(self):
         # the first n+1 rows on the columns (1, n+2, ..., 2n+1) form a
         # minor equal to +-m_0^(n+1) = +-1, so the Willink rank is >= n+1
         rng = SplitMix64(17)
         for n, d in ((1, 5), (2, 4), (3, 3), (4, 4)):
-            mv = M.gaussian_moments(rand_gaussian(rng, n), d)
-            rows = D.willink_numeric(n, d, mv)[: n + 1]
+            mv = M.mixture_moments(rand_mixture(rng, n, 1), d)
+            rows = willink_at(n, d, mv)[: n + 1]
             cols = [0] + list(range(n + 1, 2 * n + 1))
             assert rank_rational([[row[c] for c in cols]
                                   for row in rows]) == n + 1
 
     def test_mixture_moments_off_the_variety(self):
         rng = SplitMix64(18)
-        from util import rand_mixture
         p = rand_mixture(rng, 2, 2, distinct_first=True)
         mv = M.mixture_moments(p, 4)
-        assert rank_rational(D.willink_numeric(2, 4, mv)) > 3
+        assert rank_rational(willink_at(2, 4, mv)) > 3
 

@@ -109,8 +109,9 @@ class TestUnivariateMoments:
 
     def test_negative_order_rejected(self):
         g = M.GaussianParams((1,), (2,))
+        p = M.MixtureParams((g,), (1,))
         for make in (lambda: M.univariate_moments(0, 1, -1),
-                     lambda: M.gaussian_moments(g, -1)):
+                     lambda: M.mixture_moments(p, -1)):
             with pytest.raises(ValueError, match="at least 0"):
                 make()
 
@@ -164,7 +165,8 @@ class TestMixtureMoments:
         rng = SplitMix64(21)
         g = rand_gaussian(rng, 2)
         p = M.MixtureParams((g,), (Fraction(1),))
-        assert M.mixture_moments(p, 4) == M.gaussian_moments(g, 4)
+        assert M.mixture_moments(p, 4).values == M.gaussian_moment_table(
+            g.mean, g.sigma, 4, Fraction(1))
 
     def test_symmetric_two_point_measure(self):
         # equal weights at +-1 with zero variance: moments alternate 1, 0
@@ -189,7 +191,8 @@ class TestMixtureMoments:
         rng = SplitMix64(23)
         p = rand_mixture(rng, 2, 3)
         mv = M.mixture_moments(p, 3)
-        parts = [M.gaussian_moments(c, 3) for c in p.components]
+        parts = [M.mixture_moments(M.MixtureParams((c,), (1,)), 3)
+                 for c in p.components]
         for idx in M.multi_indices(2, 3):
             assert mv[idx] == sum(w * q[idx]
                                   for w, q in zip(p.weights, parts))
@@ -216,7 +219,8 @@ class TestCumulants:
     def test_single_gaussian_cumulants(self):
         rng = SplitMix64(44)
         g = rand_gaussian(rng, 3)
-        cum = M.moments_to_cumulants(M.gaussian_moments(g, 4))
+        cum = M.moments_to_cumulants(
+            M.mixture_moments(M.MixtureParams((g,), (1,)), 4))
         for i in range(3):
             e = tuple(1 if j == i else 0 for j in range(3))
             assert cum[e] == g.mean[i]
@@ -316,13 +320,14 @@ class TestMembershipCharacterizations:
     def test_three_characterizations_agree_on_members(self):
         # minors (n=1), Willink rank, and cumulant vanishing all certify the
         # same variety on the chart
-        from gaussmoments.determinantal import willink_numeric
+        from gaussmoments.determinantal import (build_willink, evaluate,
+                                                moment_point)
         from gaussmoments.linalg import rank_rational
         rng = SplitMix64(55)
         for n, d in ((1, 6), (2, 4), (3, 3)):
             g = rand_gaussian(rng, n)
-            mv = M.gaussian_moments(g, d)
-            mat = willink_numeric(n, d, mv)
+            mv = M.mixture_moments(M.MixtureParams((g,), (1,)), d)
+            mat = evaluate(build_willink(n, d), moment_point(mv))
             assert rank_rational(mat) == n + 1
             assert all(annihilates(mat, vec) for vec in willink_kernel(g))
             cum = M.moments_to_cumulants(mv)
@@ -359,7 +364,8 @@ class TestDegenerateMeanIdentity:
         from gaussmoments.recovery import degenerate_mean_test
         rng = SplitMix64(68)
         g = rand_gaussian(rng, 2)
-        assert degenerate_mean_test(M.gaussian_moments(g, 3))
+        assert degenerate_mean_test(
+            M.mixture_moments(M.MixtureParams((g,), (1,)), 3))
 
 
 class TestVectorsAndJson:

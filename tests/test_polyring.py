@@ -222,23 +222,6 @@ class TestRingAxioms:
             assert (a + b) + c == a + (b + c)
 
 
-class TestText:
-    def test_zero_and_constants(self):
-        assert str(XYZ.zero()) == "0"
-        assert str(XYZ.const(1)) == "1"
-        assert str(XYZ.const(Fraction(-3, 7))) == "-3/7"
-
-    def test_graded_lex_leading_first(self):
-        x, y, z = xyz()
-        p = y * y * z - x * z * z
-        assert str(p) == "-x*z^2 + y^2*z"
-
-    def test_coefficient_formatting(self):
-        x, y, _ = xyz()
-        p = x.scale(Fraction(1, 2)) - y.scale(3) + XYZ.const(1)
-        assert str(p) == "1/2*x - 3*y + 1"
-
-
 class TestSubstitute:
     """substitute_reference, the substitution the recovery tests use as an
     oracle."""

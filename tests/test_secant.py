@@ -37,31 +37,30 @@ class TestExpectedDimension:
 
 class TestJacobian:
     def test_rank_17_at_random_points(self):
-        dim, cert = S.secant_dimension(S.SecantProblem(3, 3, 2), trials=3,
-                                       seed=7, prime=P31)
-        assert dim == 17
+        row, cert = S.defect_row(S.SecantProblem(3, 3, 2), trials=3, seed=7,
+                                 prime=P31)
+        assert row.dim == 17
         assert cert.ranks == (17, 17, 17)
 
     def test_single_component_is_smooth_chart(self):
         for n, d in ((2, 3), (3, 3), (4, 4), (5, 3)):
-            dim, _ = S.secant_dimension(S.SecantProblem(n, d, 1), trials=1,
-                                        seed=3, prime=P31)
+            dim = S.defect_row(S.SecantProblem(n, d, 1), trials=1, seed=3,
+                               prime=P31)[0].dim
             assert dim == n * (n + 3) // 2
 
     def test_prime_too_small(self):
         with pytest.raises(ValueError, match="must exceed"):
-            S.secant_dimension(S.SecantProblem(1, 4, 2), prime=23)
+            S.defect_row(S.SecantProblem(1, 4, 2), prime=23)
 
     def test_prime_too_large(self):
         for prime in (2 ** 62, 2 ** 64 - 59):
             with pytest.raises(ValueError, match="below 2\\^62"):
-                S.secant_dimension(S.SecantProblem(2, 3, 1), prime=prime)
+                S.defect_row(S.SecantProblem(2, 3, 1), prime=prime)
 
     def test_composite_modulus(self):
         for prime in (10007 * 10009, 91, 1, 0, -7):
             with pytest.raises(ValueError, match="is not prime"):
-                S.secant_dimension(S.SecantProblem(2, 3, 2), trials=1,
-                                   prime=prime)
+                S.defect_row(S.SecantProblem(2, 3, 2), trials=1, prime=prime)
             with pytest.raises(ValueError, match="is not prime"):
                 S.census(3, [2], [2], trials=1, prime=prime)
 
@@ -248,15 +247,15 @@ class TestDimensionProperties:
         for seed in (1, 2, 3):
             for d in range(3, 21):
                 for k in range(1, (d + 1) // 3 + 2):
-                    dim, _ = S.secant_dimension(S.SecantProblem(1, d, k),
-                                                trials=1, seed=seed)
+                    dim = S.defect_row(S.SecantProblem(1, d, k), trials=1,
+                                       seed=seed)[0].dim
                     assert dim == min(d, 3 * k - 1), (d, k, seed)
 
     def test_monotone_in_k_until_filling(self):
         dims = []
         for k in range(1, 6):
             p = S.SecantProblem(5, 3, k)
-            dim, _ = S.secant_dimension(p, trials=1, seed=9, prime=P31)
+            dim = S.defect_row(p, trials=1, seed=9, prime=P31)[0].dim
             dims.append((dim, p.expected))
         for (d1, e1), (d2, _) in zip(dims, dims[1:]):
             assert d2 >= d1
@@ -270,15 +269,15 @@ class TestDimensionProperties:
             k = 1
             while 6 * k - 1 <= N + 3:
                 p = S.SecantProblem(2, d, k)
-                dim, _ = S.secant_dimension(p, trials=2, seed=5, prime=P31)
+                dim = S.defect_row(p, trials=2, seed=5, prime=P31)[0].dim
                 assert dim == p.expected, (d, k)
                 k += 1
 
     def test_formula_rank_agreement(self):
         for n in range(2, 11):
             for k in range(1, dim_formula_d3_max_k(n) + 1):
-                dim, _ = S.secant_dimension(S.SecantProblem(n, 3, k),
-                                            trials=2, seed=6, prime=P31)
+                dim = S.defect_row(S.SecantProblem(n, 3, k), trials=2,
+                                   seed=6, prime=P31)[0].dim
                 assert dim == S.dim_formula_d3(n, k), (n, k)
 
 
@@ -323,20 +322,19 @@ class TestVeroneseOracle:
 
 class TestCertificates:
     def test_bit_for_bit_reproducibility(self):
-        a = S.secant_dimension(S.SecantProblem(2, 4, 2), trials=3, seed=11,
-                               prime=P31)
-        b = S.secant_dimension(S.SecantProblem(2, 4, 2), trials=3, seed=11,
-                               prime=P31)
+        a = S.defect_row(S.SecantProblem(2, 4, 2), trials=3, seed=11,
+                         prime=P31)
+        b = S.defect_row(S.SecantProblem(2, 4, 2), trials=3, seed=11,
+                         prime=P31)
         assert a == b
         assert a[1].to_json() == b[1].to_json()
 
     def test_certificate_fields(self):
-        dim, cert = S.secant_dimension(S.SecantProblem(1, 6, 2), trials=2,
-                                       seed=12)
+        row, cert = S.defect_row(S.SecantProblem(1, 6, 2), trials=2, seed=12)
         assert cert.prime == S.DEFAULT_PRIME
         assert cert.prng == "splitmix64-v1"
-        assert cert.reported == dim == max(cert.ranks)
-        assert cert.degree_bound == dim * 6
+        assert cert.reported == row.dim == max(cert.ranks)
+        assert cert.degree_bound == row.dim * 6
         assert cert.failure_bound() < 1e-15
 
 
@@ -367,8 +365,8 @@ class TestCensus:
                         seed=23, prime=prime)
         assert [(r.n, r.k) for r in rows] == [(n, k) for n in ns for k in ks]
         for row in rows:
-            dim, _ = S.secant_dimension(S.SecantProblem(row.n, d, row.k),
-                                        trials=trials, seed=23, prime=prime)
+            dim = S.defect_row(S.SecantProblem(row.n, d, row.k),
+                               trials=trials, seed=23, prime=prime)[0].dim
             assert row.dim == dim, (row.n, row.k)
 
     @pytest.mark.parametrize("prime", PRIMES[1:])
@@ -392,8 +390,7 @@ class TestCensus:
             return kernel(rows, p)
         monkeypatch.setattr(S, "rank_profile_mod_p", keep)
         S.census(3, [4], range(1, 6), trials=2, seed=5, prime=P31)
-        S.secant_dimension(S.SecantProblem(4, 3, 3), trials=2, seed=5,
-                           prime=P31)
+        S.defect_row(S.SecantProblem(4, 3, 3), trials=2, seed=5, prime=P31)
         # less component 1's m rows and columns, and component 2's
         # n(n+1)/2 covariance columns with their pivot rows
         fixed = 4 * 7 // 2 + 4 * 5 // 2
@@ -501,8 +498,8 @@ class TestCensus:
             for d in range(1, 6):
                 rank = n if d == 1 else m
                 assert S._prefix_ranks(n, d, [[1] * m], P31) == [rank]
-                dim, _ = S.secant_dimension(S.SecantProblem(n, d, 1),
-                                            trials=2, seed=3, prime=P31)
+                dim = S.defect_row(S.SecantProblem(n, d, 1), trials=2,
+                                   seed=3, prime=P31)[0].dim
                 assert dim == rank
                 if d <= 2:
                     rows = S.census(d, [n], range(1, 4), defective_only=False,
@@ -668,9 +665,9 @@ class TestSchurStep:
                     want = max(rank_mod_p_oracle(
                         [r[:row.par] for r in layout], prime)
                         for layout in full)
-                    dim, _ = S.secant_dimension(
+                    dim = S.defect_row(
                         S.SecantProblem(n, d, row.k), trials=2, seed=31,
-                        prime=prime)
+                        prime=prime)[0].dim
                     assert row.dim == dim == want, (n, row.k)
 
 

@@ -14,7 +14,7 @@ from gaussmoments.determinantal import build_gd
 from gaussmoments.moments import (GaussianParams, MixtureParams,
                                   gaussian_moment_table, lower_index,
                                   multi_indices, sigma_var_index)
-from gaussmoments.polyring import Polynomial, PolyRing, grlex_key
+from gaussmoments.polyring import Polynomial, PolyRing
 from gaussmoments.rng import SplitMix64
 from gaussmoments.secant import (_moment_blocks, _moment_residues, _points,
                                  dim_formula_d3)
@@ -169,11 +169,12 @@ def exact_div_reference(num: Polynomial, den: Polynomial) -> Polynomial:
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     ring = num.ring
-    den_lead, den_lc = max(den.terms.items(), key=lambda t: grlex_key(t[0]))
+    grlex = lambda term: (sum(term[0]), term[0])  # total degree, then lex
+    den_lead, den_lc = max(den.terms.items(), key=grlex)
     rem = num
     q_terms: dict = {}
     while not rem.is_zero():
-        lead, lc = max(rem.terms.items(), key=lambda t: grlex_key(t[0]))
+        lead, lc = max(rem.terms.items(), key=grlex)
         e = tuple(a - b for a, b in zip(lead, den_lead))
         if any(k < 0 for k in e):
             raise ValueError("inexact polynomial division")
@@ -229,12 +230,24 @@ def hb_minors_reference(d: int) -> tuple[Polynomial, ...]:
     return tuple(power(z, d - i) * h[i] for i in range(d + 1))
 
 
+def polynomial_rows(ring: PolyRing, rows) -> list[list[Polynomial]]:
+    """A layout of determinantal (rows of (coefficient, variable) entries)
+    as rows of polynomials of ``ring``, for the symbolic references."""
+    return [[ring.var(v).scale(c) if c else ring.zero() for c, v in row]
+            for row in rows]
+
+
+def moment_ring(d: int) -> PolyRing:
+    """Q[m0..md], the ring of the moment matrix's (build_gd) entries."""
+    return PolyRing([f"m{i}" for i in range(d + 1)])
+
+
 @lru_cache(maxsize=None)
 def gd_minors_reference(d: int) -> dict:
     """Each 3x3 minor of the moment matrix (build_gd) as a cubic, keyed by
     its 1-based column triple, in lexicographic order: Bareiss
     (poly_det_reference) on the matrix's rows."""
-    rows = build_gd(d)
+    rows = polynomial_rows(moment_ring(d), build_gd(d))
     return {tuple(c + 1 for c in cols):
             poly_det_reference([[row[c] for c in cols] for row in rows])
             for cols in combinations(range(d), 3)}
@@ -255,7 +268,7 @@ def gd_jacobian_reference(d: int, values) -> list[list[Fraction]]:
     the point m0..md ``values``, one row per column triple in lexicographic
     order.  By Jacobi's formula the partial of a minor in m_v is the sum of
     its cofactors times the coefficients of m_v in its linear entries."""
-    g = build_gd(d)
+    g = polynomial_rows(moment_ring(d), build_gd(d))
     point = {f"m{i}": v for i, v in enumerate(values)}
     a = [[e.evaluate(point) for e in row] for row in g]
     rows = []

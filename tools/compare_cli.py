@@ -10,13 +10,16 @@ and compares the exit code, stdout and stderr of every call:
 * with --seeds, for each seed: the units of every workload in
   ``bench/workloads.py``, and calls of the subcommands the benchmark does
   not run (``moments``, ``cumulants``, ``check`` with each method,
-  ``formulas`` with each flag, ``matrix`` for each matrix with and without
-  ``--moments``, and ``check`` at orders 4..8, where the gd matrix has
-  more than one minor) on inputs drawn from the seed, and ``dim`` and
+  ``formulas`` with each flag, ``matrix`` for each matrix, the gd and hb
+  matrices up to d = 12 and the Willink matrix also with ``--moments``,
+  and ``check`` at orders 4..8, where the gd matrix has more than one
+  minor) on inputs drawn from the seed, and ``dim`` and
   ``census`` calls at d = 4 and 5, n = 2..6, at one prime per limb count
   of the rank kernel (1, 2 and 3 limbs), which the benchmark runs at
-  other orders and primes.  The input files of both go to a temporary
-  directory.
+  other orders and primes; and once, the matrices ``matrix`` prints with
+  two-digit coefficients (``11*m10``, ``11*x``): gd and hb at d = 12, and
+  the Willink matrix at n = 1, d = 12 and n = 3, d = 6.  The input files
+  go to a temporary directory.
 
 Each tree runs the whole corpus in one fresh interpreter, without the
 GAUSSMOMENTS_* environment variables, from which older trees read their
@@ -84,13 +87,21 @@ def workload_corpus(seeds: list[int], inputs: Path) -> list[list[str]]:
     return [list(argv) for argv in calls]
 
 
+# the matrices whose coefficients reach two digits (11*m10, 11*x)
+LARGEST_MATRICES = (("gd", "--d", "12"), ("hb", "--d", "12"),
+                    ("willink", "--n", "1", "--d", "12"),
+                    ("willink", "--n", "3", "--d", "6"))
+
+
 def cli_corpus(seeds: list[int], inputs: Path) -> list[list[str]]:
     """For each seed and n = 1, 2, 3: the seeded calls of ``moments``,
-    ``cumulants``, ``check`` and ``matrix`` on a random two-component
-    mixture and on its first component alone (a Gaussian, so a member of
-    the moment variety); one call of ``formulas`` per flag; and ``check``
+    ``cumulants``, ``check`` and ``matrix --which willink --moments`` on a
+    random two-component mixture and on its first component alone (a
+    Gaussian, so a member of the moment variety), and the symbolic matrices
+    at a random order; one call of ``formulas`` per flag; and ``check``
     with each method on the moments of a univariate Gaussian of a random
-    order 4..8, and on the same moments with the top one raised by 1."""
+    order 4..8, and on the same moments with the top one raised by 1.
+    Then, if there are seeds, the largest matrices: LARGEST_MATRICES."""
     sys.path.insert(0, str(BENCH))
     import oracles
 
@@ -117,13 +128,13 @@ def cli_corpus(seeds: list[int], inputs: Path) -> list[list[str]]:
                     n, oracles.mixture_moments3(m))))
                 calls += [["check", "--moments", path, "--method", how]
                           for how in ("gd", "willink", "cumulant")]
-                calls.append(["cumulants", "--moments", path])
-                calls += [["matrix", "--which", which, "--n", str(n), "--d",
-                           "3", "--moments", path]
-                          for which in ("gd", "hb", "willink")]
-            calls += [["matrix", "--which", which, "--n", str(n), "--d",
-                       str(rng.randint(3, 6))]
-                      for which in ("gd", "hb", "willink")]
+                calls += [["cumulants", "--moments", path],
+                          ["matrix", "--which", "willink", "--n", str(n),
+                           "--d", "3", "--moments", path]]
+            calls += [["matrix", "--which", which, "--d",
+                       str(rng.randint(3, 12))] for which in ("gd", "hb")]
+            calls.append(["matrix", "--which", "willink", "--n", str(n),
+                          "--d", str(rng.randint(3, 6))])
         # the lowest d, n and r each formula takes
         for flag, lo in (("--deg-sec2-g1", 3), ("--deg-sec2-x", 4),
                          ("--deg-sec3-x", 6)):
@@ -149,7 +160,10 @@ def cli_corpus(seeds: list[int], inputs: Path) -> list[list[str]]:
                 for i, v in enumerate(m)]}))
             calls += [["check", "--moments", path, "--method", how]
                       for how in ("gd", "willink", "cumulant")]
+    if seeds:
+        calls += [["matrix", "--which", *argv] for argv in LARGEST_MATRICES]
     return calls
+
 
 
 def univariate_moments(mean: Fraction, var: Fraction, d: int) -> list:
