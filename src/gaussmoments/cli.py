@@ -19,11 +19,9 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import combinations
 
 from . import determinantal, moments, recovery, secant
 from .linalg import rank_rational
-from .polyring import det
 from .rng import PRNG_NAME
 from .secant import _shown
 
@@ -193,10 +191,10 @@ def _cmd_cumulants(args) -> int:
         raise SystemExit2("cumulants takes --moments alone, or --params "
                           "with --d")
     _check_order(args.d)
-    if args.moments:
+    if args.moments is not None:
         mv = moments.moment_vector_from_json(_load_json(args.moments))
     else:
-        if not args.params or args.d is None:
+        if args.params is None or args.d is None:
             raise SystemExit2("cumulants needs --moments, or --params with --d")
         params = moments.mixture_params_from_json(_load_json(args.params))
         mv = moments.mixture_moments(params, args.d)
@@ -205,41 +203,45 @@ def _cmd_cumulants(args) -> int:
     return 0
 
 
-def _first_nonzero_cumulant(mv) -> tuple | None:
+def _first_nonzero_cumulant(mv) -> list | None:
     cum = moments.moments_to_cumulants(mv)
     for idx in moments.multi_indices(mv.n, mv.d, min_order=3):
         if cum[idx] != 0:
-            return idx
+            return list(idx)
     return None
+
+
+def _gd_witness(mv) -> list | None:
+    """The first column triple, in lexicographic order, whose minor of the
+    moment matrix (:func:`determinantal.build_gd`) is nonzero at the
+    univariate ``mv``, or None.  Its columns 1 and 2, (0, 1, m_1) and
+    (1, m_1, m_2) in the chart m_0 = 1, are independent, so every minor
+    vanishes if those on (1, 2, c) do, and they come first: -(m_c - m_1
+    m_{c-1} - (c-1) v m_{c-2}) with v = m_2 - m_1^2, the residual of the
+    three-term moment recursion."""
+    if mv.n != 1:
+        raise ValueError("the minor test applies to n = 1 only")
+    if mv.d < 3:
+        raise ValueError("the moment matrix needs d >= 3")
+    m = [mv[(i,)] for i in range(mv.d + 1)]
+    v = m[2] - m[1] ** 2
+    return next(([1, 2, c] for c in range(3, len(m))
+                 if m[c] - m[1] * m[c - 1] - (c - 1) * v * m[c - 2]), None)
 
 
 def _cmd_check(args) -> int:
     mv = moments.moment_vector_from_json(_load_json(args.moments))
-    method = args.method
-    result: dict = {"method": method, "n": mv.n, "d": mv.d}
-    if method == "gd":
-        if mv.n != 1:
-            raise ValueError("the minor test applies to n = 1 only")
-        matrix = determinantal.evaluate(determinantal.build_gd(mv.d),
-                                        determinantal.moment_point(mv))
-        # the first column triple, in lexicographic order, whose minor is
-        # nonzero at the point
-        witness = next((cols for cols in combinations(range(mv.d), 3)
-                        if det([[row[c] for c in cols] for row in matrix])),
-                       None)
-        result["member"] = witness is None
-        result["witness"] = [c + 1 for c in witness] if witness else None
-    elif method == "willink":
+    if args.method == "willink":
         rank = rank_rational(determinantal.evaluate(
             determinantal.build_willink(mv.n, mv.d),
             determinantal.moment_point(mv)))
-        result["member"] = rank <= mv.n + 1
-        result["witness"] = {"rank": rank, "bound": mv.n + 1}
-    else:  # cumulant; argparse's choices admit no other method
-        witness = _first_nonzero_cumulant(mv)
-        result["member"] = witness is None
-        result["witness"] = list(witness) if witness else None
-    _print_json(result)
+        member, witness = rank <= mv.n + 1, {"rank": rank, "bound": mv.n + 1}
+    else:  # gd or cumulant; argparse's choices admit no other method
+        witness = (_gd_witness(mv) if args.method == "gd"
+                   else _first_nonzero_cumulant(mv))
+        member = witness is None
+    _print_json({"method": args.method, "n": mv.n, "d": mv.d,
+                 "member": member, "witness": witness})
     return 0
 
 
@@ -351,7 +353,7 @@ def _cmd_matrix(args) -> int:
         if args.n < 1 or args.d < 2:
             raise ValueError("the Willink matrix needs n >= 1 and d >= 2")
         rows = determinantal.build_willink(args.n, args.d)
-        if args.moments:
+        if args.moments is not None:
             mv = moments.moment_vector_from_json(_load_json(args.moments))
             if mv.n != args.n or mv.d < args.d:
                 raise ValueError("moment vector does not match (n, d)")

@@ -4,10 +4,9 @@ Three matrix families, each of whose entries is a coefficient times one
 variable:
 
 * the 3 x d moment matrix of the univariate moment surface, whose 3x3
-  minors cut out the surface in P^d: ``check --method gd`` evaluates the
-  matrix at a moment vector and tests each minor as a number (criterion 8
-  ranks the Jacobian of the minors on the singular line by
-  ``gd_jacobian_reference`` in ``tests/util.py``);
+  minors cut out the surface in P^d; in the chart m_0 = 1 its columns 1
+  and 2 are independent, so ``check --method gd`` computes only the d - 2
+  minors through them, the residuals of the three-term moment recursion;
 * the d x (d+1) banded matrix in x, y, z whose maximal minors parametrize
   the same surface (substituting x = -var, y = mean, z = 1 turns them into
   the univariate moments), together with the structural facts about those

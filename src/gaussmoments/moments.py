@@ -85,6 +85,8 @@ class GaussianParams:
 
     def __post_init__(self):
         n = len(self.mean)
+        if n < 1:
+            raise ValueError("mean must have at least one entry")
         if len(self.cov_upper) != n * (n + 1) // 2:
             raise ValueError("covariance upper triangle has wrong length")
         object.__setattr__(self, "mean", tuple(_coerce(x) for x in self.mean))
@@ -366,6 +368,8 @@ def _json_int(x, what: str) -> int:
 def moment_vector_from_json(data) -> MomentVector:
     data = _json_object(data, "a moment vector")
     n, d = _json_int(data.get("n"), "n"), _json_int(data.get("d"), "d")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, not {n}")
     if d < 1:
         raise ValueError(f"d must be at least 1, not {d}")
     values = {}

@@ -442,13 +442,9 @@ def _prefix_ranks(n: int, d: int, comp_vals, p: int) -> list[int]:
     component 2's covariance columns and their pivot rows
     (:func:`_drop_second`) after :func:`_rotate` has made its mean
     difference e_i0, i0 its first nonzero coordinate.  Where the mean
-    difference is 0 the rotation and the drop are skipped.  At K = 1 or
-    d <= 2 component 1 fills the rank, m = n(n+3)/2 or, at d = 1, n:
-    no table is built.
-    """
+    difference is 0 the rotation and the drop are skipped.  It needs
+    K >= 2 and d >= 3 (:func:`_rows` has the other ranks)."""
     m, top = n * (n + 3) // 2, len(comp_vals)
-    if top == 1 or d < 3:
-        return [min(m, comb(n + d, d) - 1)] * top
     vals = np.asarray(comp_vals, dtype=np.int64)
     delta = (vals[1:] - vals[0]) % p
     heads = np.flatnonzero(delta[0, :n])
@@ -525,9 +521,6 @@ def _points(n: int, d: int, top: int, trials: int, seed: int, prime: int):
     an int64 array with one row per component: they come from the stream
     derive_seed(seed, n, d, trial), drawn one component after another, so
     the first k components do not depend on ``top``."""
-    if trials < 1:
-        raise ValueError("at least one trial required")
-    _check_prime(d, prime)
     m = n * (n + 3) // 2
     for t in range(trials):
         rng = SplitMix64(derive_seed(seed, n, d, t))
@@ -563,12 +556,22 @@ def _rows(n: int, d: int, ks, trials: int, seed: int, prime: int):
     """(DefectRow, RankCertificate) for each k in ``ks``, ascending and
     distinct, from one elimination per trial at the largest k: the rank of
     a k's layout is that of the prefix of its first k components
-    (:func:`_prefix_ranks`)."""
+    (:func:`_prefix_ranks`).  Where the largest k is 1 or d <= 2 no point
+    is drawn: at the origin component 1's partials are unit vectors (the
+    sigma ones 0 at d = 1), so it has rank min(m, N), and at d <= 2 that
+    is N, whatever k is."""
     problems = [SecantProblem(n, d, k) for k in ks]
     if not problems:
         return
-    ranks = [_prefix_ranks(n, d, comp_vals, prime) for comp_vals in
-             _points(n, d, problems[-1].k, trials, seed, prime)]
+    if trials < 1:
+        raise ValueError("at least one trial required")
+    _check_prime(d, prime)
+    top = problems[-1].k
+    if top == 1 or d < 3:
+        ranks = [[min(n * (n + 3) // 2, problems[0].ambient)] * top] * trials
+    else:
+        ranks = [_prefix_ranks(n, d, comp_vals, prime) for comp_vals in
+                 _points(n, d, top, trials, seed, prime)]
     for problem in problems:
         yield _certified(problem, tuple(r[problem.k - 1] for r in ranks),
                          seed, prime)
@@ -601,6 +604,9 @@ def census(d: int, n_values, k_values, defective_only: bool = True,
 
 # -- closed-form formulas --------------------------------------------------------
 
+# Each quotient is exact: a numerator is an integer polynomial, 0 mod its
+# denominator on a complete residue system (tests/test_secant.py).
+
 
 def dim_formula_d3(n: int, k: int) -> int:
     """Conjectured dimension of the k-th secant at d = 3:
@@ -608,8 +614,6 @@ def dim_formula_d3(n: int, k: int) -> int:
     if n < 2 or k < 1:
         raise ValueError("the d=3 dimension formula needs n >= 2, k >= 1")
     num = k * (k * k - 3 * (n + 4) * k + 3 * n * (n + 6) + 23)
-    if num % 6:
-        raise ArithmeticError(f"formula value not divisible by 6 at (n={n}, k={k})")
     return num // 6 - (n + 2)
 
 
@@ -617,8 +621,6 @@ def defect_identity_d3(n: int, k: int) -> int:
     """The rewritten identity for (parameters) - (dimension) at d = 3:
     (1/2)(k-1)(k-2) n - (1/6)(k-1)(k^2 - 11k + 6)."""
     num = 3 * (k - 1) * (k - 2) * n - (k - 1) * (k * k - 11 * k + 6)
-    if num % 6:
-        raise ArithmeticError(f"defect identity not integral at (n={n}, k={k})")
     return num // 6
 
 
@@ -629,19 +631,12 @@ def conjecture_eleven_defect(n: int, r: int) -> int:
     return comb(r - 1, 2)
 
 
-def _exact_quotient(num: int, den: int, what: str) -> int:
-    if num % den:
-        raise ArithmeticError(f"{what} is not an integer")
-    return num // den
-
-
 def degree_formula_sec2_g1(d: int) -> int:
     """Degree of the secant of two-component univariate mixtures:
     (d+7)(d-4)(d-3)(d-2)/8.  Zero for d in {2, 3, 4}; 9 at d = 5 (Pearson)."""
     if d < 2:
         raise ValueError("degree formula needs d >= 2")
-    return _exact_quotient((d + 7) * (d - 4) * (d - 3) * (d - 2), 8,
-                           "secant degree")
+    return (d + 7) * (d - 4) * (d - 3) * (d - 2) // 8
 
 
 def degree_formula_sec2_x(d: int) -> int:
@@ -649,8 +644,7 @@ def degree_formula_sec2_x(d: int) -> int:
     (d-4)(d-3)(d^2+5d-2)/8."""
     if d < 4:
         raise ValueError("general-surface degree formula needs d >= 4")
-    return _exact_quotient((d - 4) * (d - 3) * (d * d + 5 * d - 2), 8,
-                           "secant degree")
+    return (d - 4) * (d - 3) * (d * d + 5 * d - 2) // 8
 
 
 def degree_formula_sec3_x(d: int) -> int:
@@ -658,9 +652,8 @@ def degree_formula_sec3_x(d: int) -> int:
     (d-6)(d^5+3d^4-57d^3-43d^2+752d-512)/48."""
     if d < 6:
         raise ValueError("trisecant degree formula needs d >= 6")
-    return _exact_quotient(
-        (d - 6) * (d ** 5 + 3 * d ** 4 - 57 * d ** 3 - 43 * d ** 2
-                   + 752 * d - 512), 48, "trisecant degree")
+    return (d - 6) * (d ** 5 + 3 * d ** 4 - 57 * d ** 3 - 43 * d ** 2
+                      + 752 * d - 512) // 48
 
 
 DEG_SEC2_G1_VERIFIED_MAX = 11  # largest d with the degree checked numerically

@@ -153,7 +153,7 @@ class TestCheck:
                            "--method", "willink")
         assert json.loads(out)["member"] is False
 
-    @pytest.mark.parametrize("d", range(3, 10))
+    @pytest.mark.parametrize("d", range(3, 17))
     def test_gd_witness_is_the_first_nonzero_minor(self, capsys, tmp_path,
                                                    d):
         # a Gaussian's moments, the same with m_d or another m_j changed,
@@ -252,6 +252,22 @@ class TestMalformedJson:
                             {"n": 1, "d": -2, "values": []},
                             "d must be at least 1")
 
+    @pytest.mark.parametrize("command", [
+        ("check", "--method", "gd", "--moments"),
+        ("cumulants", "--moments")], ids=["check", "cumulants"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_dimension_below_one(self, capsys, tmp_path, command, n):
+        # rejected where the file is read, not by an internal function
+        self.check_rejected(capsys, tmp_path, {"n": n, "d": 3, "values": []},
+                            f"error: n must be at least 1, not {n}\n",
+                            command=command)
+
+    def test_params_empty_mean(self, capsys, tmp_path):
+        entry = {"weight": "1", "mean": [], "cov": []}
+        self.check_rejected(capsys, tmp_path, {"components": [entry]},
+                            "error: mean must have at least one entry\n",
+                            command=("moments", "--d", "2", "--params"))
+
     def test_params_top_level_array(self, capsys, tmp_path):
         self.check_rejected(capsys, tmp_path, [], "must be a JSON object",
                             command=("moments", "--d", "2", "--params"))
@@ -310,6 +326,17 @@ class TestMalformedJson:
             assert (code, err) == (0, "")
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("matrix", "--which", "willink", "--n", "1", "--d", "3", "--moments", ""),
+    ("cumulants", "--moments", ""),
+    ("cumulants", "--params", "", "--d", "3")],
+    ids=["matrix-moments", "cumulants-moments", "cumulants-params"])
+def test_an_empty_path_is_a_missing_file(capsys, argv):
+    # an empty path names no file; it is not a missing option
+    assert run(capsys, *argv) == (
+        1, "", "error: [Errno 2] No such file or directory: ''\n")
 
 
 class TestCensusAndDim:

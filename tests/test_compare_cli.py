@@ -58,7 +58,7 @@ def test_a_changed_check_witness_differs_on_the_seeded_calls(tmp_path):
     assert len(differ) == 8
     assert all(" check --moments " in line and line.endswith(
         " --method willink") for line in differ)
-    assert proc.stdout.endswith("119 calls, 8 differ\n")
+    assert proc.stdout.endswith("122 calls, 8 differ\n")
 
 
 def test_the_seeded_corpus_covers_the_subcommands_the_benchmark_skips(
@@ -112,6 +112,12 @@ def test_the_rank_corpus_covers_each_limb_count_at_orders_4_and_5(
     calls = compare_cli.rank_corpus([1, 2])
     option = lambda argv, flag: (argv[argv.index(flag) + 1]
                                  if flag in argv else None)
+    # then once the rows that draw no point: the largest k is 1 or d = 2
+    closed = [list(argv) for argv in compare_cli.CLOSED_FORM_ROWS]
+    assert calls[-len(closed):] == closed
+    assert all(option(argv, "--d") == "2" or option(argv, "--k") == "1"
+               for argv in closed)
+    calls = calls[:-len(closed)]
     kinds = {(argv[0], argv[argv.index("--d") + 1],
               _limbs(int(option(argv, "--prime") or DEFAULT_PRIME))[0])
              for argv in calls}

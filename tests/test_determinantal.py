@@ -61,8 +61,9 @@ class TestMomentMatrix:
 
 class TestMomentMatrixMinors:
     """The minors as cubics (gd_minors_reference, Bareiss on build_gd's
-    rows); ``check --method gd`` evaluates them as numbers, as
-    tests/test_cli.py checks against this reference."""
+    rows): the reference that tests/test_cli.py checks the witness of
+    ``check --method gd``, read off the minors through columns 1 and 2,
+    against."""
 
     def test_vanish_on_surface_nonvanish_off(self):
         rng = SplitMix64(12)

@@ -330,7 +330,7 @@ class TestDet:
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_fraction_entries(self, size):
-        # the same sum on numbers, as ``check --method gd`` runs it
+        # the same sum on numbers: det uses only +, - and *
         rng = SplitMix64(910 + size)
         for _ in range(5):
             rows = [[rand_fraction(rng) for _ in range(size)]

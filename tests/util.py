@@ -255,8 +255,9 @@ def gd_minors_reference(d: int) -> dict:
 
 def gd_witness_reference(values):
     """The first column triple whose minor (gd_minors_reference) is nonzero
-    at the point m0..md ``values``, or None: the oracle of the witness of
-    ``check --method gd``."""
+    at the point m0..md ``values``, or None: the oracle, from all C(d, 3)
+    minors, of the witness that ``check --method gd`` reads off the d - 2
+    minors through columns 1 and 2."""
     point = {f"m{i}": v for i, v in enumerate(values)}
     return next((cols for cols, q in
                  gd_minors_reference(len(values) - 1).items()

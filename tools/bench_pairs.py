@@ -4,10 +4,10 @@ Usage: python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W
            --seeds A..B
 
 For each seed, runs each tree's own ``bench/run.py --workload W --seed S
---seconds 42 --trace 0`` in that tree, one run at a time; the parent goes
+--seconds T --trace 0`` in that tree, one run at a time; the parent goes
 first on even pairs and the change on odd ones, so a drift of the host's
-speed during the session does not favour one side.  The end-to-end metrics
-are those of ``BENCHMARK.json``.
+speed during the session does not favour one side.  The run length T and
+the end-to-end metrics are those of ``BENCHMARK.json``.
 
 Writes ``BENCH_<change rev>.json`` at the root of this repository with the
 revs of both trees, the Python and numpy versions and the CPU count, every
@@ -33,7 +33,6 @@ import numpy
 from compare_cli import _seed_range
 
 REPO = Path(__file__).resolve().parent.parent
-SECONDS = 42
 
 
 def _rev(tree: Path) -> str:
@@ -49,11 +48,11 @@ def _rev(tree: Path) -> str:
     return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
-def run_bench(tree: Path, workload: str, seed: int) -> str:
+def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> str:
     """The result line (the last line of stdout) of one benchmark run."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode:
         raise SystemExit(f"bench/run.py failed in {tree}:\n{proc.stderr}")
@@ -114,11 +113,12 @@ def main(argv=None) -> int:
     revs = {side: _rev(tree) for side, tree in trees.items()}
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     path = REPO / f"BENCH_{revs['change']}.json"
     setting = {"parent_rev": revs["parent"], "change_rev": revs["change"],
                "python": platform.python_version(),
                "numpy": numpy.__version__, "cpus": os.cpu_count(),
-               "command": f"bench/run.py --seconds {SECONDS} --trace 0"}
+               "command": f"bench/run.py --seconds {seconds} --trace 0"}
     record = json.loads(path.read_text()) if path.exists() else setting
     if {key: record.get(key) for key in setting} != setting:
         raise SystemExit(f"{path} holds runs of another setting")
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
     runs, lines = [], []
     for k, seed in enumerate(args.seeds):
         order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
-        line = {side: run_bench(trees[side], args.workload, seed)
+        line = {side: run_bench(trees[side], args.workload, seed, seconds)
                 for side in order}
         lines.append((line["parent"], line["change"]))
         runs.append({"seed": seed, "first": order[0],

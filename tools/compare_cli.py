@@ -18,8 +18,11 @@ and compares the exit code, stdout and stderr of every call:
   of the rank kernel (1, 2 and 3 limbs), which the benchmark runs at
   other orders and primes; and once, the matrices ``matrix`` prints with
   two-digit coefficients (``11*m10``, ``11*x``): gd and hb at d = 12, and
-  the Willink matrix at n = 1, d = 12 and n = 3, d = 6.  The input files
-  go to a temporary directory.
+  the Willink matrix at n = 1, d = 12 and n = 3, d = 6, and the ``dim``
+  and ``census`` rows whose ranks are closed forms (largest k 1, or
+  d <= 2) at large n: ``dim`` at n = 3000, d = 2, k = 3 and n = 2000,
+  d = 3, k = 1, and ``census`` at d = 2, n = 1..40, k = 1..3.  The input
+  files go to a temporary directory.
 
 Each tree runs the whole corpus in one fresh interpreter, without the
 GAUSSMOMENTS_* environment variables, from which older trees read their
@@ -177,13 +180,19 @@ def univariate_moments(mean: Fraction, var: Fraction, d: int) -> list:
 # one prime per limb count of linalg's residue arithmetic: 21, 31 and 62 bits
 LIMB_PRIMES = (2097143, 2147483647, None)
 
+# rows whose every rank is min(m, N), at sizes where a random point is large
+CLOSED_FORM_ROWS = (
+    ("dim", "--n", "3000", "--d", "2", "--k", "3", "--trials", "1"),
+    ("dim", "--n", "2000", "--d", "3", "--k", "1", "--trials", "1"),
+    ("census", "--d", "2", "--n", "1..40", "--k", "1..3", "--trials", "1"))
+
 
 def rank_corpus(seeds: list[int]) -> list[list[str]]:
     """For each seed, d = 4 and 5 and each of LIMB_PRIMES (None: the
     default prime): one ``census`` of every row with n = 2..6 and one
     ``dim`` at a random n in that range.  Each runs the closed-form steps
     and the order >= 4 product that drops component 2's covariance
-    columns."""
+    columns.  Then, if there are seeds, CLOSED_FORM_ROWS."""
     calls = []
     for seed in seeds:
         rng = random.Random(seed)
@@ -198,6 +207,8 @@ def rank_corpus(seeds: list[int]) -> list[list[str]]:
                            *options],
                           ["dim", "--n", str(rng.randint(2, 6)), "--d", d,
                            "--k", str(rng.randint(2, 12)), *options]]
+    if seeds:
+        calls += [list(argv) for argv in CLOSED_FORM_ROWS]
     return calls
 
 
